@@ -129,8 +129,7 @@ SweepPoint SweepQueryAtBudget(PaperWorkload& workload,
     point.overflows += ctx->overflows();
 
     // Unbounded reference on the same resolved plan: identical multiset.
-    auto unbounded =
-        ExecutePlan(startup->resolved, workload.db(), bound, ExecMode::kTuple);
+    auto unbounded = ExecutePlan(startup->resolved, workload.db(), bound);
     if (!unbounded.ok() ||
         Canonicalize(*rows) != Canonicalize(*unbounded)) {
       point.results_match = false;

@@ -169,42 +169,25 @@ void ExportPoolCounters(benchmark::State& state, const BufferPool& pool) {
       static_cast<double>(pool.misses()), benchmark::Counter::kAvgIterations);
 }
 
-/// Runs `plan` to exhaustion once per iteration in the mode selected by
-/// state.range(0) (0 = tuple, 1 = batch), without materializing results.
+/// Runs `plan` to exhaustion once per iteration, without materializing
+/// results.
 void RunExecBenchmark(benchmark::State& state, const PhysNodePtr& plan) {
   PaperWorkload& workload = PopulatedWorkload();
   ParamEnv env;
-  ExecMode mode = state.range(0) == 0 ? ExecMode::kTuple : ExecMode::kBatch;
-  state.SetLabel(ExecModeName(mode));
   workload.db().buffer_pool().ResetStats();
   int64_t rows = 0;
-  if (mode == ExecMode::kBatch) {
-    auto iter = BuildBatchExecutor(plan, workload.db(), env);
-    DQEP_CHECK(iter.ok());
-    TupleBatch batch;
-    for (auto _ : state) {
-      (*iter)->Open();
-      while ((*iter)->Next(&batch)) {
-        rows += batch.num_rows();
-      }
-      (*iter)->Close();
+  auto iter = BuildBatchExecutor(plan, workload.db(), env);
+  DQEP_CHECK(iter.ok());
+  TupleBatch batch;
+  for (auto _ : state) {
+    (*iter)->Open();
+    while ((*iter)->Next(&batch)) {
+      rows += batch.num_rows();
     }
-    ExportCounters(state, **iter, "");
-    ExportPoolCounters(state, workload.db().buffer_pool());
-  } else {
-    auto iter = BuildExecutor(plan, workload.db(), env);
-    DQEP_CHECK(iter.ok());
-    Tuple tuple;
-    for (auto _ : state) {
-      (*iter)->Open();
-      while ((*iter)->Next(&tuple)) {
-        ++rows;
-      }
-      (*iter)->Close();
-    }
-    ExportCounters(state, **iter, "");
-    ExportPoolCounters(state, workload.db().buffer_pool());
+    (*iter)->Close();
   }
+  ExportCounters(state, **iter, "");
+  ExportPoolCounters(state, workload.db().buffer_pool());
   state.SetItemsProcessed(rows);
 }
 
@@ -214,7 +197,7 @@ void BM_ExecScan(benchmark::State& state) {
       PhysNode::FileScan(workload.catalog(), /*relation=*/0);
   RunExecBenchmark(state, plan);
 }
-BENCHMARK(BM_ExecScan)->Arg(0)->Arg(1);
+BENCHMARK(BM_ExecScan);
 
 void BM_ExecScanFilter(benchmark::State& state) {
   const PaperWorkload& workload = PopulatedWorkload();
@@ -227,7 +210,7 @@ void BM_ExecScanFilter(benchmark::State& state) {
       {pred}, PhysNode::FileScan(workload.catalog(), /*relation=*/0));
   RunExecBenchmark(state, plan);
 }
-BENCHMARK(BM_ExecScanFilter)->Arg(0)->Arg(1);
+BENCHMARK(BM_ExecScanFilter);
 
 void BM_ExecHashJoin(benchmark::State& state) {
   const PaperWorkload& workload = PopulatedWorkload();
@@ -239,7 +222,7 @@ void BM_ExecHashJoin(benchmark::State& state) {
       PhysNode::FileScan(workload.catalog(), /*relation=*/1));
   RunExecBenchmark(state, plan);
 }
-BENCHMARK(BM_ExecHashJoin)->Arg(0)->Arg(1);
+BENCHMARK(BM_ExecHashJoin);
 
 }  // namespace
 }  // namespace dqep::bench

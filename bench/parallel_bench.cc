@@ -73,7 +73,6 @@ void RunSweep(benchmark::State& state, const PhysNodePtr& plan) {
   SweepDb& sweep = Db();
   ParamEnv env;
   ExecOptions options;
-  options.mode = ExecMode::kBatch;
   options.threads = static_cast<int32_t>(state.range(0));
   state.SetLabel("threads=" + std::to_string(options.threads));
   auto iter = BuildParallelBatchExecutor(plan, sweep.db, env, options);

@@ -110,7 +110,7 @@ Timed Median(const std::function<int64_t()>& run) {
 
 int64_t MustExecute(const PhysNodePtr& plan, const Database& db,
                     const ParamEnv& env) {
-  auto rows = ExecutePlan(plan, db, env, ExecMode::kTuple);
+  auto rows = ExecutePlan(plan, db, env);
   if (!rows.ok()) {
     std::fprintf(stderr, "execution failed: %s\n",
                  rows.status().ToString().c_str());

@@ -341,16 +341,12 @@ void RunPhases() {
     std::unique_ptr<ExecContext> ctx =
         MakeExecContext(planned->bound, workload->config());
     WallTimer t4;
-    auto iter = BuildExecutor(startup->resolved, workload->db(),
-                              planned->bound, ctx.get());
+    auto iter = BuildBatchExecutor(startup->resolved, workload->db(),
+                                   planned->bound, ctx.get());
     if (!iter.ok()) {
       return;
     }
-    (*iter)->Open();
-    Tuple tuple;
-    while ((*iter)->Next(&tuple)) {
-    }
-    (*iter)->Close();
+    DrainRows(**iter, *startup->resolved);
     exec_s += t4.ElapsedSeconds();
     // Uncached path: plain parse + point optimize + execute.
     CachedPlanRequest plain = request;
@@ -366,12 +362,9 @@ void RunPhases() {
     std::unique_ptr<ExecContext> ctx2 =
         MakeExecContext(static_planned->bound, workload->config());
     WallTimer t6;
-    auto iter2 = BuildExecutor(static_startup->resolved, workload->db(),
-                               static_planned->bound, ctx2.get());
-    (*iter2)->Open();
-    while ((*iter2)->Next(&tuple)) {
-    }
-    (*iter2)->Close();
+    auto iter2 = BuildBatchExecutor(static_startup->resolved, workload->db(),
+                                    static_planned->bound, ctx2.get());
+    DrainRows(**iter2, *static_startup->resolved);
     static_exec += t6.ElapsedSeconds();
   }
   const double k = 1e3 / kIters;

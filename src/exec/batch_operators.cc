@@ -1,11 +1,11 @@
-// Batch-at-a-time operator implementations and the batch plan builder.
+// The engine's operators and the plan builder.
 //
-// Hot operators (scans, filter, projection, hash join, sort) have native
-// batch implementations; scans decode into reused batch row slots and the
-// filter narrows a selection vector in place, so the steady state
-// allocates nothing.  Operators without a batch implementation (merge
-// join, index join) are built tuple-at-a-time between a pair of generic
-// adaptors, keeping the subtrees above and below them batched.
+// Every physical operator has one batch-at-a-time implementation here
+// (the exchange and its morsel pipelines are in parallel.cc).  Scans
+// decode into reused batch row slots and the filter narrows a selection
+// vector in place; joins, sort and project fill reused output rows, so
+// the steady state allocates little beyond what the operator must keep
+// (hash tables, sort runs, a merge join's duplicate group).
 
 #include <algorithm>
 #include <utility>
@@ -28,7 +28,8 @@ using exec_internal::BoundPredicate;
 using exec_internal::BTreeRids;
 using exec_internal::ExternalSorter;
 using exec_internal::HashJoinState;
-using exec_internal::ResolveHashJoinSlots;
+using exec_internal::ResolveJoinSlots;
+using exec_internal::TrackedTupleBytes;
 
 // --- Scans -----------------------------------------------------------------
 
@@ -285,6 +286,9 @@ class BatchHashJoinIter : public BatchIterator {
  protected:
   bool NextImpl(TupleBatch* out) override {
     out->Clear();
+    if (ctx_ != nullptr && ctx_->cancelled()) {
+      return false;
+    }
     if (state_.spilled()) {
       while (!out->full()) {
         Tuple& row = out->AppendRow();
@@ -335,9 +339,9 @@ class BatchHashJoinIter : public BatchIterator {
 
 // --- Sort ---------------------------------------------------------------------
 
-/// Batch sort enforcer backed by the shared ExternalSorter; spill
-/// decisions and output sequence are identical to the tuple-mode SortIter
-/// because both drive the same state with the same tracked byte model.
+/// Batch sort enforcer backed by the ExternalSorter: an in-memory stable
+/// sort until the budget forces runs out to temp heaps, then a k-way
+/// merge whose output sequence is identical to the in-memory sort.
 class BatchSortIter : public BatchIterator {
  public:
   BatchSortIter(int32_t slot, std::unique_ptr<BatchIterator> input,
@@ -465,79 +469,268 @@ class BatchProjectIter : public BatchIterator {
   int32_t pos_ = 0;
 };
 
-// --- Adaptors ------------------------------------------------------------------
+// --- Merge join --------------------------------------------------------------
 
-/// Presents a batch subtree to a tuple-at-a-time consumer.
-class TupleFromBatchIter : public Iterator {
+/// Merge join over inputs sorted on the first join predicate; additional
+/// join predicates are residual equality checks.
+///
+/// Streams both inputs batch-wise and buffers only the current right-side
+/// duplicate-key group (a left row must rescan the whole right group, so
+/// the group is the join's minimum working set; its bytes are accounted
+/// against `ctx`).  Output order is left-major within each key.
+class BatchMergeJoinIter : public BatchIterator {
  public:
-  explicit TupleFromBatchIter(std::unique_ptr<BatchIterator> input)
-      : input_(std::move(input)) {
-    layout_ = input_->layout();
-    op_name_ = "tuple-from-batch";
+  BatchMergeJoinIter(std::vector<int32_t> left_slots,
+                     std::vector<int32_t> right_slots,
+                     std::unique_ptr<BatchIterator> left,
+                     std::unique_ptr<BatchIterator> right, ExecContext* ctx)
+      : left_slots_(std::move(left_slots)),
+        right_slots_(std::move(right_slots)),
+        ctx_(ctx),
+        left_(std::move(left)),
+        right_(std::move(right)) {
+    layout_ = TupleLayout::Concat(left_->layout(), right_->layout());
+    op_name_ = "batch-merge-join";
   }
 
   void OpenImpl() override {
-    input_->Open();
-    batch_.Clear();
-    pos_ = 0;
+    left_->Open();
+    right_->Open();
+    ReleaseGroup();
+    group_pos_ = 0;
+    left_batch_.Clear();
+    left_pos_ = 0;
+    left_row_ = nullptr;
+    done_ = false;
+    right_pos_ = 0;
+    right_valid_ = right_->Next(&right_batch_);
   }
 
-  void CloseImpl() override { input_->Close(); }
+  void CloseImpl() override {
+    left_->Close();
+    right_->Close();
+    ReleaseGroup();
+    group_pos_ = 0;
+  }
 
   std::vector<const ExecNode*> child_nodes() const override {
-    return {input_.get()};
-  }
-
- protected:
-  bool NextImpl(Tuple* out) override {
-    if (pos_ >= batch_.num_rows()) {
-      if (!input_->Next(&batch_)) {
-        return false;
-      }
-      pos_ = 0;
-    }
-    out->AssignFrom(batch_.row(pos_++));
-    return true;
-  }
-
- private:
-  std::unique_ptr<BatchIterator> input_;
-  TupleBatch batch_;
-  int32_t pos_ = 0;
-};
-
-/// Presents a tuple-at-a-time subtree as a batch producer.
-class BatchFromTupleIter : public BatchIterator {
- public:
-  explicit BatchFromTupleIter(std::unique_ptr<Iterator> input)
-      : input_(std::move(input)) {
-    layout_ = input_->layout();
-    op_name_ = "batch-from-tuple";
-  }
-
-  void OpenImpl() override { input_->Open(); }
-
-  void CloseImpl() override { input_->Close(); }
-
-  std::vector<const ExecNode*> child_nodes() const override {
-    return {input_.get()};
+    return {left_.get(), right_.get()};
   }
 
  protected:
   bool NextImpl(TupleBatch* out) override {
     out->Clear();
+    if (ctx_ != nullptr && ctx_->cancelled()) {
+      return false;
+    }
     while (!out->full()) {
-      Tuple& slot = out->AppendRow();
-      if (!input_->Next(&slot)) {
-        out->PopRow();
+      // Emit the current left row against the buffered right group.
+      if (group_pos_ < right_group_.size()) {
+        const Tuple& rt = right_group_[group_pos_++];
+        if (ResidualOk(*left_row_, rt)) {
+          out->AppendRow().AssignConcat(*left_row_, rt);
+        }
+        continue;
+      }
+      if (!AdvanceLeft()) {
         break;
+      }
+      int64_t key = left_row_->value(left_slots_[0]).AsInt64();
+      if (group_loaded_ && key == group_key_) {
+        group_pos_ = 0;  // same key: rescan the buffered group
+        continue;
+      }
+      // Left keys ascend, so a buffered group with a smaller key is dead.
+      ReleaseGroup();
+      while (right_valid_ && RightKey() < key) {
+        AdvanceRight();
+      }
+      if (!right_valid_) {
+        done_ = true;  // all future left keys are >= key too
+        break;
+      }
+      group_pos_ = 0;
+      if (RightKey() > key) {
+        continue;  // this left key has no matches; advance left
+      }
+      group_key_ = key;
+      group_loaded_ = true;
+      while (right_valid_ && RightKey() == key) {
+        const Tuple& row = right_batch_.row(right_pos_);
+        if (ctx_ != nullptr) {
+          int64_t bytes = TrackedTupleBytes(row);
+          // The duplicate group is the merge join's minimum working set;
+          // it cannot spill, so exceeding the budget here is a forced
+          // overflow, not a policy choice.
+          if (ctx_->bounded() && ctx_->tracker().WouldExceed(bytes)) {
+            ctx_->RecordOverflow();
+          }
+          ctx_->tracker().Acquire(bytes);
+          group_bytes_ += bytes;
+        }
+        right_group_.push_back(row);
+        AdvanceRight();
       }
     }
     return out->size() > 0;
   }
 
  private:
-  std::unique_ptr<Iterator> input_;
+  /// Points left_row_ at the next left row; false at end of stream.
+  bool AdvanceLeft() {
+    if (done_) {
+      return false;
+    }
+    if (left_pos_ >= left_batch_.num_rows()) {
+      if (!left_->Next(&left_batch_)) {
+        done_ = true;
+        return false;
+      }
+      left_pos_ = 0;
+    }
+    left_row_ = &left_batch_.row(left_pos_++);
+    return true;
+  }
+
+  void AdvanceRight() {
+    if (++right_pos_ >= right_batch_.num_rows()) {
+      right_valid_ = right_->Next(&right_batch_);
+      right_pos_ = 0;
+    }
+  }
+
+  int64_t RightKey() const {
+    return right_batch_.row(right_pos_).value(right_slots_[0]).AsInt64();
+  }
+
+  bool ResidualOk(const Tuple& lt, const Tuple& rt) const {
+    for (size_t i = 1; i < left_slots_.size(); ++i) {
+      if (!(lt.value(left_slots_[i]) == rt.value(right_slots_[i]))) {
+        return false;
+      }
+    }
+    return true;
+  }
+
+  void ReleaseGroup() {
+    if (ctx_ != nullptr) {
+      ctx_->tracker().Release(group_bytes_);
+    }
+    group_bytes_ = 0;
+    right_group_.clear();
+    group_loaded_ = false;
+  }
+
+  std::vector<int32_t> left_slots_;   // [0] is the merge key
+  std::vector<int32_t> right_slots_;
+  ExecContext* ctx_;
+  std::unique_ptr<BatchIterator> left_;
+  std::unique_ptr<BatchIterator> right_;
+  TupleBatch left_batch_;
+  int32_t left_pos_ = 0;
+  const Tuple* left_row_ = nullptr;  // current left row, in left_batch_
+  bool done_ = false;
+  TupleBatch right_batch_;
+  int32_t right_pos_ = 0;  // lookahead past the buffered group
+  bool right_valid_ = false;
+  std::vector<Tuple> right_group_;
+  int64_t group_key_ = 0;
+  bool group_loaded_ = false;
+  int64_t group_bytes_ = 0;
+  size_t group_pos_ = 0;
+};
+
+// --- Index join --------------------------------------------------------------
+
+/// Index nested-loops join: probes the inner table's B-tree once per outer
+/// row and fetches each match into a reused row, which the residual
+/// predicates on the inner table then test.
+class BatchIndexJoinIter : public BatchIterator {
+ public:
+  BatchIndexJoinIter(int32_t outer_slot, const Table* inner,
+                     int32_t inner_column, std::vector<BoundPredicate> residual,
+                     std::unique_ptr<BatchIterator> outer, ExecContext* ctx)
+      : outer_slot_(outer_slot),
+        inner_(inner),
+        inner_column_(inner_column),
+        residual_(std::move(residual)),
+        ctx_(ctx),
+        outer_(std::move(outer)) {
+    layout_ = TupleLayout::Concat(outer_->layout(), inner->layout());
+    op_name_ = "batch-index-join";
+  }
+
+  void OpenImpl() override {
+    outer_->Open();
+    outer_batch_.Clear();
+    outer_pos_ = 0;
+    outer_row_ = nullptr;
+    done_ = false;
+    matches_.clear();
+    match_pos_ = 0;
+  }
+
+  void CloseImpl() override {
+    outer_->Close();
+    matches_.clear();
+  }
+
+  std::vector<const ExecNode*> child_nodes() const override {
+    return {outer_.get()};
+  }
+
+ protected:
+  bool NextImpl(TupleBatch* out) override {
+    out->Clear();
+    if (ctx_ != nullptr && ctx_->cancelled()) {
+      return false;
+    }
+    while (!out->full()) {
+      if (match_pos_ < matches_.size()) {
+        inner_->heap().TupleInto(matches_[match_pos_++], &inner_row_);
+        if (ResidualOk()) {
+          out->AppendRow().AssignConcat(*outer_row_, inner_row_);
+        }
+        continue;
+      }
+      if (outer_pos_ >= outer_batch_.num_rows()) {
+        if (done_ || !outer_->Next(&outer_batch_)) {
+          done_ = true;
+          break;
+        }
+        outer_pos_ = 0;
+      }
+      outer_row_ = &outer_batch_.row(outer_pos_++);
+      matches_ = inner_->IndexOn(inner_column_)
+                     .Lookup(outer_row_->value(outer_slot_).AsInt64());
+      match_pos_ = 0;
+    }
+    return out->size() > 0;
+  }
+
+ private:
+  bool ResidualOk() const {
+    for (const BoundPredicate& pred : residual_) {
+      if (!pred.Eval(inner_row_)) {
+        return false;
+      }
+    }
+    return true;
+  }
+
+  int32_t outer_slot_;
+  const Table* inner_;
+  int32_t inner_column_;
+  std::vector<BoundPredicate> residual_;
+  ExecContext* ctx_;
+  std::unique_ptr<BatchIterator> outer_;
+  TupleBatch outer_batch_;
+  int32_t outer_pos_ = 0;
+  const Tuple* outer_row_ = nullptr;  // current outer row, in outer_batch_
+  bool done_ = false;
+  std::vector<RowId> matches_;
+  size_t match_pos_ = 0;
+  Tuple inner_row_;  // current match, storage reused across fetches
 };
 
 // --- Builder --------------------------------------------------------------------
@@ -604,39 +797,49 @@ Result<std::unique_ptr<BatchIterator>> BuildBatch(
       if (!probe.ok()) return probe.status();
       std::vector<int32_t> build_slots;
       std::vector<int32_t> probe_slots;
-      DQEP_RETURN_IF_ERROR(ResolveHashJoinSlots(node, (*build)->layout(),
-                                                (*probe)->layout(),
-                                                &build_slots, &probe_slots));
+      DQEP_RETURN_IF_ERROR(ResolveJoinSlots(node, (*build)->layout(),
+                                            (*probe)->layout(), &build_slots,
+                                            &probe_slots));
       return std::unique_ptr<BatchIterator>(std::make_unique<BatchHashJoinIter>(
           std::move(build_slots), std::move(probe_slots), std::move(*build),
           std::move(*probe), &db, ctx, &node));
     }
     case PhysOpKind::kMergeJoin: {
-      // No native batch merge join yet: run the tuple implementation
-      // between adaptors so the subtrees stay batched.
       Result<std::unique_ptr<BatchIterator>> left =
           BuildBatch(*node.child(0), db, env, ctx, par);
       if (!left.ok()) return left.status();
       Result<std::unique_ptr<BatchIterator>> right =
           BuildBatch(*node.child(1), db, env, ctx, par);
       if (!right.ok()) return right.status();
-      Result<std::unique_ptr<Iterator>> join = exec_internal::MakeMergeJoinIter(
-          node, std::make_unique<TupleFromBatchIter>(std::move(*left)),
-          std::make_unique<TupleFromBatchIter>(std::move(*right)), ctx);
-      if (!join.ok()) return join.status();
+      std::vector<int32_t> left_slots;
+      std::vector<int32_t> right_slots;
+      DQEP_RETURN_IF_ERROR(ResolveJoinSlots(node, (*left)->layout(),
+                                            (*right)->layout(), &left_slots,
+                                            &right_slots));
+      if (left_slots.empty()) {
+        return Status::Internal("merge join without a merge key");
+      }
       return std::unique_ptr<BatchIterator>(
-          std::make_unique<BatchFromTupleIter>(std::move(*join)));
+          std::make_unique<BatchMergeJoinIter>(
+              std::move(left_slots), std::move(right_slots),
+              std::move(*left), std::move(*right), ctx));
     }
     case PhysOpKind::kIndexJoin: {
       Result<std::unique_ptr<BatchIterator>> outer =
           BuildBatch(*node.child(0), db, env, ctx, par);
       if (!outer.ok()) return outer.status();
-      Result<std::unique_ptr<Iterator>> join = exec_internal::MakeIndexJoinIter(
-          node, db, env,
-          std::make_unique<TupleFromBatchIter>(std::move(*outer)));
-      if (!join.ok()) return join.status();
+      int32_t outer_slot = (*outer)->layout().SlotOf(node.joins().front().left);
+      if (outer_slot < 0) {
+        return Status::Internal("index join outer key missing from input");
+      }
+      const Table& inner = db.table(node.relation());
+      Result<std::vector<BoundPredicate>> residual =
+          BindPredicates(node.predicates(), inner.layout(), env);
+      if (!residual.ok()) return residual.status();
       return std::unique_ptr<BatchIterator>(
-          std::make_unique<BatchFromTupleIter>(std::move(*join)));
+          std::make_unique<BatchIndexJoinIter>(
+              outer_slot, &inner, node.column(), std::move(*residual),
+              std::move(*outer), ctx));
     }
     case PhysOpKind::kSort: {
       Result<std::unique_ptr<BatchIterator>> input =

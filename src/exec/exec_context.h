@@ -5,8 +5,7 @@
 // the ExecContext is where that grant becomes enforceable.  One context
 // lives for one query execution and carries:
 //
-//   - the ExecOptions (granularity, threads, morsel sizes) that used to
-//     be plumbed separately through three builder signatures,
+//   - the ExecOptions (threads, morsel sizes),
 //   - a tracked memory budget: operators account the bytes of tuples they
 //     materialize against a MemoryTracker with a peak watermark, and the
 //     memory-hungry operators (hash join, sort) switch to spilling

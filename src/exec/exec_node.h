@@ -1,12 +1,10 @@
-// Common base of both executor flavors: operator identity, output layout,
-// and per-operator perf counters.
+// Common base of every operator and profile node: operator identity,
+// output layout, and per-operator perf counters.
 //
-// Every operator — tuple-at-a-time or batch-at-a-time — counts its Next
-// calls, tuples and batches produced, and inclusive wall time (children
-// included, since Next calls nest).  The counters quantify the
-// interpretation overhead the batch engine exists to amortize: in tuple
-// mode next_calls == tuples + operators, in batch mode it collapses by
-// the batch capacity.
+// Every operator counts its Next calls, tuples and batches produced, and
+// inclusive wall time (children included, since Next calls nest).
+// next_calls is roughly tuples / batch capacity: the interpretation
+// overhead batching amortizes.
 
 #ifndef DQEP_EXEC_EXEC_NODE_H_
 #define DQEP_EXEC_EXEC_NODE_H_
@@ -19,15 +17,15 @@
 
 namespace dqep {
 
-/// Perf counters maintained by every operator in both execution modes.
+/// Perf counters maintained by every operator.
 struct OperatorCounters {
   /// Next() invocations (including the final end-of-stream call).
   int64_t next_calls = 0;
 
-  /// Tuples produced (batch mode: live rows summed over batches).
+  /// Tuples produced (live rows summed over batches).
   int64_t tuples = 0;
 
-  /// Batches produced (always 0 in tuple mode).
+  /// Batches produced.
   int64_t batches = 0;
 
   /// Inclusive wall-clock seconds spent inside Next (children included).
@@ -64,8 +62,8 @@ struct OperatorCounters {
   double InclusiveCpuSeconds() const { return cpu_seconds; }
 };
 
-/// Base class of Iterator and BatchIterator: the stable surface the
-/// profiler and tools see, independent of execution mode.
+/// Base class of BatchIterator and the exchange's profile nodes: the
+/// stable surface the profiler and tools see.
 class ExecNode {
  public:
   virtual ~ExecNode() = default;
@@ -73,7 +71,7 @@ class ExecNode {
   /// Slot layout of produced tuples.
   const TupleLayout& layout() const { return layout_; }
 
-  /// Operator display name (e.g. "file-scan", "batch-hash-join").
+  /// Operator display name (e.g. "batch-file-scan", "exchange").
   const char* op_name() const { return op_name_; }
 
   const OperatorCounters& counters() const { return counters_; }

@@ -1,3 +1,7 @@
+// Shared operator plumbing (predicate binding, B-tree rid production,
+// join-slot resolution) and the engine's drain entry points.  The
+// operators themselves live in batch_operators.cc and parallel.cc.
+
 #include "exec/executor.h"
 
 #include <algorithm>
@@ -6,9 +10,6 @@
 
 #include "exec/exec_context.h"
 #include "exec/executor_internal.h"
-#include "exec/reopt_control.h"
-#include "exec/spill.h"
-#include "storage/materialized.h"
 
 namespace dqep {
 
@@ -83,812 +84,45 @@ std::vector<RowId> BTreeRids(const Table& table, int32_t column,
   return {};
 }
 
-Status ResolveHashJoinSlots(const PhysNode& node, const TupleLayout& build,
-                            const TupleLayout& probe,
-                            std::vector<int32_t>* build_slots,
-                            std::vector<int32_t>* probe_slots) {
+Status ResolveJoinSlots(const PhysNode& node, const TupleLayout& left,
+                        const TupleLayout& right,
+                        std::vector<int32_t>* left_slots,
+                        std::vector<int32_t>* right_slots) {
   for (const JoinPredicate& join : node.joins()) {
-    int32_t bs = build.SlotOf(join.left);
-    int32_t ps = probe.SlotOf(join.right);
-    if (bs < 0 || ps < 0) {
+    int32_t ls = left.SlotOf(join.left);
+    int32_t rs = right.SlotOf(join.right);
+    if (ls < 0 || rs < 0) {
       // The predicate may be oriented the other way around.
-      bs = build.SlotOf(join.right);
-      ps = probe.SlotOf(join.left);
+      ls = left.SlotOf(join.right);
+      rs = right.SlotOf(join.left);
     }
-    if (bs < 0 || ps < 0) {
+    if (ls < 0 || rs < 0) {
       return Status::Internal("join attribute missing from inputs");
     }
-    build_slots->push_back(bs);
-    probe_slots->push_back(ps);
+    left_slots->push_back(ls);
+    right_slots->push_back(rs);
   }
   return Status::OK();
 }
 
 }  // namespace exec_internal
 
-namespace {
-
-using exec_internal::BindPredicate;
-using exec_internal::BindPredicates;
-using exec_internal::BoundPredicate;
-using exec_internal::BTreeRids;
-using exec_internal::ExternalSorter;
-using exec_internal::HashJoinState;
-using exec_internal::ResolveHashJoinSlots;
-using exec_internal::TrackedTupleBytes;
-
-// --- Scans -----------------------------------------------------------------
-
-class FileScanIter : public Iterator {
- public:
-  explicit FileScanIter(const Table* table)
-      : scanner_(table->heap().CreateScanner()) {
-    layout_ = table->layout();
-    op_name_ = "file-scan";
-  }
-
-  void OpenImpl() override { scanner_.Reset(); }
-
-  void CloseImpl() override { scanner_.Reset(); }
-
- protected:
-  bool NextImpl(Tuple* out) override { return scanner_.Next(out); }
-
- private:
-  HeapFile::Scanner scanner_;
-};
-
-/// B-tree scan over `column`, full or bounded by one predicate on the
-/// indexed column (all rows arrive in key order either way).
-class BTreeScanIter : public Iterator {
- public:
-  BTreeScanIter(const Table* table, int32_t column,
-                std::optional<BoundPredicate> predicate)
-      : table_(table), column_(column), predicate_(std::move(predicate)) {
-    layout_ = table->layout();
-    op_name_ = predicate_.has_value() ? "filter-btree-scan" : "btree-scan";
-  }
-
-  void OpenImpl() override {
-    rids_ = BTreeRids(*table_, column_,
-                      predicate_.has_value() ? &*predicate_ : nullptr);
-    next_ = 0;
-  }
-
-  void CloseImpl() override { rids_.clear(); }
-
- protected:
-  bool NextImpl(Tuple* out) override {
-    if (next_ >= rids_.size()) {
-      return false;
-    }
-    *out = table_->heap().tuple(rids_[next_++]);
-    return true;
-  }
-
- private:
-  const Table* table_;
-  int32_t column_;
-  std::optional<BoundPredicate> predicate_;
-  std::vector<RowId> rids_;
-  size_t next_ = 0;
-};
-
-/// Scan over a captured mid-query intermediate (storage/materialized.h),
-/// in storage order.  The layout carries the original base-relation
-/// attributes, so downstream slot resolution is unchanged.
-class MaterializedScanIter : public Iterator {
- public:
-  explicit MaterializedScanIter(MaterializedTablePtr table)
-      : table_(std::move(table)) {
-    layout_ = table_->layout();
-    op_name_ = "materialized-scan";
-  }
-
-  void OpenImpl() override { reader_.emplace(table_.get()); }
-
-  void CloseImpl() override { reader_.reset(); }
-
- protected:
-  bool NextImpl(Tuple* out) override { return reader_->Next(out); }
-
- private:
-  MaterializedTablePtr table_;
-  std::optional<MaterializedTable::Reader> reader_;
-};
-
-// --- Filter ------------------------------------------------------------------
-
-class FilterIter : public Iterator {
- public:
-  FilterIter(std::vector<BoundPredicate> predicates,
-             std::unique_ptr<Iterator> input)
-      : predicates_(std::move(predicates)), input_(std::move(input)) {
-    layout_ = input_->layout();
-    op_name_ = "filter";
-  }
-
-  void OpenImpl() override { input_->Open(); }
-
-  void CloseImpl() override { input_->Close(); }
-
-  std::vector<const ExecNode*> child_nodes() const override {
-    return {input_.get()};
-  }
-
- protected:
-  bool NextImpl(Tuple* out) override {
-    Tuple tuple;
-    while (input_->Next(&tuple)) {
-      bool pass = true;
-      for (const BoundPredicate& pred : predicates_) {
-        if (!pred.Eval(tuple)) {
-          pass = false;
-          break;
-        }
-      }
-      if (pass) {
-        *out = std::move(tuple);
-        return true;
-      }
-    }
-    return false;
-  }
-
- private:
-  std::vector<BoundPredicate> predicates_;
-  std::unique_ptr<Iterator> input_;
-};
-
-// --- Joins -------------------------------------------------------------------
-
-/// Hash join on composite equality keys; children[0] is the build side.
-/// All build/probe state lives in the shared HashJoinState, which spills
-/// grace-style under a bounded context (see exec/spill.h).
-class HashJoinIter : public Iterator {
- public:
-  HashJoinIter(std::vector<int32_t> build_slots,
-               std::vector<int32_t> probe_slots,
-               std::unique_ptr<Iterator> build,
-               std::unique_ptr<Iterator> probe, const Database* db,
-               ExecContext* ctx, const PhysNode* plan_node)
-      : state_(std::move(build_slots), std::move(probe_slots), db, ctx),
-        ctx_(ctx),
-        plan_node_(plan_node),
-        build_(std::move(build)),
-        probe_(std::move(probe)) {
-    layout_ = TupleLayout::Concat(build_->layout(), probe_->layout());
-    op_name_ = "hash-join";
-  }
-
-  void OpenImpl() override {
-    build_->Open();
-    Tuple tuple;
-    while (build_->Next(&tuple)) {
-      if (ctx_ != nullptr && ctx_->cancelled()) {
-        break;
-      }
-      state_.AddBuild(tuple);
-    }
-    build_->Close();
-    state_.FinishBuild();
-    if (ctx_ != nullptr && ctx_->reopt() != nullptr && plan_node_ != nullptr) {
-      ctx_->reopt()->CheckpointHashBuild(plan_node_, &state_,
-                                         build_->layout(), ctx_);
-    }
-    probe_->Open();
-    if (state_.spilled()) {
-      while (probe_->Next(&tuple)) {
-        if (ctx_ != nullptr && ctx_->cancelled()) {
-          break;
-        }
-        state_.AddProbe(tuple);
-      }
-      state_.FinishProbe();
-    }
-    matches_ = nullptr;
-    match_pos_ = 0;
-    SyncSpillCounters();
-  }
-
-  void CloseImpl() override {
-    probe_->Close();
-    SyncSpillCounters();
-    state_.Reset();
-    matches_ = nullptr;
-  }
-
-  std::vector<const ExecNode*> child_nodes() const override {
-    return {build_.get(), probe_.get()};
-  }
-
- protected:
-  bool NextImpl(Tuple* out) override {
-    if (state_.spilled()) {
-      bool produced = state_.NextJoined(out);
-      if (!produced) {
-        SyncSpillCounters();
-      }
-      return produced;
-    }
-    while (true) {
-      if (matches_ != nullptr && match_pos_ < matches_->size()) {
-        out->AssignConcat((*matches_)[match_pos_++], probe_tuple_);
-        return true;
-      }
-      if (ctx_ != nullptr && ctx_->cancelled()) {
-        return false;
-      }
-      if (!probe_->Next(&probe_tuple_)) {
-        return false;
-      }
-      matches_ = state_.Lookup(probe_tuple_);
-      match_pos_ = 0;
-    }
-  }
-
- private:
-  void SyncSpillCounters() {
-    counters_.spill_files = state_.spill_files();
-    counters_.spill_tuples = state_.spill_tuples();
-  }
-
-  HashJoinState state_;
-  ExecContext* ctx_;
-  const PhysNode* plan_node_;
-  std::unique_ptr<Iterator> build_;
-  std::unique_ptr<Iterator> probe_;
-  const std::vector<Tuple>* matches_ = nullptr;
-  size_t match_pos_ = 0;
-  Tuple probe_tuple_;  // overwritten before first use
-};
-
-/// Merge join over inputs sorted on the first join predicate; additional
-/// join predicates are residual equality checks.
-///
-/// Streams both inputs and buffers only the current right-side
-/// duplicate-key group (a left row must rescan the whole right group, so
-/// the group is the join's minimum working set; its bytes are accounted
-/// against `ctx`).  Output order is left-major within each key — the
-/// same sequence the historical materialize-both implementation emitted.
-class MergeJoinIter : public Iterator {
- public:
-  MergeJoinIter(int32_t left_slot, int32_t right_slot,
-                std::vector<std::pair<int32_t, int32_t>> residual,
-                std::unique_ptr<Iterator> left,
-                std::unique_ptr<Iterator> right, ExecContext* ctx)
-      : left_slot_(left_slot),
-        right_slot_(right_slot),
-        residual_(std::move(residual)),
-        ctx_(ctx),
-        left_(std::move(left)),
-        right_(std::move(right)) {
-    layout_ = TupleLayout::Concat(left_->layout(), right_->layout());
-    op_name_ = "merge-join";
-  }
-
-  void OpenImpl() override {
-    left_->Open();
-    right_->Open();
-    ReleaseGroup();
-    group_pos_ = 0;
-    right_valid_ = right_->Next(&right_tuple_);
-  }
-
-  void CloseImpl() override {
-    left_->Close();
-    right_->Close();
-    ReleaseGroup();
-    group_pos_ = 0;
-  }
-
-  std::vector<const ExecNode*> child_nodes() const override {
-    return {left_.get(), right_.get()};
-  }
-
- protected:
-  bool NextImpl(Tuple* out) override {
-    while (true) {
-      // Emit the current left row against the buffered right group.
-      while (group_pos_ < right_group_.size()) {
-        const Tuple& rt = right_group_[group_pos_++];
-        if (ResidualOk(left_tuple_, rt)) {
-          out->AssignConcat(left_tuple_, rt);
-          return true;
-        }
-      }
-      if (ctx_ != nullptr && ctx_->cancelled()) {
-        return false;
-      }
-      if (!left_->Next(&left_tuple_)) {
-        return false;
-      }
-      int64_t key = left_tuple_.value(left_slot_).AsInt64();
-      if (group_loaded_ && key == group_key_) {
-        group_pos_ = 0;  // same key: rescan the buffered group
-        continue;
-      }
-      // Left keys ascend, so a buffered group with a smaller key is dead.
-      ReleaseGroup();
-      while (right_valid_ && RightKey() < key) {
-        right_valid_ = right_->Next(&right_tuple_);
-      }
-      if (!right_valid_) {
-        return false;  // all future left keys are >= key too
-      }
-      group_pos_ = 0;
-      if (RightKey() > key) {
-        continue;  // this left key has no matches; advance left
-      }
-      group_key_ = key;
-      group_loaded_ = true;
-      while (right_valid_ && RightKey() == key) {
-        if (ctx_ != nullptr) {
-          int64_t bytes = TrackedTupleBytes(right_tuple_);
-          // The duplicate group is the merge join's minimum working set;
-          // it cannot spill, so exceeding the budget here is a forced
-          // overflow, not a policy choice.
-          if (ctx_->bounded() && ctx_->tracker().WouldExceed(bytes)) {
-            ctx_->RecordOverflow();
-          }
-          ctx_->tracker().Acquire(bytes);
-          group_bytes_ += bytes;
-        }
-        right_group_.push_back(right_tuple_);
-        right_valid_ = right_->Next(&right_tuple_);
-      }
-    }
-  }
-
- private:
-  int64_t RightKey() const {
-    return right_tuple_.value(right_slot_).AsInt64();
-  }
-
-  bool ResidualOk(const Tuple& lt, const Tuple& rt) const {
-    for (const auto& [ls, rs] : residual_) {
-      if (!(lt.value(ls) == rt.value(rs))) {
-        return false;
-      }
-    }
-    return true;
-  }
-
-  void ReleaseGroup() {
-    if (ctx_ != nullptr) {
-      ctx_->tracker().Release(group_bytes_);
-    }
-    group_bytes_ = 0;
-    right_group_.clear();
-    group_loaded_ = false;
-  }
-
-  int32_t left_slot_;
-  int32_t right_slot_;
-  std::vector<std::pair<int32_t, int32_t>> residual_;
-  ExecContext* ctx_;
-  std::unique_ptr<Iterator> left_;
-  std::unique_ptr<Iterator> right_;
-  Tuple left_tuple_;
-  Tuple right_tuple_;        // lookahead past the buffered group
-  bool right_valid_ = false;
-  std::vector<Tuple> right_group_;
-  int64_t group_key_ = 0;
-  bool group_loaded_ = false;
-  int64_t group_bytes_ = 0;
-  size_t group_pos_ = 0;
-};
-
-/// Index nested-loops join: probes the inner table's B-tree per outer row.
-class IndexJoinIter : public Iterator {
- public:
-  IndexJoinIter(int32_t outer_slot, const Table* inner, int32_t inner_column,
-                std::vector<BoundPredicate> residual,
-                std::unique_ptr<Iterator> outer)
-      : outer_slot_(outer_slot),
-        inner_(inner),
-        inner_column_(inner_column),
-        residual_(std::move(residual)),
-        outer_(std::move(outer)) {
-    layout_ = TupleLayout::Concat(outer_->layout(), inner->layout());
-    op_name_ = "index-join";
-  }
-
-  void OpenImpl() override {
-    outer_->Open();
-    matches_.clear();
-    match_pos_ = 0;
-  }
-
-  void CloseImpl() override {
-    outer_->Close();
-    matches_.clear();
-  }
-
-  std::vector<const ExecNode*> child_nodes() const override {
-    return {outer_.get()};
-  }
-
- protected:
-  bool NextImpl(Tuple* out) override {
-    while (true) {
-      while (match_pos_ < matches_.size()) {
-        Tuple inner_tuple = inner_->heap().tuple(matches_[match_pos_++]);
-        bool pass = true;
-        for (const BoundPredicate& pred : residual_) {
-          if (!pred.Eval(inner_tuple)) {
-            pass = false;
-            break;
-          }
-        }
-        if (pass) {
-          *out = Tuple::Concat(outer_tuple_, inner_tuple);
-          return true;
-        }
-      }
-      if (!outer_->Next(&outer_tuple_)) {
-        return false;
-      }
-      int64_t key = outer_tuple_.value(outer_slot_).AsInt64();
-      matches_ = inner_->IndexOn(inner_column_).Lookup(key);
-      match_pos_ = 0;
-    }
-  }
-
- private:
-  int32_t outer_slot_;
-  const Table* inner_;
-  int32_t inner_column_;
-  std::vector<BoundPredicate> residual_;
-  std::unique_ptr<Iterator> outer_;
-  Tuple outer_tuple_;
-  std::vector<RowId> matches_;
-  size_t match_pos_ = 0;
-};
-
-// --- Sort ---------------------------------------------------------------------
-
-/// Sort enforcer backed by the shared ExternalSorter: an in-memory
-/// stable sort until the budget forces runs out to temp heaps, then a
-/// k-way merge whose output sequence is identical to the in-memory sort.
-class SortIter : public Iterator {
- public:
-  SortIter(int32_t slot, std::unique_ptr<Iterator> input, const Database* db,
-           ExecContext* ctx, const PhysNode* plan_node)
-      : sorter_(slot, db, ctx),
-        ctx_(ctx),
-        plan_node_(plan_node),
-        input_(std::move(input)) {
-    layout_ = input_->layout();
-    op_name_ = "sort";
-  }
-
-  void OpenImpl() override {
-    sorter_.Reset();
-    input_->Open();
-    Tuple tuple;
-    while (input_->Next(&tuple)) {
-      if (ctx_ != nullptr && ctx_->cancelled()) {
-        break;
-      }
-      sorter_.Add(tuple);
-    }
-    input_->Close();
-    sorter_.Finish();
-    if (ctx_ != nullptr && ctx_->reopt() != nullptr && plan_node_ != nullptr) {
-      ctx_->reopt()->CheckpointSort(plan_node_, &sorter_, input_->layout(),
-                                    ctx_);
-    }
-    next_ = 0;
-    SyncSpillCounters();
-  }
-
-  void CloseImpl() override {
-    SyncSpillCounters();
-    sorter_.Reset();
-  }
-
-  std::vector<const ExecNode*> child_nodes() const override {
-    return {input_.get()};
-  }
-
- protected:
-  bool NextImpl(Tuple* out) override {
-    if (sorter_.spilled()) {
-      return sorter_.Next(out);
-    }
-    if (next_ >= sorter_.rows().size()) {
-      return false;
-    }
-    out->AssignFrom(sorter_.rows()[next_++]);
-    return true;
-  }
-
- private:
-  void SyncSpillCounters() {
-    counters_.spill_files = sorter_.spill_files();
-    counters_.spill_tuples = sorter_.spill_tuples();
-  }
-
-  ExternalSorter sorter_;
-  ExecContext* ctx_;
-  const PhysNode* plan_node_;
-  std::unique_ptr<Iterator> input_;
-  size_t next_ = 0;
-};
-
-// --- Project -------------------------------------------------------------------
-
-class ProjectIter : public Iterator {
- public:
-  ProjectIter(std::vector<int32_t> slots, TupleLayout layout,
-              std::unique_ptr<Iterator> input)
-      : slots_(std::move(slots)), input_(std::move(input)) {
-    layout_ = std::move(layout);
-    op_name_ = "project";
-  }
-
-  void OpenImpl() override { input_->Open(); }
-
-  void CloseImpl() override { input_->Close(); }
-
-  std::vector<const ExecNode*> child_nodes() const override {
-    return {input_.get()};
-  }
-
- protected:
-  bool NextImpl(Tuple* out) override {
-    Tuple tuple;
-    if (!input_->Next(&tuple)) {
-      return false;
-    }
-    Tuple projected;
-    for (int32_t slot : slots_) {
-      projected.Append(tuple.value(slot));
-    }
-    *out = std::move(projected);
-    return true;
-  }
-
- private:
-  std::vector<int32_t> slots_;
-  std::unique_ptr<Iterator> input_;
-};
-
-// --- Builder --------------------------------------------------------------------
-
-Result<std::unique_ptr<Iterator>> Build(const PhysNode& node,
-                                        const Database& db,
-                                        const ParamEnv& env,
-                                        ExecContext* ctx) {
-  switch (node.kind()) {
-    case PhysOpKind::kFileScan:
-      return std::unique_ptr<Iterator>(
-          std::make_unique<FileScanIter>(&db.table(node.relation())));
-    case PhysOpKind::kBTreeScan:
-      return std::unique_ptr<Iterator>(std::make_unique<BTreeScanIter>(
-          &db.table(node.relation()), node.column(), std::nullopt));
-    case PhysOpKind::kMaterializedScan:
-      return std::unique_ptr<Iterator>(
-          std::make_unique<MaterializedScanIter>(node.materialized()));
-    case PhysOpKind::kFilterBTreeScan: {
-      const Table& table = db.table(node.relation());
-      DQEP_CHECK_EQ(node.predicates().size(), 1u);
-      Result<BoundPredicate> pred =
-          BindPredicate(node.predicates().front(), table.layout(), env);
-      if (!pred.ok()) {
-        return pred.status();
-      }
-      return std::unique_ptr<Iterator>(std::make_unique<BTreeScanIter>(
-          &table, node.column(), *pred));
-    }
-    case PhysOpKind::kFilter: {
-      Result<std::unique_ptr<Iterator>> input =
-          Build(*node.child(0), db, env, ctx);
-      if (!input.ok()) {
-        return input.status();
-      }
-      Result<std::vector<BoundPredicate>> bound =
-          BindPredicates(node.predicates(), (*input)->layout(), env);
-      if (!bound.ok()) {
-        return bound.status();
-      }
-      return std::unique_ptr<Iterator>(std::make_unique<FilterIter>(
-          std::move(*bound), std::move(*input)));
-    }
-    case PhysOpKind::kHashJoin: {
-      Result<std::unique_ptr<Iterator>> build =
-          Build(*node.child(0), db, env, ctx);
-      if (!build.ok()) return build.status();
-      Result<std::unique_ptr<Iterator>> probe =
-          Build(*node.child(1), db, env, ctx);
-      if (!probe.ok()) return probe.status();
-      std::vector<int32_t> build_slots;
-      std::vector<int32_t> probe_slots;
-      DQEP_RETURN_IF_ERROR(ResolveHashJoinSlots(node, (*build)->layout(),
-                                                (*probe)->layout(),
-                                                &build_slots, &probe_slots));
-      return std::unique_ptr<Iterator>(std::make_unique<HashJoinIter>(
-          std::move(build_slots), std::move(probe_slots), std::move(*build),
-          std::move(*probe), &db, ctx, &node));
-    }
-    case PhysOpKind::kMergeJoin: {
-      Result<std::unique_ptr<Iterator>> left =
-          Build(*node.child(0), db, env, ctx);
-      if (!left.ok()) return left.status();
-      Result<std::unique_ptr<Iterator>> right =
-          Build(*node.child(1), db, env, ctx);
-      if (!right.ok()) return right.status();
-      return exec_internal::MakeMergeJoinIter(node, std::move(*left),
-                                              std::move(*right), ctx);
-    }
-    case PhysOpKind::kIndexJoin: {
-      Result<std::unique_ptr<Iterator>> outer =
-          Build(*node.child(0), db, env, ctx);
-      if (!outer.ok()) return outer.status();
-      return exec_internal::MakeIndexJoinIter(node, db, env,
-                                              std::move(*outer));
-    }
-    case PhysOpKind::kSort: {
-      Result<std::unique_ptr<Iterator>> input =
-          Build(*node.child(0), db, env, ctx);
-      if (!input.ok()) return input.status();
-      int32_t slot = (*input)->layout().SlotOf(node.sort_attr());
-      if (slot < 0) {
-        return Status::Internal("sort attribute missing from input");
-      }
-      return std::unique_ptr<Iterator>(
-          std::make_unique<SortIter>(slot, std::move(*input), &db, ctx,
-                                     &node));
-    }
-    case PhysOpKind::kProject: {
-      Result<std::unique_ptr<Iterator>> input =
-          Build(*node.child(0), db, env, ctx);
-      if (!input.ok()) return input.status();
-      std::vector<int32_t> slots;
-      TupleLayout layout;
-      for (const AttrRef& attr : node.projections()) {
-        int32_t slot = (*input)->layout().SlotOf(attr);
-        if (slot < 0) {
-          return Status::Internal("projected attribute missing from input");
-        }
-        slots.push_back(slot);
-        layout.Append(attr);
-      }
-      return std::unique_ptr<Iterator>(std::make_unique<ProjectIter>(
-          std::move(slots), std::move(layout), std::move(*input)));
-    }
-    case PhysOpKind::kChoosePlan:
-      return Status::InvalidArgument(
-          "plan contains unresolved choose-plan operators; run start-up "
-          "resolution (ResolveDynamicPlan) before execution");
-  }
-  return Status::Internal("unknown operator kind");
-}
-
-/// Rows to pre-allocate for a drain, from the plan's annotated
-/// compile-time cardinality (zero for unannotated plans, capped so a
-/// loose upper bound cannot trigger a pathological allocation).
-size_t ReserveHint(const PhysNode& plan) {
+std::vector<Tuple> DrainRows(BatchIterator& root, const PhysNode& plan,
+                             const ExecContext* ctx) {
+  // Zero for unannotated plans; capped so a loose upper bound cannot
+  // trigger a pathological allocation.
   constexpr double kMaxReserve = 1 << 20;
-  double hint = std::clamp(plan.est_cardinality().hi(), 0.0, kMaxReserve);
-  return static_cast<size_t>(hint);
-}
-
-}  // namespace
-
-namespace exec_internal {
-
-Result<std::unique_ptr<Iterator>> MakeMergeJoinIter(
-    const PhysNode& node, std::unique_ptr<Iterator> left,
-    std::unique_ptr<Iterator> right, ExecContext* ctx) {
-  const JoinPredicate& key = node.joins().front();
-  int32_t ls = left->layout().SlotOf(key.left);
-  int32_t rs = right->layout().SlotOf(key.right);
-  if (ls < 0 || rs < 0) {
-    return Status::Internal("merge key missing from inputs");
-  }
-  std::vector<std::pair<int32_t, int32_t>> residual;
-  for (size_t i = 1; i < node.joins().size(); ++i) {
-    const JoinPredicate& join = node.joins()[i];
-    int32_t l = left->layout().SlotOf(join.left);
-    int32_t r = right->layout().SlotOf(join.right);
-    if (l < 0 || r < 0) {
-      l = left->layout().SlotOf(join.right);
-      r = right->layout().SlotOf(join.left);
-    }
-    if (l < 0 || r < 0) {
-      return Status::Internal("join attribute missing from inputs");
-    }
-    residual.emplace_back(l, r);
-  }
-  return std::unique_ptr<Iterator>(std::make_unique<MergeJoinIter>(
-      ls, rs, std::move(residual), std::move(left), std::move(right), ctx));
-}
-
-Result<std::unique_ptr<Iterator>> MakeIndexJoinIter(
-    const PhysNode& node, const Database& db, const ParamEnv& env,
-    std::unique_ptr<Iterator> outer) {
-  const JoinPredicate& key = node.joins().front();
-  int32_t outer_slot = outer->layout().SlotOf(key.left);
-  if (outer_slot < 0) {
-    return Status::Internal("index join outer key missing from input");
-  }
-  const Table& inner = db.table(node.relation());
-  Result<std::vector<BoundPredicate>> residual =
-      BindPredicates(node.predicates(), inner.layout(), env);
-  if (!residual.ok()) {
-    return residual.status();
-  }
-  return std::unique_ptr<Iterator>(std::make_unique<IndexJoinIter>(
-      outer_slot, &inner, node.column(), std::move(*residual),
-      std::move(outer)));
-}
-
-}  // namespace exec_internal
-
-const char* ExecModeName(ExecMode mode) {
-  switch (mode) {
-    case ExecMode::kTuple:
-      return "tuple";
-    case ExecMode::kBatch:
-      return "batch";
-  }
-  return "?";
-}
-
-Result<ExecMode> ParseExecMode(std::string_view name) {
-  if (name == "tuple") {
-    return ExecMode::kTuple;
-  }
-  if (name == "batch") {
-    return ExecMode::kBatch;
-  }
-  return Status::InvalidArgument("unknown exec mode '" + std::string(name) +
-                                 "' (expected tuple or batch)");
-}
-
-Result<std::unique_ptr<Iterator>> BuildExecutor(const PhysNodePtr& plan,
-                                                const Database& db,
-                                                const ParamEnv& env,
-                                                ExecContext* ctx) {
-  DQEP_CHECK(plan != nullptr);
-  return Build(*plan, db, env, ctx);
-}
-
-Result<std::vector<Tuple>> ExecutePlan(const PhysNodePtr& plan,
-                                       const Database& db,
-                                       const ParamEnv& env,
-                                       ExecMode mode) {
-  DQEP_CHECK(plan != nullptr);
   std::vector<Tuple> rows;
-  rows.reserve(ReserveHint(*plan));
-  if (mode == ExecMode::kBatch) {
-    Result<std::unique_ptr<BatchIterator>> iter =
-        BuildBatchExecutor(plan, db, env);
-    if (!iter.ok()) {
-      return iter.status();
+  rows.reserve(static_cast<size_t>(
+      std::clamp(plan.est_cardinality().hi(), 0.0, kMaxReserve)));
+  root.Open();
+  TupleBatch batch;
+  while ((ctx == nullptr || !ctx->cancelled()) && root.Next(&batch)) {
+    for (int32_t i = 0; i < batch.num_rows(); ++i) {
+      rows.push_back(batch.row(i));
     }
-    (*iter)->Open();
-    TupleBatch batch;
-    while ((*iter)->Next(&batch)) {
-      for (int32_t i = 0; i < batch.num_rows(); ++i) {
-        rows.push_back(batch.row(i));
-      }
-    }
-    (*iter)->Close();
-    return rows;
   }
-  Result<std::unique_ptr<Iterator>> iter = BuildExecutor(plan, db, env);
-  if (!iter.ok()) {
-    return iter.status();
-  }
-  (*iter)->Open();
-  Tuple tuple;
-  while ((*iter)->Next(&tuple)) {
-    rows.push_back(std::move(tuple));
-  }
-  (*iter)->Close();
+  root.Close();
   return rows;
 }
 
@@ -897,62 +131,63 @@ Result<std::vector<Tuple>> ExecutePlan(const PhysNodePtr& plan,
                                        const ParamEnv& env,
                                        const ExecOptions& options) {
   DQEP_CHECK(plan != nullptr);
-  if (options.threads <= 1) {
-    return ExecutePlan(plan, db, env, options.mode);
-  }
   Result<std::unique_ptr<BatchIterator>> iter =
       BuildParallelBatchExecutor(plan, db, env, options);
   if (!iter.ok()) {
     return iter.status();
   }
-  std::vector<Tuple> rows;
-  rows.reserve(ReserveHint(*plan));
-  (*iter)->Open();
-  TupleBatch batch;
-  while ((*iter)->Next(&batch)) {
-    for (int32_t i = 0; i < batch.num_rows(); ++i) {
-      rows.push_back(batch.row(i));
-    }
-  }
-  (*iter)->Close();
-  return rows;
+  return DrainRows(**iter, *plan);
 }
 
 Result<std::vector<Tuple>> ExecutePlan(const PhysNodePtr& plan,
                                        const Database& db,
                                        const ParamEnv& env, ExecContext& ctx) {
   DQEP_CHECK(plan != nullptr);
-  const ExecOptions& options = ctx.options();
-  std::vector<Tuple> rows;
-  rows.reserve(ReserveHint(*plan));
-  if (options.threads > 1 || options.mode == ExecMode::kBatch) {
-    Result<std::unique_ptr<BatchIterator>> iter =
-        options.threads > 1 ? BuildParallelBatchExecutor(plan, db, env, ctx)
-                            : BuildBatchExecutor(plan, db, env, &ctx);
-    if (!iter.ok()) {
-      return iter.status();
-    }
-    (*iter)->Open();
-    TupleBatch batch;
-    while (!ctx.cancelled() && (*iter)->Next(&batch)) {
-      for (int32_t i = 0; i < batch.num_rows(); ++i) {
-        rows.push_back(batch.row(i));
-      }
-    }
-    (*iter)->Close();
-    return rows;
-  }
-  Result<std::unique_ptr<Iterator>> iter = BuildExecutor(plan, db, env, &ctx);
+  Result<std::unique_ptr<BatchIterator>> iter =
+      BuildParallelBatchExecutor(plan, db, env, ctx);
   if (!iter.ok()) {
     return iter.status();
   }
-  (*iter)->Open();
-  Tuple tuple;
-  while (!ctx.cancelled() && (*iter)->Next(&tuple)) {
-    rows.push_back(std::move(tuple));
+  return DrainRows(**iter, *plan, &ctx);
+}
+
+// --- Compatibility for perfbench/ --------------------------------------------
+
+Iterator::Iterator(std::unique_ptr<BatchIterator> input)
+    : input_(std::move(input)) {
+  layout_ = input_->layout();
+  op_name_ = "tuple-from-batch";
+}
+
+void Iterator::Open() {
+  input_->Open();
+  batch_.Clear();
+  pos_ = 0;
+}
+
+bool Iterator::Next(Tuple* out) {
+  if (pos_ >= batch_.num_rows()) {
+    if (!input_->Next(&batch_)) {
+      return false;
+    }
+    pos_ = 0;
   }
-  (*iter)->Close();
-  return rows;
+  out->AssignFrom(batch_.row(pos_++));
+  return true;
+}
+
+void Iterator::Close() { input_->Close(); }
+
+Result<std::unique_ptr<Iterator>> BuildExecutor(const PhysNodePtr& plan,
+                                                const Database& db,
+                                                const ParamEnv& env,
+                                                ExecContext* ctx) {
+  Result<std::unique_ptr<BatchIterator>> iter =
+      BuildBatchExecutor(plan, db, env, ctx);
+  if (!iter.ok()) {
+    return iter.status();
+  }
+  return std::make_unique<Iterator>(std::move(*iter));
 }
 
 }  // namespace dqep

@@ -1,8 +1,7 @@
-// Internals shared by the tuple-at-a-time (executor.cc) and
-// batch-at-a-time (batch_operators.cc) operator implementations:
-// predicate binding, B-tree rid production, join-slot resolution, and the
-// constructors the batch builder uses to instantiate not-yet-batched
-// tuple operators behind adaptors.
+// Internals shared by the serial operators (batch_operators.cc) and the
+// exchange's morsel pipelines (parallel.cc): predicate binding, B-tree rid
+// production, join-slot resolution, and the operator factories the
+// exchange instantiates per morsel.
 
 #ifndef DQEP_EXEC_EXECUTOR_INTERNAL_H_
 #define DQEP_EXEC_EXECUTOR_INTERNAL_H_
@@ -47,12 +46,13 @@ Result<std::vector<BoundPredicate>> BindPredicates(
 std::vector<RowId> BTreeRids(const Table& table, int32_t column,
                              const BoundPredicate* predicate);
 
-/// Resolves a hash join's composite key attributes into (build, probe)
-/// slot pairs, trying both predicate orientations.
-Status ResolveHashJoinSlots(const PhysNode& node, const TupleLayout& build,
-                            const TupleLayout& probe,
-                            std::vector<int32_t>* build_slots,
-                            std::vector<int32_t>* probe_slots);
+/// Resolves a join's composite key attributes into (left, right) slot
+/// pairs — (build, probe) for a hash join — trying both predicate
+/// orientations.  A merge join's first pair is its merge key.
+Status ResolveJoinSlots(const PhysNode& node, const TupleLayout& left,
+                        const TupleLayout& right,
+                        std::vector<int32_t>* left_slots,
+                        std::vector<int32_t>* right_slots);
 
 /// Composite equality-join key.
 using JoinKey = std::vector<int64_t>;
@@ -79,19 +79,6 @@ struct JoinKeyHash {
     return h;
   }
 };
-
-/// Constructs a tuple-at-a-time merge join over pre-built children (used
-/// by both mode builders; the batch builder wraps the children in
-/// adaptors).  The join streams both inputs and buffers only the current
-/// right-side duplicate-key group, accounted against `ctx` (nullable).
-Result<std::unique_ptr<Iterator>> MakeMergeJoinIter(
-    const PhysNode& node, std::unique_ptr<Iterator> left,
-    std::unique_ptr<Iterator> right, ExecContext* ctx);
-
-/// Constructs a tuple-at-a-time index join over a pre-built outer child.
-Result<std::unique_ptr<Iterator>> MakeIndexJoinIter(
-    const PhysNode& node, const Database& db, const ParamEnv& env,
-    std::unique_ptr<Iterator> outer);
 
 // --- Parallel execution hooks (see exec/parallel.h) -------------------------
 

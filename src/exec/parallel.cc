@@ -642,9 +642,9 @@ Result<std::unique_ptr<BatchIterator>> MakeExchange(
         }
         std::vector<int32_t> build_slots;
         std::vector<int32_t> probe_slots;
-        DQEP_RETURN_IF_ERROR(ResolveHashJoinSlots(stage_node,
-                                                  (*build)->layout(), layout,
-                                                  &build_slots, &probe_slots));
+        DQEP_RETURN_IF_ERROR(ResolveJoinSlots(stage_node, (*build)->layout(),
+                                              layout, &build_slots,
+                                              &probe_slots));
         stage.kind = ChainStage::Kind::kProbe;
         stage.join = std::make_shared<SharedJoinState>(
             std::move(build_slots), std::move(probe_slots), std::move(*build),

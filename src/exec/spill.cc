@@ -200,7 +200,7 @@ void HashJoinState::ExportBuildRows(
     // Map iteration order is not deterministic across runs; export keys
     // in sorted order (lexicographic over the key vector), rows within a
     // key in arrival order.  Any fixed order works — parity only needs
-    // the same order for the same input on every engine.
+    // the same order for the same input at every thread count.
     std::vector<const Table::value_type*> entries;
     entries.reserve(table_.size());
     for (const auto& entry : table_) {
@@ -276,8 +276,8 @@ void HashJoinState::FinishProbe() {
   // load-vs-repartition below compares against reserve_bytes_ alone,
   // never against the live tracker, so the partition structure — and
   // with it the spilled join's output order — cannot depend on how a
-  // concurrent consumer's buffering interleaves (which differs between
-  // the tuple and batch engines).
+  // concurrent consumer's buffering interleaves (which differs with
+  // the thread count).
   if (ctx_ != nullptr && ctx_->bounded()) {
     int64_t max_partition = 0;
     for (const Job& job : jobs_) {

@@ -1,12 +1,10 @@
-// Budget-aware operator state shared by the tuple and batch engines:
-// tracked tuple sizing, temp-heap spill files, the grace hash-join state,
-// and the external merge sorter.
+// Budget-aware operator state: tracked tuple sizing, temp-heap spill
+// files, the grace hash-join state, and the external merge sorter.
 //
-// Both engines drive the same two classes, so spill decisions — and
-// therefore output row sequences — are identical in tuple mode, batch
-// mode, and at every thread count (spilling joins and sorts always run on
-// the consumer thread; see exec/parallel.h for how bounded contexts keep
-// them out of exchange chains).
+// Spill decisions — and therefore output row sequences — are identical at
+// every thread count (spilling joins and sorts always run on the consumer
+// thread; see exec/parallel.h for how bounded contexts keep them out of
+// exchange chains).
 //
 // Budget semantics: the MemoryTracker accounts state that scales with
 // input size — hash-table tuples, sort rows, loaded partitions, merge
@@ -44,7 +42,7 @@ namespace exec_internal {
 /// Deterministic model of a materialized tuple's resident bytes.  A model
 /// rather than allocator truth so that spill points depend only on the
 /// logical tuple stream, never on capacity or allocation accidents —
-/// which is what makes tuple-mode and batch-mode runs spill identically.
+/// which is what makes runs at every thread count spill identically.
 int64_t TrackedTupleBytes(const Tuple& tuple);
 
 /// Partition of `key` at recursion `depth`: an independent split at every
@@ -129,7 +127,7 @@ class SpillFile {
 /// reservation-sized blocks, rescanning the probe file once per block, so
 /// memory stays bounded even then.  Output is therefore partition-major —
 /// a different order from the in-memory join, but deterministic, and
-/// identical across engines and thread counts.
+/// identical across thread counts.
 class HashJoinState {
  public:
   HashJoinState(std::vector<int32_t> build_slots,

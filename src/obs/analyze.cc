@@ -17,13 +17,12 @@ namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
-/// Exec-side wrappers that have no plan-side counterpart: batch/tuple
-/// adaptors and the exchange operator (whose single child is the top of
-/// the merged per-worker profile chain).
+/// Exec-side wrappers that have no plan-side counterpart: the row cursor
+/// over a batch tree and the exchange operator (whose single child is the
+/// top of the merged per-worker profile chain).
 bool IsTransparent(const ExecNode& node) {
   const char* name = node.op_name();
   return std::strcmp(name, "tuple-from-batch") == 0 ||
-         std::strcmp(name, "batch-from-tuple") == 0 ||
          std::strcmp(name, "exchange") == 0;
 }
 

@@ -20,8 +20,8 @@
 // means the decision beat the model's price for the road not taken.
 //
 // The walk descends the dynamic plan, the resolved plan, and the exec
-// tree in lockstep; exec-side adaptors ("tuple-from-batch",
-// "batch-from-tuple") and exchange operators are transparent.  Model cost
+// tree in lockstep; the exec-side row cursor ("tuple-from-batch") and
+// exchange operators are transparent.  Model cost
 // units are modeled seconds, so predicted and measured columns are
 // directly comparable (to the extent the model is calibrated — that gap
 // is exactly what this report makes visible).

@@ -108,13 +108,7 @@ std::shared_ptr<const FlightRecord> FlightRecorder::Record(
       record.slow = true;
       record.slow_reason = "threshold";
     } else if (entry.count >= options_.min_template_samples) {
-      std::vector<std::pair<int32_t, int64_t>> sparse;
-      for (int32_t b = 0; b < HistogramCell::kBuckets; ++b) {
-        if (entry.buckets[static_cast<size_t>(b)] != 0) {
-          sparse.emplace_back(b, entry.buckets[static_cast<size_t>(b)]);
-        }
-      }
-      double p99_us = Log2BucketPercentile(sparse, entry.count, 0.99);
+      double p99_us = Log2BucketPercentile(entry.buckets, entry.count, 0.99);
       if (static_cast<double>(latency_us) > p99_us) {
         record.slow = true;
         record.slow_reason = "template-p99";
@@ -123,8 +117,16 @@ std::shared_ptr<const FlightRecord> FlightRecorder::Record(
 
     entry.count += 1;
     entry.sum_us += latency_us;
-    entry.buckets[static_cast<size_t>(HistogramCell::BucketOf(latency_us))] +=
-        1;
+    const int32_t bucket = HistogramCell::BucketOf(latency_us);
+    auto it = std::lower_bound(
+        entry.buckets.begin(), entry.buckets.end(), bucket,
+        [](const std::pair<int32_t, int64_t>& b, int32_t v) {
+          return b.first < v;
+        });
+    if (it == entry.buckets.end() || it->first != bucket) {
+      it = entry.buckets.emplace(it, bucket, 0);
+    }
+    it->second += 1;
     entry.decisions += record.decisions;
     entry.regret_seconds += record.regret_seconds;
     entry.reopt_triggers += record.reopt_triggers;
@@ -136,9 +138,11 @@ std::shared_ptr<const FlightRecord> FlightRecorder::Record(
       entry.decay_credit = 0;
       int64_t kept = 0;
       for (auto& b : entry.buckets) {
-        b /= 2;
-        kept += b;
+        b.second /= 2;
+        kept += b.second;
       }
+      std::erase_if(entry.buckets,
+                    [](const auto& b) { return b.second == 0; });
       // Keep sum/count consistent with the halved buckets so the mean
       // stays meaningful; regret and the monotone counters are not
       // decayed (they are lifetime totals).
@@ -234,11 +238,7 @@ TemplateStatsView FlightRecorder::ViewOf(uint64_t fingerprint,
   view.template_text = entry.text;
   view.count = entry.count;
   view.sum_us = entry.sum_us;
-  for (int32_t b = 0; b < HistogramCell::kBuckets; ++b) {
-    if (entry.buckets[static_cast<size_t>(b)] != 0) {
-      view.buckets.emplace_back(b, entry.buckets[static_cast<size_t>(b)]);
-    }
-  }
+  view.buckets = entry.buckets;
   view.decisions = entry.decisions;
   view.regret_seconds = entry.regret_seconds;
   view.reopt_triggers = entry.reopt_triggers;

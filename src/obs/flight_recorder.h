@@ -30,7 +30,6 @@
 #ifndef DQEP_OBS_FLIGHT_RECORDER_H_
 #define DQEP_OBS_FLIGHT_RECORDER_H_
 
-#include <array>
 #include <cstdint>
 #include <deque>
 #include <map>
@@ -190,7 +189,9 @@ class FlightRecorder {
     std::string text;
     int64_t count = 0;
     int64_t sum_us = 0;
-    std::array<int64_t, HistogramCell::kBuckets> buckets{};
+    /// Non-zero log2 latency buckets, ascending: a template seen a few
+    /// times holds a few pairs, not HistogramCell::kBuckets counters.
+    std::vector<std::pair<int32_t, int64_t>> buckets;
     int64_t decisions = 0;
     double regret_seconds = 0.0;
     int64_t reopt_triggers = 0;

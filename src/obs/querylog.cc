@@ -86,7 +86,6 @@ bool ParseRecord(const JsonValue& doc, QueryLogRecord* record) {
       }
     }
   }
-  record->exec_mode = doc.StringOr("exec_mode", "");
   record->threads = static_cast<int32_t>(doc.IntOr("threads", 1));
   record->memory_pages = doc.NumberOr("memory_pages", 0.0);
   record->predicted_cost = doc.NumberOr("predicted_cost", 0.0);
@@ -310,8 +309,6 @@ std::string RenderQueryLogRecordJson(const QueryLogRecord& record) {
     AppendIntField(&out, JsonEscape(name).c_str(), value);
   }
   out += "}, ";
-  AppendStringField(&out, "exec_mode", record.exec_mode);
-  out += ", ";
   AppendIntField(&out, "threads", record.threads);
   out += ", ";
   AppendNumberField(&out, "memory_pages", record.memory_pages);

@@ -32,7 +32,9 @@
 // fields — checkpoints evaluated, triggers fired, seconds spent
 // re-entering the decision procedure, and the estimated suffix cost
 // before/after the last triggered re-optimization.  The reader defaults
-// all of them to zero, so v1 logs load unchanged.
+// all of them to zero, so v1 logs load unchanged.  Records from before
+// the single execution engine also carry an `exec_mode` field; it is no
+// longer written, and the reader ignores it like any unknown key.
 
 #ifndef DQEP_OBS_QUERYLOG_H_
 #define DQEP_OBS_QUERYLOG_H_
@@ -110,7 +112,6 @@ struct QueryLogRecord {
   std::string plan_cache;
   std::vector<std::pair<std::string, int64_t>> bindings;
 
-  std::string exec_mode;  ///< "tuple" | "batch"
   int32_t threads = 1;
   double memory_pages = 0.0;
 

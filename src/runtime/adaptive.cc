@@ -122,15 +122,6 @@ Result<AdaptiveResult> ResolveWithObservationImpl(
 Result<AdaptiveResult> ResolveWithObservation(const PhysNodePtr& root,
                                               const CostModel& model,
                                               const ParamEnv& env, Database& db,
-                                              ExecMode exec_mode) {
-  ExecOptions options;
-  options.mode = exec_mode;
-  return ResolveWithObservation(root, model, env, db, options);
-}
-
-Result<AdaptiveResult> ResolveWithObservation(const PhysNodePtr& root,
-                                              const CostModel& model,
-                                              const ParamEnv& env, Database& db,
                                               const ExecOptions& exec_options) {
   return ResolveWithObservationImpl(root, model, env, db, exec_options,
                                     /*ctx=*/nullptr);

@@ -49,16 +49,11 @@ struct AdaptiveResult {
 /// Resolves `root` like ResolveDynamicPlan, but first executes each
 /// maximal single-relation subplan to learn its true cardinality.
 /// Requires a fully bound environment and populated tables.  Observation
-/// subplans execute in `exec_mode`.
+/// subplans run with `exec_options` (parallel across exec_options.threads
+/// workers when > 1).
 Result<AdaptiveResult> ResolveWithObservation(
     const PhysNodePtr& root, const CostModel& model, const ParamEnv& env,
-    Database& db, ExecMode exec_mode = ExecMode::kTuple);
-
-/// As above with full execution options: observation subplans run with
-/// `exec_options` (parallel across exec_options.threads workers when > 1).
-Result<AdaptiveResult> ResolveWithObservation(
-    const PhysNodePtr& root, const CostModel& model, const ParamEnv& env,
-    Database& db, const ExecOptions& exec_options);
+    Database& db, const ExecOptions& exec_options = {});
 
 /// As above under a per-query execution context: observation subplans
 /// execute through `ctx`, so their materialization is charged against the

@@ -44,6 +44,7 @@ DynamicPlanCache& DynamicPlanCache::Instance() {
 
 DynamicPlanCache::EntryPtr DynamicPlanCache::Lookup(uint64_t fingerprint,
                                                     double memory_pages) {
+  EntryPtr hit;
   {
     std::shared_lock<std::shared_mutex> lock(mutex_);
     auto it = entries_.find(Key{fingerprint, memory_pages});
@@ -57,32 +58,51 @@ DynamicPlanCache::EntryPtr DynamicPlanCache::Lookup(uint64_t fingerprint,
           std::memory_order_relaxed);
       it->second->hits.fetch_add(1, std::memory_order_relaxed);
       hits_.fetch_add(1, std::memory_order_relaxed);
-      BumpMetric("runtime.plancache.hits");
-      return it->second;
+      hit = it->second;
     }
+  }
+  if (hit != nullptr) {
+    BumpMetric("runtime.plancache.hits");
+    return hit;
   }
   misses_.fetch_add(1, std::memory_order_relaxed);
   BumpMetric("runtime.plancache.misses");
   return nullptr;
 }
 
+// Every mutator below unlinks entries under the exclusive lock but
+// destroys them — and reports metrics, whose registry takes its own
+// mutex — only after releasing it: a cached plan DAG can be large, and
+// lookups wait on the lock.
+
 DynamicPlanCache::EntryPtr DynamicPlanCache::Insert(Entry entry) {
   auto shared = std::make_shared<Entry>(std::move(entry));
   shared->last_used.store(
       use_tick_.fetch_add(1, std::memory_order_relaxed) + 1,
       std::memory_order_relaxed);
-  std::unique_lock<std::shared_mutex> lock(mutex_);
-  // A plan compiled against statistics or a cost profile that changed
-  // while it was being compiled must not be served to anyone else.
-  if (capacity_ == 0 || shared->stats_epoch != stats_epoch_ ||
-      shared->profile_epoch != profile_epoch_) {
-    return shared;
+  std::vector<EntryPtr> removed;
+  int64_t evicted = 0;
+  size_t size = 0;
+  {
+    std::unique_lock<std::shared_mutex> lock(mutex_);
+    // A plan compiled against statistics or a cost profile that changed
+    // while it was being compiled must not be served to anyone else.
+    if (capacity_ == 0 || shared->stats_epoch != stats_epoch_ ||
+        shared->profile_epoch != profile_epoch_) {
+      return shared;
+    }
+    std::shared_ptr<Entry>& slot =
+        entries_[Key{shared->fingerprint, shared->memory_pages}];
+    if (slot != nullptr) {
+      removed.push_back(std::move(slot));
+    }
+    slot = shared;
+    inserts_.fetch_add(1, std::memory_order_relaxed);
+    evicted = EvictToCapacityLocked(&removed);
+    size = entries_.size();
   }
-  entries_[Key{shared->fingerprint, shared->memory_pages}] = shared;
-  inserts_.fetch_add(1, std::memory_order_relaxed);
   BumpMetric("runtime.plancache.inserts");
-  EvictToCapacityLocked();
-  SetSizeGauge(entries_.size());
+  ReportEvictions(evicted, size);
   return shared;
 }
 
@@ -92,34 +112,56 @@ std::pair<uint64_t, uint64_t> DynamicPlanCache::epochs() const {
 }
 
 void DynamicPlanCache::SetStatsEpoch(uint64_t epoch) {
-  std::unique_lock<std::shared_mutex> lock(mutex_);
-  if (epoch == stats_epoch_) {
-    return;
+  std::vector<EntryPtr> removed;
+  int64_t dropped = 0;
+  size_t size = 0;
+  {
+    std::unique_lock<std::shared_mutex> lock(mutex_);
+    if (epoch == stats_epoch_) {
+      return;
+    }
+    stats_epoch_ = epoch;
+    dropped = SweepStaleLocked(&removed);
+    size = entries_.size();
   }
-  stats_epoch_ = epoch;
-  SweepStaleLocked();
+  ReportInvalidations(dropped, size);
 }
 
 void DynamicPlanCache::BumpProfileEpoch() {
-  std::unique_lock<std::shared_mutex> lock(mutex_);
-  ++profile_epoch_;
-  SweepStaleLocked();
+  std::vector<EntryPtr> removed;
+  int64_t dropped = 0;
+  size_t size = 0;
+  {
+    std::unique_lock<std::shared_mutex> lock(mutex_);
+    ++profile_epoch_;
+    dropped = SweepStaleLocked(&removed);
+    size = entries_.size();
+  }
+  ReportInvalidations(dropped, size);
 }
 
 void DynamicPlanCache::Clear() {
-  std::unique_lock<std::shared_mutex> lock(mutex_);
-  int64_t dropped = static_cast<int64_t>(entries_.size());
-  entries_.clear();
-  invalidations_.fetch_add(dropped, std::memory_order_relaxed);
-  BumpMetric("runtime.plancache.invalidations", dropped);
-  SetSizeGauge(0);
+  decltype(entries_) removed;
+  {
+    std::unique_lock<std::shared_mutex> lock(mutex_);
+    removed.swap(entries_);
+    invalidations_.fetch_add(static_cast<int64_t>(removed.size()),
+                             std::memory_order_relaxed);
+  }
+  ReportInvalidations(static_cast<int64_t>(removed.size()), 0);
 }
 
 void DynamicPlanCache::set_capacity(size_t capacity) {
-  std::unique_lock<std::shared_mutex> lock(mutex_);
-  capacity_ = capacity;
-  EvictToCapacityLocked();
-  SetSizeGauge(entries_.size());
+  std::vector<EntryPtr> removed;
+  int64_t evicted = 0;
+  size_t size = 0;
+  {
+    std::unique_lock<std::shared_mutex> lock(mutex_);
+    capacity_ = capacity;
+    evicted = EvictToCapacityLocked(&removed);
+    size = entries_.size();
+  }
+  ReportEvictions(evicted, size);
 }
 
 PlanCacheStats DynamicPlanCache::stats() const {
@@ -135,25 +177,25 @@ PlanCacheStats DynamicPlanCache::stats() const {
   return stats;
 }
 
-void DynamicPlanCache::SweepStaleLocked() {
+int64_t DynamicPlanCache::SweepStaleLocked(std::vector<EntryPtr>* removed) {
   int64_t dropped = 0;
   for (auto it = entries_.begin(); it != entries_.end();) {
     if (it->second->stats_epoch != stats_epoch_ ||
         it->second->profile_epoch != profile_epoch_) {
+      removed->push_back(std::move(it->second));
       it = entries_.erase(it);
       ++dropped;
     } else {
       ++it;
     }
   }
-  if (dropped > 0) {
-    invalidations_.fetch_add(dropped, std::memory_order_relaxed);
-    BumpMetric("runtime.plancache.invalidations", dropped);
-  }
-  SetSizeGauge(entries_.size());
+  invalidations_.fetch_add(dropped, std::memory_order_relaxed);
+  return dropped;
 }
 
-void DynamicPlanCache::EvictToCapacityLocked() {
+int64_t DynamicPlanCache::EvictToCapacityLocked(
+    std::vector<EntryPtr>* removed) {
+  int64_t evicted = 0;
   while (entries_.size() > capacity_) {
     // O(n) scan for the minimum recency tick: capacity is small (tens to
     // hundreds) and eviction runs only on insert-at-capacity, so a scan
@@ -168,10 +210,26 @@ void DynamicPlanCache::EvictToCapacityLocked() {
         victim_tick = tick;
       }
     }
+    removed->push_back(std::move(victim->second));
     entries_.erase(victim);
-    evictions_.fetch_add(1, std::memory_order_relaxed);
-    BumpMetric("runtime.plancache.evictions");
+    ++evicted;
   }
+  evictions_.fetch_add(evicted, std::memory_order_relaxed);
+  return evicted;
+}
+
+void DynamicPlanCache::ReportEvictions(int64_t evicted, size_t size) {
+  if (evicted > 0) {
+    BumpMetric("runtime.plancache.evictions", evicted);
+  }
+  SetSizeGauge(size);
+}
+
+void DynamicPlanCache::ReportInvalidations(int64_t dropped, size_t size) {
+  if (dropped > 0) {
+    BumpMetric("runtime.plancache.invalidations", dropped);
+  }
+  SetSizeGauge(size);
 }
 
 namespace {

@@ -194,10 +194,16 @@ class DynamicPlanCache {
     }
   };
 
-  /// Erases stale entries / excess entries; callers hold the exclusive
-  /// lock.  `invalidation` selects which counter the drops feed.
-  void SweepStaleLocked();
-  void EvictToCapacityLocked();
+  /// Unlink stale / least-recently-used excess entries into `removed`
+  /// and return how many; callers hold the exclusive lock and destroy
+  /// `removed` after releasing it.
+  int64_t SweepStaleLocked(std::vector<EntryPtr>* removed);
+  int64_t EvictToCapacityLocked(std::vector<EntryPtr>* removed);
+
+  /// Registry updates for entries already unlinked; called without the
+  /// lock (the registry takes its own mutex).
+  static void ReportEvictions(int64_t evicted, size_t size);
+  static void ReportInvalidations(int64_t dropped, size_t size);
 
   mutable std::shared_mutex mutex_;
   std::map<Key, std::shared_ptr<Entry>> entries_;

@@ -1,6 +1,5 @@
 #include "runtime/reopt.h"
 
-#include <algorithm>
 #include <string>
 #include <utility>
 
@@ -14,67 +13,6 @@
 namespace dqep {
 
 namespace {
-
-/// The executor trees of one attempt; exactly one member is set.
-struct BuiltTree {
-  std::unique_ptr<Iterator> tuple;
-  std::unique_ptr<BatchIterator> batch;
-};
-
-Result<BuiltTree> BuildTree(const PhysNodePtr& plan, const Database& db,
-                            const ParamEnv& env, ExecContext& ctx) {
-  BuiltTree out;
-  const ExecOptions& options = ctx.options();
-  if (options.threads > 1) {
-    Result<std::unique_ptr<BatchIterator>> iter =
-        BuildParallelBatchExecutor(plan, db, env, ctx);
-    if (!iter.ok()) {
-      return iter.status();
-    }
-    out.batch = std::move(*iter);
-  } else if (options.mode == ExecMode::kBatch) {
-    Result<std::unique_ptr<BatchIterator>> iter =
-        BuildBatchExecutor(plan, db, env, &ctx);
-    if (!iter.ok()) {
-      return iter.status();
-    }
-    out.batch = std::move(*iter);
-  } else {
-    Result<std::unique_ptr<Iterator>> iter =
-        BuildExecutor(plan, db, env, &ctx);
-    if (!iter.ok()) {
-      return iter.status();
-    }
-    out.tuple = std::move(*iter);
-  }
-  return out;
-}
-
-/// Open/drain/close, honoring cancellation (mirrors ExecutePlan's
-/// context overload, but keeps the tree alive for the caller).
-void DrainTree(BuiltTree* tree, const PhysNode& plan, ExecContext& ctx,
-               std::vector<Tuple>* rows) {
-  constexpr double kMaxReserve = 1 << 20;
-  rows->reserve(static_cast<size_t>(
-      std::clamp(plan.est_cardinality().hi(), 0.0, kMaxReserve)));
-  if (tree->batch != nullptr) {
-    tree->batch->Open();
-    TupleBatch batch;
-    while (!ctx.cancelled() && tree->batch->Next(&batch)) {
-      for (int32_t i = 0; i < batch.num_rows(); ++i) {
-        rows->push_back(batch.row(i));
-      }
-    }
-    tree->batch->Close();
-    return;
-  }
-  tree->tuple->Open();
-  Tuple tuple;
-  while (!ctx.cancelled() && tree->tuple->Next(&tuple)) {
-    rows->push_back(std::move(tuple));
-  }
-  tree->tuple->Close();
-}
 
 /// Materialized leaves of `root` outside the `replaced` subtree: earlier
 /// captures that must keep their own terms in the suffix query.
@@ -183,18 +121,17 @@ Result<ReoptExecution> ExecuteWithReopt(const Query& query,
       options.suffix_env != nullptr ? options.suffix_env : &env;
   ReoptExecution out;
   while (true) {
-    Result<BuiltTree> tree = BuildTree(current, db, *exec_env, ctx);
+    Result<std::unique_ptr<BatchIterator>> tree =
+        BuildParallelBatchExecutor(current, db, *exec_env, ctx);
     if (!tree.ok()) {
       cleanup();
       return tree.status();
     }
-    std::vector<Tuple> rows;
-    DrainTree(&*tree, *current, ctx, &rows);
+    std::vector<Tuple> rows = DrainRows(**tree, *current, &ctx);
     if (!controller.pending()) {
       out.rows = std::move(rows);
       out.final_plan = current;
-      out.tuple_tree = std::move(tree->tuple);
-      out.batch_tree = std::move(tree->batch);
+      out.exec_tree = std::move(*tree);
       break;
     }
     // Triggers fire during the Open cascade and cancel the tree before

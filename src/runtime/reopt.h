@@ -92,17 +92,10 @@ struct ReoptExecution {
   double reopt_seconds = 0.0;
 
   /// The closed iterator tree of the final execution, kept alive for
-  /// EXPLAIN ANALYZE's triple-walk.  Exactly one is set, matching the
-  /// context's ExecOptions.
-  std::unique_ptr<Iterator> tuple_tree;
-  std::unique_ptr<BatchIterator> batch_tree;
+  /// EXPLAIN ANALYZE's triple-walk.
+  std::unique_ptr<BatchIterator> exec_tree;
 
-  const ExecNode* exec_root() const {
-    if (tuple_tree != nullptr) {
-      return tuple_tree.get();
-    }
-    return batch_tree.get();
-  }
+  const ExecNode* exec_root() const { return exec_tree.get(); }
 };
 
 /// Builds the suffix Query for a fired checkpoint: `table` becomes a

@@ -200,18 +200,6 @@ bool ServerSession::Command(const std::string& line, LineChannel* channel) {
     }
     return true;
   }
-  if (command == "\\mode") {
-    std::string name;
-    in >> name;
-    Result<ExecMode> mode = ParseExecMode(name);
-    if (mode.ok()) {
-      exec_mode_ = *mode;
-      channel->WriteAll(FormatOkLine(0, 0.0, "off"));
-    } else {
-      channel->WriteAll(FormatErrLine("usage: \\mode <tuple|batch>"));
-    }
-    return true;
-  }
   if (command == "\\threads") {
     int32_t threads = 0;
     if (in >> threads && threads >= 1 && threads <= 256) {
@@ -500,9 +488,6 @@ void ServerSession::RunQuery(const std::string& sql, LineChannel* channel) {
 
   ExecOptions options;
   options.threads = threads_;
-  options.mode = threads_ > 1 || exec_mode_ == ExecMode::kBatch
-                     ? ExecMode::kBatch
-                     : ExecMode::kTuple;
   std::unique_ptr<ExecContext> ctx =
       MakeExecContext(planned->bound, *engine_->config, options);
   if (ctx == nullptr) {
@@ -513,8 +498,7 @@ void ServerSession::RunQuery(const std::string& sql, LineChannel* channel) {
   engine_->RegisterContext(ctx.get());
 
   std::vector<Tuple> rows;
-  std::unique_ptr<Iterator> tuple_iter;
-  std::unique_ptr<BatchIterator> batch_iter;
+  std::unique_ptr<BatchIterator> exec_tree;
   ReoptExecution reopt;
   bool ran_reopt = false;
   const ExecNode* exec_root = nullptr;
@@ -561,7 +545,7 @@ void ServerSession::RunQuery(const std::string& sql, LineChannel* channel) {
     rows = std::move(reopt.rows);
     info_.AddRows(static_cast<int64_t>(rows.size()));
     exec_root = reopt.exec_root();
-  } else if (options.mode == ExecMode::kBatch) {
+  } else {
     Result<std::unique_ptr<BatchIterator>> iter = BuildParallelBatchExecutor(
         startup->resolved, engine_->workload->db(), planned->bound, *ctx);
     if (!iter.ok()) {
@@ -569,34 +553,17 @@ void ServerSession::RunQuery(const std::string& sql, LineChannel* channel) {
       channel->WriteAll(FormatErrLine(iter.status().ToString()));
       return;
     }
-    batch_iter = std::move(*iter);
-    batch_iter->Open();
+    exec_tree = std::move(*iter);
+    exec_tree->Open();
     TupleBatch batch;
-    while (batch_iter->Next(&batch)) {
+    while (exec_tree->Next(&batch)) {
       for (int32_t i = 0; i < batch.num_rows(); ++i) {
         rows.push_back(batch.row(i));
       }
       info_.AddRows(batch.num_rows());
     }
-    batch_iter->Close();
-    exec_root = batch_iter.get();
-  } else {
-    Result<std::unique_ptr<Iterator>> iter = BuildExecutor(
-        startup->resolved, engine_->workload->db(), planned->bound, ctx.get());
-    if (!iter.ok()) {
-      engine_->UnregisterContext(ctx.get());
-      channel->WriteAll(FormatErrLine(iter.status().ToString()));
-      return;
-    }
-    tuple_iter = std::move(*iter);
-    tuple_iter->Open();
-    Tuple tuple;
-    while (tuple_iter->Next(&tuple)) {
-      rows.push_back(std::move(tuple));
-      info_.AddRows(1);
-    }
-    tuple_iter->Close();
-    exec_root = tuple_iter.get();
+    exec_tree->Close();
+    exec_root = exec_tree.get();
   }
   engine_->UnregisterContext(ctx.get());
 
@@ -662,7 +629,6 @@ void ServerSession::RunQuery(const std::string& sql, LineChannel* channel) {
         record.bindings.emplace_back(name, it->second);
       }
     }
-    record.exec_mode = options.mode == ExecMode::kBatch ? "batch" : "tuple";
     record.threads = threads_;
     record.memory_pages = memory_pages_;
     record.peak_memory_bytes = ctx->tracker().peak_bytes();

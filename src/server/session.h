@@ -13,9 +13,10 @@
 //   * one QueryLogWriter (mutex-serialized JSONL appends),
 //   * one TraceSession with a track per session.
 //
-// Per-session state is only what \set/\mem/\mode/\threads/\reopt
-// mutate: bindings, the memory grant, execution granularity, thread
-// count, and the mid-query re-optimization switch and slack.
+// Per-session state is only what \set/\mem/\threads/\reopt mutate:
+// bindings, the memory grant, thread count, and the mid-query
+// re-optimization switch and slack.  Every query runs on the one batch
+// engine (exec/executor.h), in parallel when the thread count is > 1.
 //
 // Annotation safety: query-log records need the resolved plan annotated
 // with compile-time cost intervals, but the resolved plan shares
@@ -179,11 +180,10 @@ class ServerSession {
   SharedEngine* engine_;
   const int64_t session_id_;
 
-  // Per-session execution knobs (the shell's \set/\mem/\mode/\threads,
-  // plus \reopt for mid-query re-optimization).
+  // Per-session execution knobs (the shell's \set/\mem/\threads, plus
+  // \reopt for mid-query re-optimization).
   std::map<std::string, int64_t> bindings_;
   double memory_pages_;
-  ExecMode exec_mode_ = ExecMode::kTuple;
   int32_t threads_ = 1;
   bool reopt_enabled_ = false;
   double reopt_slack_ = 2.0;

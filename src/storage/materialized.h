@@ -7,7 +7,7 @@
 // table keeps the *original* attribute identities of the rows it holds
 // (its TupleLayout carries the base-relation AttrRefs), so every
 // downstream predicate, join key, and projection slot resolves against it
-// exactly as it did against the subtree it replaces — in both engines.
+// exactly as it did against the subtree it replaces.
 //
 // Rows live in memory until the capturing context's budget is exhausted,
 // then move to a TempHeap from the database's own page store (the same

@@ -1,9 +1,10 @@
 // Fixed-capacity batches of tuples for batch-at-a-time execution.
 //
-// A TupleBatch owns `capacity` reusable Tuple slots.  Producers refill the
-// same batch over and over (Clear + AppendRow), so after the first fill the
-// per-slot Value storage — including string capacity — is recycled and the
-// steady state allocates nothing.  A batch optionally carries a *selection
+// A TupleBatch holds up to `capacity` reusable Tuple slots, created on
+// first use by AppendRow.  Producers refill the same batch over and over
+// (Clear + AppendRow), so after the first fill the per-slot Value storage —
+// including string capacity — is recycled and the steady state allocates
+// nothing.  A batch that never fills never creates its unused slots.  A batch optionally carries a *selection
 // vector*: the physical row indices (strictly increasing) that are live.
 // Filters narrow the selection in place instead of copying survivors,
 // which is the core trick of vectorized filter evaluation.
@@ -22,11 +23,12 @@ namespace dqep {
 /// A batch of up to `capacity` tuples with an optional selection vector.
 class TupleBatch {
  public:
-  static constexpr int32_t kDefaultCapacity = 1024;
+  /// Small enough that a pipeline of wide rows stays cache- and
+  /// RSS-friendly, large enough to amortize the per-batch virtual calls.
+  static constexpr int32_t kDefaultCapacity = 128;
 
   explicit TupleBatch(int32_t capacity = kDefaultCapacity)
-      : rows_(static_cast<size_t>(capacity)),
-        capacity_(capacity) {
+      : capacity_(capacity) {
     DQEP_CHECK_GT(capacity, 0);
   }
 
@@ -77,9 +79,13 @@ class TupleBatch {
 
   /// Claims the next writable row slot; requires !full().  The returned
   /// tuple holds whatever a previous fill left behind — assign into it.
+  /// The reference is valid until the next AppendRow.
   Tuple& AppendRow() {
     DQEP_CHECK(!full());
     DQEP_CHECK(!has_selection_);
+    if (static_cast<size_t>(size_) == rows_.size()) {
+      rows_.emplace_back();
+    }
     return rows_[static_cast<size_t>(size_++)];
   }
 

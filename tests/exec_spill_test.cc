@@ -3,8 +3,8 @@
 // must spill (grace hash join, external merge sort) yet produce
 // byte-identical rows to the unbounded run, with peak tracked memory
 // under the budget, no forced overflows, identical row sequences across
-// exec modes and thread counts, and every temp heap file reclaimed on
-// close — including early close and cancellation mid-stream.
+// thread counts, and every temp heap file reclaimed on close — including
+// early close and cancellation mid-stream.
 //
 // This binary is part of the sanitizer verify steps (build with
 // -DDQEP_SANITIZE=address and =thread).
@@ -31,15 +31,9 @@ namespace {
 
 const int64_t kBudgets[] = {16, 24, 112};
 
-/// (mode, threads) pairs every bounded run is repeated at; thread counts
-/// above 1 run on the batch engine behind the exchange.
-struct RunMode {
-  ExecMode mode;
-  int32_t threads;
-};
-const RunMode kRunModes[] = {{ExecMode::kTuple, 1},
-                             {ExecMode::kBatch, 1},
-                             {ExecMode::kBatch, 4}};
+/// Thread counts every bounded run is repeated at; above 1 the plan runs
+/// behind exchange operators.
+const int32_t kThreadCounts[] = {1, 4};
 
 class ExecSpillTest : public ::testing::Test {
  protected:
@@ -83,9 +77,8 @@ class ExecSpillTest : public ::testing::Test {
   /// rows plus the context's accounting.  Asserts the run leaves no
   /// tracked memory and no temp heaps behind.
   static BoundedRun RunBounded(const PhysNodePtr& plan, const ParamEnv& env,
-                               ExecMode mode, int32_t threads) {
+                               int32_t threads) {
     ExecOptions options;
-    options.mode = mode;
     options.threads = threads;
     std::unique_ptr<ExecContext> ctx =
         MakeExecContext(env, workload_->config(), options);
@@ -139,8 +132,7 @@ TEST(MemoryTrackerTest, AccountsPeakAndHeadroom) {
 
 /// The five paper queries (1, 2, 4, 6, 10 relations): dynamic
 /// compilation under an uncertain memory grant, choose-plan resolution
-/// at each budget, then bounded execution at every mode and thread
-/// count.
+/// at each budget, then bounded execution at every thread count.
 class SpillQueryParity : public ExecSpillTest,
                          public ::testing::WithParamInterface<int32_t> {};
 
@@ -161,38 +153,32 @@ TEST_P(SpillQueryParity, BoundedMatchesUnboundedAtEveryBudget) {
         ResolveDynamicPlan(dyn->plan.root, workload_->model(), bound);
     ASSERT_TRUE(startup.ok()) << startup.status().ToString();
 
-    // Unbounded (legacy, null-context) reference for this budget's plan.
-    auto unbounded = ExecutePlan(startup->resolved, workload_->db(), bound,
-                                 ExecMode::kTuple);
+    // Unbounded (null-context) reference for this budget's plan.
+    auto unbounded = ExecutePlan(startup->resolved, workload_->db(), bound);
     ASSERT_TRUE(unbounded.ok());
     std::vector<Tuple> reference = Canonicalize(*unbounded);
 
     std::vector<Tuple> first_sequence;
     bool have_first = false;
-    for (const RunMode& rm : kRunModes) {
-      BoundedRun run =
-          RunBounded(startup->resolved, bound, rm.mode, rm.threads);
+    for (int32_t threads : kThreadCounts) {
+      BoundedRun run = RunBounded(startup->resolved, bound, threads);
       // (a) byte-identical rows to the unbounded run.
       EXPECT_EQ(Canonicalize(run.rows), reference)
-          << "n=" << n << " budget=" << budget
-          << " mode=" << static_cast<int>(rm.mode)
-          << " threads=" << rm.threads;
+          << "n=" << n << " budget=" << budget << " threads=" << threads;
       // (b) peak tracked memory stays under the budget, with no forced
       // overflow acquisitions.
       EXPECT_EQ(run.budget_bytes, budget * kPageSize);
       EXPECT_LE(run.peak_bytes, run.budget_bytes)
           << "n=" << n << " budget=" << budget;
       EXPECT_EQ(run.overflows, 0) << "n=" << n << " budget=" << budget;
-      // Spill decisions are deterministic, so every mode and thread
-      // count produces the same exact row sequence at a fixed budget.
+      // Spill decisions are deterministic, so every thread count
+      // produces the same exact row sequence at a fixed budget.
       if (!have_first) {
         first_sequence = run.rows;
         have_first = true;
       } else {
         EXPECT_EQ(run.rows, first_sequence)
-            << "n=" << n << " budget=" << budget
-            << " mode=" << static_cast<int>(rm.mode)
-            << " threads=" << rm.threads;
+            << "n=" << n << " budget=" << budget << " threads=" << threads;
       }
       // (c) joins actually spill at the tight budget (single-relation
       // plans have nothing to spill).
@@ -223,16 +209,13 @@ TEST_F(ExecSpillTest, ExternalSortExactSequence) {
     auto startup = ResolveDynamicPlan(plan->root, workload_->model(), env);
     ASSERT_TRUE(startup.ok());
 
-    auto unbounded = ExecutePlan(startup->resolved, workload_->db(), env,
-                                 ExecMode::kTuple);
+    auto unbounded = ExecutePlan(startup->resolved, workload_->db(), env);
     ASSERT_TRUE(unbounded.ok());
 
-    for (const RunMode& rm : kRunModes) {
-      BoundedRun run =
-          RunBounded(startup->resolved, env, rm.mode, rm.threads);
+    for (int32_t threads : kThreadCounts) {
+      BoundedRun run = RunBounded(startup->resolved, env, threads);
       EXPECT_EQ(run.rows, *unbounded)
-          << "budget=" << budget << " mode=" << static_cast<int>(rm.mode)
-          << " threads=" << rm.threads;
+          << "budget=" << budget << " threads=" << threads;
       EXPECT_LE(run.peak_bytes, budget * kPageSize);
       EXPECT_EQ(run.overflows, 0);
       if (budget == 16 && run.tuples_spilled > 0) {
@@ -243,7 +226,7 @@ TEST_F(ExecSpillTest, ExternalSortExactSequence) {
 }
 
 /// A context with memory_pages == 0 tracks the peak watermark but never
-/// spills, and the row sequence is exactly the legacy unbounded one.
+/// spills, and the row sequence is exactly the unbounded one.
 TEST_F(ExecSpillTest, TrackOnlyContextNeverSpills) {
   Query query = workload_->ChainQuery(2);
   auto dyn = CompileQuery(query, workload_->model(),
@@ -255,14 +238,11 @@ TEST_F(ExecSpillTest, TrackOnlyContextNeverSpills) {
   auto startup = ResolveDynamicPlan(dyn->plan.root, workload_->model(), bound);
   ASSERT_TRUE(startup.ok());
 
-  auto legacy = ExecutePlan(startup->resolved, workload_->db(), bound,
-                            ExecMode::kTuple);
+  auto legacy = ExecutePlan(startup->resolved, workload_->db(), bound);
   ASSERT_TRUE(legacy.ok());
   ASSERT_GT(legacy->size(), 0u);
 
-  ExecOptions options;
-  options.mode = ExecMode::kTuple;
-  ExecContext ctx(options, /*memory_pages=*/0);
+  ExecContext ctx(ExecOptions{}, /*memory_pages=*/0);
   EXPECT_FALSE(ctx.bounded());
   auto tracked = ExecutePlan(startup->resolved, workload_->db(), bound, ctx);
   ASSERT_TRUE(tracked.ok());
@@ -304,20 +284,16 @@ SpillingPlan MakeSpillingJoinPlan(PaperWorkload* workload) {
 /// reclaimed when the iterator tree is closed early, mid-stream.
 TEST_F(ExecSpillTest, EarlyCloseReclaimsTempHeaps) {
   SpillingPlan spilling = MakeSpillingJoinPlan(workload_);
-  ExecOptions options;
-  options.mode = ExecMode::kTuple;
   std::unique_ptr<ExecContext> ctx =
-      MakeExecContext(spilling.env, workload_->config(), options);
+      MakeExecContext(spilling.env, workload_->config(), ExecOptions{});
   ASSERT_TRUE(ctx->bounded());
 
-  auto iter = BuildExecutor(spilling.plan, workload_->db(), spilling.env,
-                            ctx.get());
+  auto iter = BuildBatchExecutor(spilling.plan, workload_->db(), spilling.env,
+                                 ctx.get());
   ASSERT_TRUE(iter.ok());
   (*iter)->Open();
-  Tuple tuple;
-  for (int i = 0; i < 3; ++i) {
-    ASSERT_TRUE((*iter)->Next(&tuple));
-  }
+  TupleBatch batch;
+  ASSERT_TRUE((*iter)->Next(&batch));
   // The spilled join holds partition files while streaming.
   EXPECT_GT(ctx->temp_files_created(), 0);
   EXPECT_GT(workload_->db().live_temp_heaps(), 0);
@@ -330,30 +306,27 @@ TEST_F(ExecSpillTest, EarlyCloseReclaimsTempHeaps) {
 /// tracked memory and temp files.
 TEST_F(ExecSpillTest, CancellationStopsStreamAndCleansUp) {
   SpillingPlan spilling = MakeSpillingJoinPlan(workload_);
-  ExecOptions options;
-  options.mode = ExecMode::kTuple;
   std::unique_ptr<ExecContext> ctx =
-      MakeExecContext(spilling.env, workload_->config(), options);
+      MakeExecContext(spilling.env, workload_->config(), ExecOptions{});
 
-  auto iter = BuildExecutor(spilling.plan, workload_->db(), spilling.env,
-                            ctx.get());
+  auto iter = BuildBatchExecutor(spilling.plan, workload_->db(), spilling.env,
+                                 ctx.get());
   ASSERT_TRUE(iter.ok());
   (*iter)->Open();
-  Tuple tuple;
-  ASSERT_TRUE((*iter)->Next(&tuple));
-  ASSERT_TRUE((*iter)->Next(&tuple));
+  TupleBatch batch;
+  ASSERT_TRUE((*iter)->Next(&batch));
+  ASSERT_TRUE((*iter)->Next(&batch));
   ctx->RequestCancel();
-  EXPECT_FALSE((*iter)->Next(&tuple));
+  EXPECT_FALSE((*iter)->Next(&batch));
   (*iter)->Close();
   EXPECT_EQ(workload_->db().live_temp_heaps(), 0);
   EXPECT_EQ(ctx->tracker().used_bytes(), 0);
 
   // A context cancelled before execution produces a short (possibly
-  // empty) result without error, in every mode.
-  for (const RunMode& rm : kRunModes) {
+  // empty) result without error, at every thread count.
+  for (int32_t threads : kThreadCounts) {
     ExecOptions opts;
-    opts.mode = rm.mode;
-    opts.threads = rm.threads;
+    opts.threads = threads;
     std::unique_ptr<ExecContext> cancelled =
         MakeExecContext(spilling.env, workload_->config(), opts);
     cancelled->RequestCancel();
@@ -377,10 +350,8 @@ TEST_F(ExecSpillTest, ResolveWithObservationUnderBudget) {
   Rng rng(902);
   ParamEnv bound = BoundEnv(&rng, query, 16.0);
 
-  ExecOptions options;
-  options.mode = ExecMode::kTuple;
   std::unique_ptr<ExecContext> ctx =
-      MakeExecContext(bound, workload_->config(), options);
+      MakeExecContext(bound, workload_->config(), ExecOptions{});
   auto adaptive = ResolveWithObservation(dyn->plan.root, workload_->model(),
                                          bound, workload_->db(), *ctx);
   ASSERT_TRUE(adaptive.ok()) << adaptive.status().ToString();
@@ -390,8 +361,8 @@ TEST_F(ExecSpillTest, ResolveWithObservationUnderBudget) {
                              bound, *ctx);
   ASSERT_TRUE(bounded.ok());
   EXPECT_LE(ctx->tracker().peak_bytes(), ctx->tracker().budget_bytes());
-  auto unbounded = ExecutePlan(adaptive->startup.resolved, workload_->db(),
-                               bound, ExecMode::kTuple);
+  auto unbounded =
+      ExecutePlan(adaptive->startup.resolved, workload_->db(), bound);
   ASSERT_TRUE(unbounded.ok());
   EXPECT_EQ(Canonicalize(*bounded), Canonicalize(*unbounded));
   EXPECT_EQ(workload_->db().live_temp_heaps(), 0);

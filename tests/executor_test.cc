@@ -226,17 +226,10 @@ TEST_F(ExecutorTest, ChoosePlanMustBeResolvedFirst) {
 
 TEST_F(ExecutorTest, IteratorRestartable) {
   auto plan = PhysNode::FileScan(db_.catalog(), l_);
-  auto iter = BuildExecutor(plan, db_, ParamEnv());
+  auto iter = BuildBatchExecutor(plan, db_, ParamEnv());
   ASSERT_TRUE(iter.ok());
   for (int round = 0; round < 2; ++round) {
-    (*iter)->Open();
-    int count = 0;
-    Tuple tuple;
-    while ((*iter)->Next(&tuple)) {
-      ++count;
-    }
-    (*iter)->Close();
-    EXPECT_EQ(count, 8) << "round " << round;
+    EXPECT_EQ(DrainRows(**iter, *plan).size(), 8u) << "round " << round;
   }
 }
 

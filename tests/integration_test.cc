@@ -26,18 +26,12 @@ class IntegrationTest : public ::testing::Test {
   /// Executes `plan` and canonicalizes into reference column order.
   std::vector<Tuple> RunPlan(const PhysNodePtr& plan, const Query& query,
                              const ParamEnv& env) {
-    auto iter = BuildExecutor(plan, workload_->db(), env);
+    auto iter = BuildBatchExecutor(plan, workload_->db(), env);
     EXPECT_TRUE(iter.ok()) << iter.status().ToString();
     if (!iter.ok()) {
       return {};
     }
-    std::vector<Tuple> rows;
-    (*iter)->Open();
-    Tuple tuple;
-    while ((*iter)->Next(&tuple)) {
-      rows.push_back(tuple);
-    }
-    (*iter)->Close();
+    std::vector<Tuple> rows = DrainRows(**iter, *plan);
     return Canonicalize(
         ToReferenceOrder(rows, (*iter)->layout(), query, workload_->db()));
   }

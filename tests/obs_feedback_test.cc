@@ -97,14 +97,10 @@ TEST_F(FeedbackTest, CalibrationReducesRootErrorAndPreservesDecisions) {
     entry.startup = std::move(*startup);
     total_decisions += entry.startup.decisions;
 
-    Result<std::unique_ptr<Iterator>> iter =
-        BuildExecutor(entry.startup.resolved, workload_->db(), entry.bound);
+    Result<std::unique_ptr<BatchIterator>> iter = BuildBatchExecutor(
+        entry.startup.resolved, workload_->db(), entry.bound);
     ASSERT_TRUE(iter.ok());
-    (*iter)->Open();
-    Tuple tuple;
-    while ((*iter)->Next(&tuple)) {
-    }
-    (*iter)->Close();
+    DrainRows(**iter, *entry.startup.resolved);
 
     AnnotatePlan(*entry.startup.resolved, workload_->model(), compile_env,
                  EstimationMode::kInterval);
@@ -185,14 +181,10 @@ TEST_F(FeedbackTest, ScaleOnlyCalibrationUsesUniformMultipliers) {
   Result<StartupResult> startup =
       ResolveDynamicPlan(plan->root, workload_->model(), bound);
   ASSERT_TRUE(startup.ok());
-  Result<std::unique_ptr<Iterator>> iter =
-      BuildExecutor(startup->resolved, workload_->db(), bound);
+  Result<std::unique_ptr<BatchIterator>> iter =
+      BuildBatchExecutor(startup->resolved, workload_->db(), bound);
   ASSERT_TRUE(iter.ok());
-  (*iter)->Open();
-  Tuple tuple;
-  while ((*iter)->Next(&tuple)) {
-  }
-  (*iter)->Close();
+  DrainRows(**iter, *startup->resolved);
   AnnotatePlan(*startup->resolved, workload_->model(), compile_env,
                EstimationMode::kInterval);
   obs::AnalyzeInput input;
@@ -225,7 +217,6 @@ TEST_F(FeedbackTest, QueryLogJsonlRoundTripSkipsTornLines) {
   record.query = "select * from r1 where s < ?0";
   record.query_hash = obs::HashQueryText(record.query);
   record.bindings = {{"?0", 123}};
-  record.exec_mode = "tuple";
   record.threads = 1;
   record.memory_pages = 64.0;
   record.predicted_cost = 0.25;
@@ -276,10 +267,15 @@ TEST_F(FeedbackTest, QueryLogJsonlRoundTripSkipsTornLines) {
     ASSERT_TRUE(writer.Append(record));
     ASSERT_TRUE(writer.Append(record));
   }
-  // Simulate a crash mid-append: a torn, unterminated final line.
+  // An older v2 record still carries "exec_mode"; then a crash mid-append
+  // leaves a torn, unterminated final line.
+  std::string old_v2 = obs::RenderQueryLogRecordJson(record);
+  ASSERT_EQ(old_v2.front(), '{');
+  old_v2.insert(1, "\"exec_mode\": \"tuple\", ");
   {
     std::FILE* f = std::fopen(path.c_str(), "a");
     ASSERT_NE(f, nullptr);
+    std::fputs((old_v2 + "\n").c_str(), f);
     std::fputs("{\"query\": \"torn", f);
     std::fclose(f);
   }
@@ -289,15 +285,17 @@ TEST_F(FeedbackTest, QueryLogJsonlRoundTripSkipsTornLines) {
       obs::LoadQueryLog(path, &skipped);
   ASSERT_TRUE(loaded.ok()) << loaded.status().message();
   EXPECT_EQ(skipped, 1);
-  ASSERT_EQ(loaded->size(), 2u);
+  ASSERT_EQ(loaded->size(), 3u);
 
   const obs::QueryLogRecord& back = loaded->front();
+  // The loader ignores the retired field: the old record loads unchanged.
+  EXPECT_EQ(obs::RenderQueryLogRecordJson((*loaded)[2]),
+            obs::RenderQueryLogRecordJson(back));
   EXPECT_EQ(back.query, record.query);
   EXPECT_EQ(back.query_hash, record.query_hash);
   ASSERT_EQ(back.bindings.size(), 1u);
   EXPECT_EQ(back.bindings[0].first, "?0");
   EXPECT_EQ(back.bindings[0].second, 123);
-  EXPECT_EQ(back.exec_mode, "tuple");
   EXPECT_EQ(back.result_rows, 321);
   EXPECT_EQ(back.pool_hits, 10);
   EXPECT_EQ(back.pool_misses, 3);

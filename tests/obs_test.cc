@@ -21,8 +21,8 @@
 #include <vector>
 
 #include "exec/executor.h"
-#include "json_lite.h"
 #include "obs/analyze.h"
+#include "obs/json_util.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "optimizer/optimizer.h"
@@ -33,8 +33,14 @@
 namespace dqep {
 namespace {
 
-using json_lite::JsonParser;
-using json_lite::JsonValue;
+using obs::JsonValue;
+
+/// Member `key` of a parsed object, or a null value when absent.
+const JsonValue& At(const JsonValue& value, const std::string& key) {
+  static const JsonValue kNull;
+  const JsonValue* member = value.Find(key);
+  return member != nullptr ? *member : kNull;
+}
 
 // --- MetricsRegistry --------------------------------------------------------
 
@@ -248,10 +254,10 @@ TEST(MetricsRegistryTest, RenderJsonIsValidJson) {
   registry.NewCounter("test.render.counter").Add(3);
   registry.SharedHistogram("test.render.hist")->Record(17);
   JsonValue root;
-  ASSERT_TRUE(JsonParser(registry.RenderJson()).Parse(&root));
-  ASSERT_EQ(root.type, JsonValue::Type::kObject);
-  EXPECT_TRUE(root.Has("test.render.counter"));
-  EXPECT_TRUE(root.Has("test.render.hist"));
+  ASSERT_TRUE(obs::ParseJson(registry.RenderJson(), &root));
+  ASSERT_TRUE(root.is_object());
+  EXPECT_NE(root.Find("test.render.counter"), nullptr);
+  EXPECT_NE(root.Find("test.render.hist"), nullptr);
 }
 
 // --- Query pipeline fixtures ------------------------------------------------
@@ -317,44 +323,44 @@ TEST_F(ObsQueryTest, TraceJsonWellFormedForQ5) {
                 {{"rows", std::to_string(rows->size())}});
 
   JsonValue root;
-  ASSERT_TRUE(JsonParser(trace.ToChromeJson()).Parse(&root))
+  ASSERT_TRUE(obs::ParseJson(trace.ToChromeJson(), &root))
       << trace.ToChromeJson();
-  ASSERT_TRUE(root.Has("traceEvents"));
-  const JsonValue& events = root.At("traceEvents");
-  ASSERT_EQ(events.type, JsonValue::Type::kArray);
-  ASSERT_FALSE(events.array.empty());
+  ASSERT_NE(root.Find("traceEvents"), nullptr);
+  const JsonValue& events = At(root, "traceEvents");
+  ASSERT_TRUE(events.is_array());
+  ASSERT_FALSE(events.items.empty());
 
   int64_t optimize_spans = 0, resolve_spans = 0, execute_spans = 0;
   int64_t decision_spans = 0;
-  for (const JsonValue& event : events.array) {
-    ASSERT_EQ(event.type, JsonValue::Type::kObject);
+  for (const JsonValue& event : events.items) {
+    ASSERT_TRUE(event.is_object());
     // Required Chrome-trace fields on every event.
-    ASSERT_TRUE(event.Has("name"));
-    ASSERT_TRUE(event.Has("ph"));
-    ASSERT_TRUE(event.Has("pid"));
-    ASSERT_TRUE(event.Has("tid"));
-    const std::string& ph = event.At("ph").str;
+    ASSERT_NE(event.Find("name"), nullptr);
+    ASSERT_NE(event.Find("ph"), nullptr);
+    ASSERT_NE(event.Find("pid"), nullptr);
+    ASSERT_NE(event.Find("tid"), nullptr);
+    const std::string& ph = At(event, "ph").string_value;
     if (ph == "M") {
       continue;  // thread_name metadata
     }
     ASSERT_EQ(ph, "X");
-    ASSERT_TRUE(event.Has("ts"));
-    ASSERT_TRUE(event.Has("dur"));
-    const std::string& name = event.At("name").str;
+    ASSERT_NE(event.Find("ts"), nullptr);
+    ASSERT_NE(event.Find("dur"), nullptr);
+    const std::string& name = At(event, "name").string_value;
     if (name == "optimize") ++optimize_spans;
     if (name == "resolve") ++resolve_spans;
     if (name == "execute") ++execute_spans;
     if (name == "choose-plan decision") {
       ++decision_spans;
-      const JsonValue& args = event.At("args");
-      ASSERT_EQ(args.type, JsonValue::Type::kObject);
-      EXPECT_TRUE(args.Has("alternatives"));
-      EXPECT_TRUE(args.Has("chosen"));
-      EXPECT_TRUE(args.Has("alt0_resolved_cost"));
-      EXPECT_TRUE(args.Has("alt0_cost_lo"));
-      EXPECT_TRUE(args.Has("alt0_cost_hi"));
+      const JsonValue& args = At(event, "args");
+      ASSERT_TRUE(args.is_object());
+      EXPECT_NE(args.Find("alternatives"), nullptr);
+      EXPECT_NE(args.Find("chosen"), nullptr);
+      EXPECT_NE(args.Find("alt0_resolved_cost"), nullptr);
+      EXPECT_NE(args.Find("alt0_cost_lo"), nullptr);
+      EXPECT_NE(args.Find("alt0_cost_hi"), nullptr);
       // The chosen index must address an existing alternative.
-      EXPECT_LT(args.At("chosen").number, args.At("alternatives").number);
+      EXPECT_LT(At(args, "chosen").number, At(args, "alternatives").number);
     }
   }
   EXPECT_EQ(optimize_spans, 1);
@@ -376,16 +382,10 @@ TEST_F(ObsQueryTest, ExplainAnalyzeGoldenForQ1) {
   ASSERT_TRUE(startup.ok());
   ASSERT_GT(startup->decisions, 0);  // Q1's selection is uncertain
 
-  Result<std::unique_ptr<Iterator>> iter =
-      BuildExecutor(startup->resolved, workload_->db(), bound);
+  Result<std::unique_ptr<BatchIterator>> iter =
+      BuildBatchExecutor(startup->resolved, workload_->db(), bound);
   ASSERT_TRUE(iter.ok());
-  (*iter)->Open();
-  Tuple tuple;
-  size_t row_count = 0;
-  while ((*iter)->Next(&tuple)) {
-    ++row_count;
-  }
-  (*iter)->Close();
+  size_t row_count = DrainRows(**iter, *startup->resolved).size();
 
   AnnotatePlan(*startup->resolved, workload_->model(), compile_env,
                EstimationMode::kInterval);
@@ -424,26 +424,26 @@ TEST_F(ObsQueryTest, ExplainAnalyzeGoldenForQ1) {
   // in-interval flag consistent with the reported bounds.
   std::string json = obs::RenderAnalyze(input, obs::AnalyzeFormat::kJson);
   JsonValue root;
-  ASSERT_TRUE(JsonParser(json).Parse(&root)) << json;
-  const JsonValue& operators = root.At("operators");
-  ASSERT_EQ(operators.type, JsonValue::Type::kArray);
-  ASSERT_EQ(operators.array.size(), expected.size());
-  const JsonValue& top = operators.array.front();
-  EXPECT_EQ(top.At("op").str, expected.front());
-  EXPECT_EQ(static_cast<size_t>(top.At("actual_rows").number), row_count);
-  for (const JsonValue& op : operators.array) {
-    double lo = op.At("est_cost_lo").number;
-    double hi = op.At("est_cost_hi").number;
-    double actual = op.At("actual_cost").number;
+  ASSERT_TRUE(obs::ParseJson(json, &root)) << json;
+  const JsonValue& operators = At(root, "operators");
+  ASSERT_TRUE(operators.is_array());
+  ASSERT_EQ(operators.items.size(), expected.size());
+  const JsonValue& top = operators.items.front();
+  EXPECT_EQ(At(top, "op").string_value, expected.front());
+  EXPECT_EQ(static_cast<size_t>(At(top, "actual_rows").number), row_count);
+  for (const JsonValue& op : operators.items) {
+    double lo = At(op, "est_cost_lo").number;
+    double hi = At(op, "est_cost_hi").number;
+    double actual = At(op, "actual_cost").number;
     EXPECT_LE(lo, hi);
-    EXPECT_EQ(op.At("cost_in_interval").boolean,
+    EXPECT_EQ(At(op, "cost_in_interval").bool_value,
               lo <= actual && actual <= hi);
   }
-  const JsonValue& decisions = root.At("decisions");
-  ASSERT_EQ(decisions.type, JsonValue::Type::kArray);
-  EXPECT_EQ(static_cast<int64_t>(decisions.array.size()),
+  const JsonValue& decisions = At(root, "decisions");
+  ASSERT_TRUE(decisions.is_array());
+  EXPECT_EQ(static_cast<int64_t>(decisions.items.size()),
             startup->decisions);
-  EXPECT_EQ(static_cast<int64_t>(root.At("startup").At("decisions").number),
+  EXPECT_EQ(static_cast<int64_t>(At(At(root, "startup"), "decisions").number),
             startup->decisions);
 }
 
@@ -466,14 +466,10 @@ TEST_F(ObsQueryTest, ChoosePlanRegretUnderForcedBadBinding) {
   ASSERT_FALSE(startup->alternative_costs.empty());
 
   ParamEnv execute_env = BindAll(query, 0.9);
-  Result<std::unique_ptr<Iterator>> iter =
-      BuildExecutor(startup->resolved, workload_->db(), execute_env);
+  Result<std::unique_ptr<BatchIterator>> iter =
+      BuildBatchExecutor(startup->resolved, workload_->db(), execute_env);
   ASSERT_TRUE(iter.ok());
-  (*iter)->Open();
-  Tuple tuple;
-  while ((*iter)->Next(&tuple)) {
-  }
-  (*iter)->Close();
+  DrainRows(**iter, *startup->resolved);
 
   AnnotatePlan(*startup->resolved, workload_->model(), compile_env,
                EstimationMode::kInterval);
@@ -484,24 +480,24 @@ TEST_F(ObsQueryTest, ChoosePlanRegretUnderForcedBadBinding) {
   input.exec_root = iter->get();
   std::string json = obs::RenderAnalyze(input, obs::AnalyzeFormat::kJson);
   JsonValue root;
-  ASSERT_TRUE(JsonParser(json).Parse(&root)) << json;
-  const JsonValue& decisions = root.At("decisions");
-  ASSERT_EQ(decisions.type, JsonValue::Type::kArray);
-  ASSERT_FALSE(decisions.array.empty());
-  for (const JsonValue& decision : decisions.array) {
-    ASSERT_TRUE(decision.Has("chosen_est"));
-    ASSERT_TRUE(decision.Has("best_other_est"));
-    ASSERT_TRUE(decision.Has("chosen_actual"));
-    ASSERT_TRUE(decision.Has("regret"));
-    double actual = decision.At("chosen_actual").number;
-    double best_other = decision.At("best_other_est").number;
-    double regret = decision.At("regret").number;
+  ASSERT_TRUE(obs::ParseJson(json, &root)) << json;
+  const JsonValue& decisions = At(root, "decisions");
+  ASSERT_TRUE(decisions.is_array());
+  ASSERT_FALSE(decisions.items.empty());
+  for (const JsonValue& decision : decisions.items) {
+    ASSERT_NE(decision.Find("chosen_est"), nullptr);
+    ASSERT_NE(decision.Find("best_other_est"), nullptr);
+    ASSERT_NE(decision.Find("chosen_actual"), nullptr);
+    ASSERT_NE(decision.Find("regret"), nullptr);
+    double actual = At(decision, "chosen_actual").number;
+    double best_other = At(decision, "best_other_est").number;
+    double regret = At(decision, "regret").number;
     EXPECT_TRUE(std::isfinite(regret));
     EXPECT_NEAR(regret, actual - best_other,
                 1e-6 * std::max(1.0, std::fabs(actual - best_other)));
     // Start-up chose the alternative the model priced cheapest under the
     // (bad) resolve bindings.
-    EXPECT_LE(decision.At("chosen_est").number, best_other);
+    EXPECT_LE(At(decision, "chosen_est").number, best_other);
   }
 }
 
@@ -518,20 +514,20 @@ TEST(TraceSessionTest, NonFiniteArgsSerializeAsNull) {
   }
   std::string json = trace.ToChromeJson();
   JsonValue root;
-  ASSERT_TRUE(JsonParser(json).Parse(&root)) << json;
-  const JsonValue& events = root.At("traceEvents");
-  ASSERT_EQ(events.type, JsonValue::Type::kArray);
+  ASSERT_TRUE(obs::ParseJson(json, &root)) << json;
+  const JsonValue& events = At(root, "traceEvents");
+  ASSERT_TRUE(events.is_array());
   bool found = false;
-  for (const JsonValue& event : events.array) {
-    if (event.At("name").str != "edge-args") {
+  for (const JsonValue& event : events.items) {
+    if (At(event, "name").string_value != "edge-args") {
       continue;
     }
     found = true;
-    const JsonValue& args = event.At("args");
-    EXPECT_EQ(args.At("finite").type, JsonValue::Type::kNumber);
-    EXPECT_EQ(args.At("pos_inf").type, JsonValue::Type::kNull);
-    EXPECT_EQ(args.At("neg_inf").type, JsonValue::Type::kNull);
-    EXPECT_EQ(args.At("nan").type, JsonValue::Type::kNull);
+    const JsonValue& args = At(event, "args");
+    EXPECT_TRUE(At(args, "finite").is_number());
+    EXPECT_TRUE(At(args, "pos_inf").is_null());
+    EXPECT_TRUE(At(args, "neg_inf").is_null());
+    EXPECT_TRUE(At(args, "nan").is_null());
   }
   EXPECT_TRUE(found);
 }
@@ -568,24 +564,24 @@ TEST_F(ObsQueryTest, TraceJsonWellFormedAtFourThreads) {
                 {{"rows", std::to_string(rows->size())}});
 
   JsonValue root;
-  ASSERT_TRUE(JsonParser(trace.ToChromeJson()).Parse(&root));
-  const JsonValue& events = root.At("traceEvents");
-  ASSERT_EQ(events.type, JsonValue::Type::kArray);
+  ASSERT_TRUE(obs::ParseJson(trace.ToChromeJson(), &root));
+  const JsonValue& events = At(root, "traceEvents");
+  ASSERT_TRUE(events.is_array());
   int64_t decision_spans = 0;
-  for (const JsonValue& event : events.array) {
-    ASSERT_TRUE(event.Has("name"));
-    ASSERT_TRUE(event.Has("ph"));
-    if (event.At("name").str == "choose-plan decision") {
+  for (const JsonValue& event : events.items) {
+    ASSERT_NE(event.Find("name"), nullptr);
+    ASSERT_NE(event.Find("ph"), nullptr);
+    if (At(event, "name").string_value == "choose-plan decision") {
       ++decision_spans;
     }
   }
   EXPECT_EQ(decision_spans, startup->decisions);
 }
 
-// EXPLAIN ANALYZE parity: the serial tuple engine and the 4-thread
-// exchange engine must report the same operator skeleton and the same
-// root row count for the same resolved plan (exchange/adaptor wrappers
-// are transparent to the analyze walk).
+// EXPLAIN ANALYZE parity: the serial engine and the 4-thread exchange
+// engine must report the same operator skeleton and the same root row
+// count for the same resolved plan (exchange wrappers are transparent to
+// the analyze walk).
 TEST_F(ObsQueryTest, ExplainAnalyzeParitySerialVsFourThreads) {
   Query query = workload_->ChainQuery(4);
   ParamEnv compile_env = workload_->CompileTimeEnv(false);
@@ -606,20 +602,14 @@ TEST_F(ObsQueryTest, ExplainAnalyzeParitySerialVsFourThreads) {
     input.startup = &*startup;
     input.exec_root = exec_root;
     std::string json = obs::RenderAnalyze(input, obs::AnalyzeFormat::kJson);
-    return JsonParser(json).Parse(out);
+    return obs::ParseJson(json, out);
   };
 
-  // Serial tuple engine.
-  Result<std::unique_ptr<Iterator>> serial =
-      BuildExecutor(startup->resolved, workload_->db(), bound);
+  // Serial engine.
+  Result<std::unique_ptr<BatchIterator>> serial =
+      BuildBatchExecutor(startup->resolved, workload_->db(), bound);
   ASSERT_TRUE(serial.ok());
-  (*serial)->Open();
-  Tuple tuple;
-  size_t serial_rows = 0;
-  while ((*serial)->Next(&tuple)) {
-    ++serial_rows;
-  }
-  (*serial)->Close();
+  size_t serial_rows = DrainRows(**serial, *startup->resolved).size();
   JsonValue serial_doc;
   ASSERT_TRUE(analyze_json(serial->get(), &serial_doc));
 
@@ -640,26 +630,26 @@ TEST_F(ObsQueryTest, ExplainAnalyzeParitySerialVsFourThreads) {
   ASSERT_TRUE(analyze_json(parallel->get(), &parallel_doc));
 
   EXPECT_EQ(serial_rows, parallel_rows);
-  const JsonValue& serial_ops = serial_doc.At("operators");
-  const JsonValue& parallel_ops = parallel_doc.At("operators");
-  ASSERT_EQ(serial_ops.type, JsonValue::Type::kArray);
-  ASSERT_EQ(parallel_ops.type, JsonValue::Type::kArray);
-  ASSERT_EQ(serial_ops.array.size(), parallel_ops.array.size());
-  for (size_t i = 0; i < serial_ops.array.size(); ++i) {
-    EXPECT_EQ(serial_ops.array[i].At("op").str,
-              parallel_ops.array[i].At("op").str)
+  const JsonValue& serial_ops = At(serial_doc, "operators");
+  const JsonValue& parallel_ops = At(parallel_doc, "operators");
+  ASSERT_TRUE(serial_ops.is_array());
+  ASSERT_TRUE(parallel_ops.is_array());
+  ASSERT_EQ(serial_ops.items.size(), parallel_ops.items.size());
+  for (size_t i = 0; i < serial_ops.items.size(); ++i) {
+    EXPECT_EQ(At(serial_ops.items[i], "op").string_value,
+              At(parallel_ops.items[i], "op").string_value)
         << "operator skeleton diverged at index " << i;
-    EXPECT_EQ(serial_ops.array[i].At("depth").number,
-              parallel_ops.array[i].At("depth").number);
+    EXPECT_EQ(At(serial_ops.items[i], "depth").number,
+              At(parallel_ops.items[i], "depth").number);
   }
   EXPECT_EQ(
-      static_cast<size_t>(serial_ops.array.front().At("actual_rows").number),
+      static_cast<size_t>(At(serial_ops.items.front(), "actual_rows").number),
       serial_rows);
   EXPECT_EQ(
-      static_cast<size_t>(parallel_ops.array.front().At("actual_rows").number),
+      static_cast<size_t>(At(parallel_ops.items.front(), "actual_rows").number),
       parallel_rows);
-  EXPECT_EQ(serial_doc.At("decisions").array.size(),
-            parallel_doc.At("decisions").array.size());
+  EXPECT_EQ(At(serial_doc, "decisions").items.size(),
+            At(parallel_doc, "decisions").items.size());
 }
 
 }  // namespace

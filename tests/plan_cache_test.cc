@@ -3,7 +3,7 @@
 //
 // The correctness contract under test: a cache hit must be behaviorally
 // indistinguishable from a cold compile — byte-identical result rows
-// across both execution granularities and thread counts — and a stale
+// at every thread count — and a stale
 // entry (older statistics epoch or cost-profile epoch) must never be
 // served, not even once.
 
@@ -298,15 +298,8 @@ TEST(PlanCacheTest, ClearDropsEverything) {
 // End-to-end: hit parity with the cold path, Q1..Q5
 // ---------------------------------------------------------------------------
 
-TEST_F(PlanCacheWorkloadTest, HitIsByteIdenticalToColdAcrossModesAndThreads) {
+TEST_F(PlanCacheWorkloadTest, HitIsByteIdenticalToColdAcrossThreads) {
   Rng rng(/*seed=*/7);
-  const struct {
-    ExecMode mode;
-    int32_t threads;
-  } kCombos[] = {{ExecMode::kTuple, 1},
-                 {ExecMode::kBatch, 1},
-                 {ExecMode::kTuple, 4},
-                 {ExecMode::kBatch, 4}};
   for (int32_t n : PaperWorkload::PaperQuerySizes()) {
     SCOPED_TRACE("chain size " + std::to_string(n));
     DynamicPlanCache cache(16);
@@ -330,12 +323,10 @@ TEST_F(PlanCacheWorkloadTest, HitIsByteIdenticalToColdAcrossModesAndThreads) {
     ASSERT_TRUE(hit2.ok());
     ASSERT_TRUE(hit2->cache_hit) << sql2;
 
-    for (const auto& combo : kCombos) {
-      SCOPED_TRACE(std::string(ExecModeName(combo.mode)) + "/" +
-                   std::to_string(combo.threads) + " threads");
+    for (int32_t threads : {1, 4}) {
+      SCOPED_TRACE(std::to_string(threads) + " threads");
       ExecOptions options;
-      options.mode = combo.mode;
-      options.threads = combo.threads;
+      options.threads = threads;
 
       // Start-up re-runs per execution; cold and hit resolve the same
       // DAG under the same bindings and must execute byte-identically.
@@ -358,8 +349,8 @@ TEST_F(PlanCacheWorkloadTest, HitIsByteIdenticalToColdAcrossModesAndThreads) {
       auto startup2 = ResolveDynamicPlan(hit2->root, workload_->model(),
                                          hit2->bound, StartupOptions());
       ASSERT_TRUE(startup2.ok());
-      auto iter = BuildExecutor(startup2->resolved, workload_->db(),
-                                hit2->bound);
+      auto iter = BuildBatchExecutor(startup2->resolved, workload_->db(),
+                                     hit2->bound);
       ASSERT_TRUE(iter.ok()) << iter.status().ToString();
       auto rows2 = ExecutePlan(startup2->resolved, workload_->db(),
                                hit2->bound, options);
@@ -387,10 +378,9 @@ TEST_F(PlanCacheWorkloadTest, CacheOffMatchesHistoricalPipeline) {
                                     planned->bound, StartupOptions());
   ASSERT_TRUE(startup.ok());
   auto iter =
-      BuildExecutor(startup->resolved, workload_->db(), planned->bound);
+      BuildBatchExecutor(startup->resolved, workload_->db(), planned->bound);
   ASSERT_TRUE(iter.ok());
-  auto rows = ExecutePlan(startup->resolved, workload_->db(),
-                          planned->bound, ExecMode::kTuple);
+  auto rows = ExecutePlan(startup->resolved, workload_->db(), planned->bound);
   ASSERT_TRUE(rows.ok());
   auto parsed = ParseQuery(sql, workload_->catalog());
   ASSERT_TRUE(parsed.ok());
@@ -417,10 +407,8 @@ TEST_F(PlanCacheWorkloadTest, HostVariablesBindThroughTheCache) {
                                   StartupOptions());
   ASSERT_TRUE(s_cold.ok());
   ASSERT_TRUE(s_hit.ok());
-  auto rows_cold = ExecutePlan(s_cold->resolved, workload_->db(),
-                               cold->bound, ExecMode::kTuple);
-  auto rows_hit = ExecutePlan(s_hit->resolved, workload_->db(), hit->bound,
-                              ExecMode::kTuple);
+  auto rows_cold = ExecutePlan(s_cold->resolved, workload_->db(), cold->bound);
+  auto rows_hit = ExecutePlan(s_hit->resolved, workload_->db(), hit->bound);
   ASSERT_TRUE(rows_cold.ok());
   ASSERT_TRUE(rows_hit.ok());
   EXPECT_EQ(*rows_cold, *rows_hit);

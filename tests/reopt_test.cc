@@ -177,15 +177,9 @@ TEST_F(ReoptTest, DisabledIsPlainExecution) {
 }
 
 // ---------------------------------------------------------------------------
-// Parity: the paper's Q1-Q5 across modes and thread counts
+// Parity: the paper's Q1-Q5 across thread counts
 
-TEST_F(ReoptTest, ParityAcrossQueriesModesAndThreads) {
-  struct Combo {
-    ExecMode mode;
-    int32_t threads;
-  };
-  const std::vector<Combo> combos = {
-      {ExecMode::kTuple, 1}, {ExecMode::kBatch, 1}, {ExecMode::kBatch, 4}};
+TEST_F(ReoptTest, ParityAcrossQueriesAndThreads) {
   for (int32_t n : PaperWorkload::PaperQuerySizes()) {
     Query query = workload_->ChainQuery(n);
     ParamEnv misleading = EnvForSelectivity(query, 0.02, kMemoryPages);
@@ -195,10 +189,9 @@ TEST_F(ReoptTest, ParityAcrossQueriesModesAndThreads) {
     ASSERT_TRUE(baseline.ok());
     std::vector<Tuple> expected = Sorted(*baseline);
 
-    for (const Combo& combo : combos) {
+    for (int32_t threads : {1, 4}) {
       ExecOptions exec_options;
-      exec_options.mode = combo.mode;
-      exec_options.threads = combo.threads;
+      exec_options.threads = threads;
       ExecContext ctx(exec_options);
       ReoptOptions options;
       options.config.enabled = true;
@@ -209,14 +202,14 @@ TEST_F(ReoptTest, ParityAcrossQueriesModesAndThreads) {
           ExecuteWithReopt(query, resolved, workload_->db(),
                            workload_->model(), runtime, ctx, options);
       ASSERT_TRUE(executed.ok())
-          << "n=" << n << " threads=" << combo.threads << ": "
+          << "n=" << n << " threads=" << threads << ": "
           << executed.status().ToString();
       if (n > 1) {
         EXPECT_GE(executed->triggers_fired, 1)
-            << "n=" << n << " threads=" << combo.threads;
+            << "n=" << n << " threads=" << threads;
       }
       EXPECT_EQ(Sorted(executed->rows), expected)
-          << "n=" << n << " threads=" << combo.threads;
+          << "n=" << n << " threads=" << threads;
     }
   }
 }

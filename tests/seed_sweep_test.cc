@@ -73,15 +73,10 @@ TEST_P(SeedSweep, ExecutionMatchesReference) {
     auto startup =
         ResolveDynamicPlan(dyn->plan.root, (*workload)->model(), bound);
     ASSERT_TRUE(startup.ok());
-    auto iter = BuildExecutor(startup->resolved, (*workload)->db(), bound);
+    auto iter =
+        BuildBatchExecutor(startup->resolved, (*workload)->db(), bound);
     ASSERT_TRUE(iter.ok());
-    std::vector<Tuple> rows;
-    (*iter)->Open();
-    Tuple tuple;
-    while ((*iter)->Next(&tuple)) {
-      rows.push_back(tuple);
-    }
-    (*iter)->Close();
+    std::vector<Tuple> rows = DrainRows(**iter, *startup->resolved);
     std::vector<Tuple> actual = Canonicalize(ToReferenceOrder(
         rows, (*iter)->layout(), query, (*workload)->db()));
     std::vector<Tuple> expected = Canonicalize(

@@ -23,9 +23,9 @@
 #include <gtest/gtest.h>
 
 #include "exec/executor.h"
-#include "json_lite.h"
 #include "obs/exporter.h"
 #include "obs/flight_recorder.h"
+#include "obs/json_util.h"
 #include "obs/metrics.h"
 #include "obs/querylog.h"
 #include "physical/costing.h"
@@ -41,7 +41,15 @@ namespace dqep {
 namespace server {
 namespace {
 
+using obs::JsonValue;
 using std::chrono::milliseconds;
+
+/// Member `key` of a parsed object, or a null value when absent.
+const JsonValue& At(const JsonValue& value, const std::string& key) {
+  static const JsonValue kNull;
+  const JsonValue* member = value.Find(key);
+  return member != nullptr ? *member : kNull;
+}
 
 // ---------------------------------------------------------------------------
 // MemoryGrantPool
@@ -557,7 +565,7 @@ TEST(ServerIntegrationTest, BasicQueryAndSharedCacheAcrossSessions) {
 }
 
 TEST(ServerIntegrationTest, ConcurrentSessionsMatchSerialResults) {
-  // Serial ground truth: the embedded engine, no cache, tuple mode.
+  // Serial ground truth: the embedded engine, no cache, one thread.
   auto workload = PaperWorkload::Create(/*seed=*/42, /*populate=*/true);
   ASSERT_TRUE(workload.ok());
   const std::vector<int32_t> sizes = {1, 2, 4, 6, 10};  // the paper's Q1-Q5
@@ -578,17 +586,14 @@ TEST(ServerIntegrationTest, ConcurrentSessionsMatchSerialResults) {
     // sessions: spill decisions (and thus row order) depend on the budget.
     std::unique_ptr<ExecContext> ctx =
         MakeExecContext(planned->bound, (*workload)->config());
-    Result<std::unique_ptr<Iterator>> iter =
-        BuildExecutor(startup->resolved, (*workload)->db(), planned->bound,
-                      ctx.get());
+    Result<std::unique_ptr<BatchIterator>> iter =
+        BuildBatchExecutor(startup->resolved, (*workload)->db(),
+                           planned->bound, ctx.get());
     ASSERT_TRUE(iter.ok());
     std::vector<std::string> rows;
-    (*iter)->Open();
-    Tuple tuple;
-    while ((*iter)->Next(&tuple)) {
-      rows.push_back(tuple.ToString());
+    for (const Tuple& row : DrainRows(**iter, *startup->resolved)) {
+      rows.push_back(row.ToString());
     }
-    (*iter)->Close();
     expected.push_back(std::move(rows));
   }
 
@@ -897,9 +902,8 @@ TEST(MetricsExporterTest, ServesMetricsJsonSlowAndHttpErrors) {
 
   HttpResponse json = HttpGet(exporter.port(), "GET /metrics.json HTTP/1.0");
   EXPECT_EQ(json.status, 200);
-  json_lite::JsonValue parsed;
-  json_lite::JsonParser parser(json.body);
-  EXPECT_TRUE(parser.Parse(&parsed));
+  JsonValue parsed;
+  EXPECT_TRUE(obs::ParseJson(json.body, &parsed));
 
   HttpResponse slow = HttpGet(exporter.port(), "GET /slow HTTP/1.0");
   EXPECT_EQ(slow.status, 200);
@@ -1019,23 +1023,22 @@ TEST(FlightRecorderTest, SlowBundleIsValidTraceAndAnalyzeJson) {
 
   const std::string text = ReadWholeFile(finished->bundle_path);
   ASSERT_FALSE(text.empty());
-  json_lite::JsonValue bundle;
-  json_lite::JsonParser parser(text);
-  ASSERT_TRUE(parser.Parse(&bundle));
-  EXPECT_EQ(bundle.At("meta").At("query").str,
+  JsonValue bundle;
+  ASSERT_TRUE(obs::ParseJson(text, &bundle));
+  EXPECT_EQ(At(At(bundle, "meta"), "query").string_value,
             "SELECT * FROM R1 WHERE R1.s < 10");
-  EXPECT_EQ(bundle.At("meta").At("slow_reason").str, "threshold");
-  EXPECT_EQ(bundle.At("meta").At("bindings").At("v").str, "300");
-  EXPECT_EQ(bundle.At("analyze").type, json_lite::JsonValue::Type::kObject);
-  const json_lite::JsonValue& events = bundle.At("trace").At("traceEvents");
-  ASSERT_EQ(events.type, json_lite::JsonValue::Type::kArray);
-  ASSERT_EQ(events.array.size(), 2u);
-  EXPECT_EQ(events.array[0].At("name").str, "sort");
+  EXPECT_EQ(At(At(bundle, "meta"), "slow_reason").string_value, "threshold");
+  EXPECT_EQ(At(At(At(bundle, "meta"), "bindings"), "v").string_value, "300");
+  EXPECT_TRUE(At(bundle, "analyze").is_object());
+  const JsonValue& events = At(At(bundle, "trace"), "traceEvents");
+  ASSERT_TRUE(events.is_array());
+  ASSERT_EQ(events.items.size(), 2u);
+  EXPECT_EQ(At(events.items[0], "name").string_value, "sort");
   // The child span nests inside its parent's budget.
-  EXPECT_LE(events.array[1].At("ts").number +
-                events.array[1].At("dur").number,
-            events.array[0].At("ts").number +
-                events.array[0].At("dur").number);
+  EXPECT_LE(At(events.items[1], "ts").number +
+                At(events.items[1], "dur").number,
+            At(events.items[0], "ts").number +
+                At(events.items[0], "dur").number);
   RemoveTree(dir);
 }
 
@@ -1109,9 +1112,8 @@ TEST(ServerIntegrationTest, TelemetryEndpointIntrospectionAndSlowBundle) {
   for (const std::string& row : mjson.rows) {
     joined += row + "\n";
   }
-  json_lite::JsonValue parsed;
-  json_lite::JsonParser parser(joined);
-  EXPECT_TRUE(parser.Parse(&parsed));
+  JsonValue parsed;
+  EXPECT_TRUE(obs::ParseJson(joined, &parsed));
 
   // Bad arguments are polite protocol errors, not closed connections.
   EXPECT_FALSE(RoundTrip(conn.get(), "\\metrics bogus").ok);
@@ -1141,27 +1143,26 @@ TEST(ServerIntegrationTest, TelemetryEndpointIntrospectionAndSlowBundle) {
   HttpResponse slow_json =
       HttpGet(fixture.server().metrics_port(), "GET /slow HTTP/1.0");
   EXPECT_EQ(slow_json.status, 200);
-  json_lite::JsonValue slow_parsed;
-  json_lite::JsonParser slow_parser(slow_json.body);
-  ASSERT_TRUE(slow_parser.Parse(&slow_parsed));
-  ASSERT_EQ(slow_parsed.type, json_lite::JsonValue::Type::kArray);
-  ASSERT_GE(slow_parsed.array.size(), 2u);
-  EXPECT_TRUE(slow_parsed.array[0].At("slow").boolean);
+  JsonValue slow_parsed;
+  ASSERT_TRUE(obs::ParseJson(slow_json.body, &slow_parsed));
+  ASSERT_TRUE(slow_parsed.is_array());
+  ASSERT_GE(slow_parsed.items.size(), 2u);
+  EXPECT_TRUE(At(slow_parsed.items[0], "slow").bool_value);
 
   // The spooled bundle is one valid JSON document holding the analyze
   // report and a non-empty Chrome trace.
-  const std::string bundle_path = slow_parsed.array[0].At("bundle").str;
+  const std::string bundle_path =
+      At(slow_parsed.items[0], "bundle").string_value;
   ASSERT_FALSE(bundle_path.empty());
   const std::string bundle_text = ReadWholeFile(bundle_path);
   ASSERT_FALSE(bundle_text.empty());
-  json_lite::JsonValue bundle;
-  json_lite::JsonParser bundle_parser(bundle_text);
-  ASSERT_TRUE(bundle_parser.Parse(&bundle));
-  EXPECT_EQ(bundle.At("meta").At("slow_reason").str, "threshold");
-  EXPECT_EQ(bundle.At("analyze").type, json_lite::JsonValue::Type::kObject);
-  const json_lite::JsonValue& events = bundle.At("trace").At("traceEvents");
-  ASSERT_EQ(events.type, json_lite::JsonValue::Type::kArray);
-  EXPECT_FALSE(events.array.empty());
+  JsonValue bundle;
+  ASSERT_TRUE(obs::ParseJson(bundle_text, &bundle));
+  EXPECT_EQ(At(At(bundle, "meta"), "slow_reason").string_value, "threshold");
+  EXPECT_TRUE(At(bundle, "analyze").is_object());
+  const JsonValue& events = At(At(bundle, "trace"), "traceEvents");
+  ASSERT_TRUE(events.is_array());
+  EXPECT_FALSE(events.items.empty());
 
   fixture.StopAndJoin();
   EXPECT_EQ(fixture.exit_code(), 0);

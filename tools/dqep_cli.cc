@@ -1,10 +1,9 @@
 // dqep_cli — an interactive shell over the paper's experiment database.
 //
 // Flags:
-//   --exec-mode=tuple|batch    execution granularity (default tuple)
 //   --threads=N                intra-query worker threads (default 1; N > 1
-//                              runs on the batch engine with exchange
-//                              operators, results identical to serial)
+//                              adds exchange operators, results identical
+//                              to serial)
 //   --memory-pages=N           execution memory budget in pages; the same
 //                              number feeds the optimizer's memory grant and
 //                              the per-query ExecContext, so joins and sorts
@@ -64,7 +63,6 @@
 //   \unset <name>              remove a binding
 //   \mem <pages>               set the memory grant AND enforce it as the
 //                              execution budget (alias: \memory)
-//   \mode <tuple|batch>        switch execution granularity
 //   \threads <N>               set intra-query worker threads
 //   \profile <on|off>          toggle per-operator counter output
 //   \reopt <on|off> [slack]    toggle mid-query re-optimization
@@ -139,14 +137,13 @@ int64_t EmitOperatorSpans(obs::TraceSession* trace, const ExecNode& node,
 
 class Shell {
  public:
-  Shell(std::unique_ptr<PaperWorkload> workload, ExecMode exec_mode,
-        int32_t threads, bool profile, double memory_pages,
-        std::string trace_path, bool stats_every_query,
-        obs::AnalyzeFormat stats_format, const CostProfile& cost_profile,
+  Shell(std::unique_ptr<PaperWorkload> workload, int32_t threads,
+        bool profile, double memory_pages, std::string trace_path,
+        bool stats_every_query, obs::AnalyzeFormat stats_format,
+        const CostProfile& cost_profile,
         bool cost_profile_loaded, const std::string& query_log_path,
         size_t plan_cache_capacity, bool reopt_on, double reopt_slack)
       : workload_(std::move(workload)),
-        exec_mode_(exec_mode),
         threads_(threads),
         profile_(profile),
         trace_path_(std::move(trace_path)),
@@ -191,11 +188,11 @@ class Shell {
   int Run() {
     std::printf(
         "dqep shell — paper experiment database loaded (R1..R10), "
-        "exec mode %s, %d thread%s.\n"
+        "batch engine, %d thread%s.\n"
         "Type SELECT ..., \\explain SELECT ..., \\analyze SELECT ..., "
-        "\\set <var> <int>, \\mode <tuple|batch>, \\threads <N>, "
+        "\\set <var> <int>, \\threads <N>, "
         "\\profile <on|off>, \\metrics, \\tables, \\quit.\n",
-        ExecModeName(exec_mode_), threads_, threads_ == 1 ? "" : "s");
+        threads_, threads_ == 1 ? "" : "s");
     std::string line;
     while (std::printf("dqep> "), std::fflush(stdout),
            std::getline(std::cin, line)) {
@@ -266,25 +263,12 @@ class Shell {
       }
       return true;
     }
-    if (command == "\\mode") {
-      std::string name;
-      in >> name;
-      Result<ExecMode> mode = ParseExecMode(name);
-      if (mode.ok()) {
-        exec_mode_ = *mode;
-        std::printf("exec mode = %s\n", ExecModeName(exec_mode_));
-      } else {
-        std::printf("usage: \\mode <tuple|batch>\n");
-      }
-      return true;
-    }
     if (command == "\\threads") {
       int32_t threads = 0;
       if (in >> threads && threads >= 1 && threads <= 256) {
         threads_ = threads;
         std::printf("threads = %d%s\n", threads_,
-                    threads_ > 1 ? " (batch engine with exchange operators)"
-                                 : "");
+                    threads_ > 1 ? " (exchange operators)" : "");
       } else {
         std::printf("usage: \\threads <N>   (1 <= N <= 256)\n");
       }
@@ -436,10 +420,11 @@ class Shell {
         static_cast<long long>(ctx.overflows()));
   }
 
-  /// Post-execution reporting common to both engines: per-operator trace
-  /// spans, the profile, (when requested) the EXPLAIN ANALYZE report
-  /// joining the plan's compile-time intervals with the measured tree,
-  /// and (when a query log is open) one persisted record of the run.
+  /// Post-execution reporting common to plain and re-optimizing runs:
+  /// per-operator trace spans, the profile, (when requested) the EXPLAIN
+  /// ANALYZE report joining the plan's compile-time intervals with the
+  /// measured tree, and (when a query log is open) one persisted record
+  /// of the run.
   void Report(const ExecNode& exec_root, const PhysNodePtr& dynamic_root,
               const PhysNodePtr& resolved, const StartupResult* startup,
               int64_t exec_start_us, bool analyze, const ParamEnv& bound_env,
@@ -478,8 +463,6 @@ class Shell {
           obs::BuildQueryLogRecord(pending_sql_, input, model(), bound_env);
       record.plan_cache = pending_cache_status_;
       record.bindings = pending_bindings_;
-      record.exec_mode =
-          threads_ > 1 || exec_mode_ == ExecMode::kBatch ? "batch" : "tuple";
       record.threads = threads_;
       record.memory_pages = memory_pages_;
       if (ctx != nullptr) {
@@ -503,86 +486,42 @@ class Shell {
     }
   }
 
-  /// Executes the resolved plan in the current mode, printing the
-  /// per-operator profile afterwards when enabled.  When a memory budget
-  /// was set (`--memory-pages` or \mem), the query runs under an
-  /// ExecContext built from the grant, so joins and sorts spill rather
-  /// than exceed it.  `dynamic_root`/`startup` feed the EXPLAIN ANALYZE
-  /// report when `analyze` is set.
+  /// Executes the resolved plan (in parallel when threads > 1),
+  /// printing the per-operator profile afterwards when enabled.  When a
+  /// memory budget was set (`--memory-pages` or \mem), the query runs
+  /// under an ExecContext built from the grant, so joins and sorts spill
+  /// rather than exceed it.  `dynamic_root`/`startup` feed the EXPLAIN
+  /// ANALYZE report when `analyze` is set.
   Result<std::vector<Tuple>> Execute(const PhysNodePtr& plan,
                                      const ParamEnv& env,
                                      const PhysNodePtr& dynamic_root,
                                      const StartupResult* startup,
                                      bool analyze) {
-    std::vector<Tuple> rows;
     ExecOptions options;
     options.threads = threads_;
     std::unique_ptr<ExecContext> ctx;
     int64_t exec_start_us = trace_ == nullptr ? 0 : trace_->NowMicros();
-    if (threads_ > 1 || exec_mode_ == ExecMode::kBatch) {
-      // threads > 1 always executes on the batch engine: the exchange
-      // operator is a BatchIterator.  Results are identical either way.
-      options.mode = ExecMode::kBatch;
-      if (enforce_memory_) {
-        ctx = MakeExecContext(env, config_, options);
-      }
-      if (ctx != nullptr) {
-        ctx->set_trace(trace_.get());
-      }
-      Result<std::unique_ptr<BatchIterator>> iter =
-          ctx != nullptr ? BuildParallelBatchExecutor(plan, workload_->db(),
-                                                      env, *ctx)
-                         : BuildParallelBatchExecutor(plan, workload_->db(),
-                                                      env, options);
-      if (!iter.ok()) {
-        return iter.status();
-      }
-      (*iter)->Open();
-      TupleBatch batch;
-      while ((*iter)->Next(&batch)) {
-        for (int32_t i = 0; i < batch.num_rows(); ++i) {
-          rows.push_back(batch.row(i));
-        }
-      }
-      (*iter)->Close();
-      if (trace_ != nullptr) {
-        trace_->EndSpan("execute", "query", exec_start_us,
-                        {{"rows", std::to_string(rows.size())},
-                         {"mode", "batch"},
-                         {"threads", std::to_string(threads_)}});
-      }
-      Report(**iter, dynamic_root, plan, startup, exec_start_us, analyze,
-             env, ctx.get());
-      if (ctx != nullptr) {
-        PrintMemorySummary(*ctx);
-      }
-      return rows;
-    }
-    options.mode = ExecMode::kTuple;
     if (enforce_memory_) {
       ctx = MakeExecContext(env, config_, options);
     }
     if (ctx != nullptr) {
       ctx->set_trace(trace_.get());
     }
-    Result<std::unique_ptr<Iterator>> iter =
-        BuildExecutor(plan, workload_->db(), env, ctx.get());
+    Result<std::unique_ptr<BatchIterator>> iter =
+        ctx != nullptr
+            ? BuildParallelBatchExecutor(plan, workload_->db(), env, *ctx)
+            : BuildParallelBatchExecutor(plan, workload_->db(), env, options);
     if (!iter.ok()) {
       return iter.status();
     }
-    (*iter)->Open();
-    Tuple tuple;
-    while ((*iter)->Next(&tuple)) {
-      rows.push_back(std::move(tuple));
-    }
-    (*iter)->Close();
+    std::vector<Tuple> rows = DrainRows(**iter, *plan);
     if (trace_ != nullptr) {
       trace_->EndSpan("execute", "query", exec_start_us,
                       {{"rows", std::to_string(rows.size())},
-                       {"mode", "tuple"}});
+                       {"threads", std::to_string(threads_)}});
     }
-    Report(**iter, dynamic_root, plan, startup, exec_start_us, analyze,
-           env, ctx.get());
+    Report(**iter, dynamic_root, plan, startup, exec_start_us, analyze, env,
+           ctx.get());
     if (ctx != nullptr) {
       PrintMemorySummary(*ctx);
     }
@@ -613,9 +552,6 @@ class Shell {
     }
     ExecOptions options;
     options.threads = threads_;
-    options.mode = threads_ > 1 || exec_mode_ == ExecMode::kBatch
-                       ? ExecMode::kBatch
-                       : ExecMode::kTuple;
     std::unique_ptr<ExecContext> ctx =
         enforce_memory_ ? MakeExecContext(planned.bound, config_, options)
                         : std::make_unique<ExecContext>(options);
@@ -637,7 +573,7 @@ class Shell {
       trace_->EndSpan(
           "execute", "query", exec_start_us,
           {{"rows", std::to_string(executed->rows.size())},
-           {"mode", options.mode == ExecMode::kBatch ? "batch" : "tuple"},
+           {"threads", std::to_string(threads_)},
            {"reopt_triggers", std::to_string(executed->triggers_fired)}});
     }
     if (executed->triggers_fired > 0) {
@@ -797,7 +733,6 @@ class Shell {
   /// Workload constants with the --cost-profile multipliers applied.
   SystemConfig config_;
   std::unique_ptr<CostModel> base_model_;
-  ExecMode exec_mode_;
   int32_t threads_ = 1;
   bool profile_;
   std::map<std::string, int64_t> bindings_;
@@ -893,7 +828,6 @@ int RunClient(const std::string& target) {
 }  // namespace dqep
 
 int main(int argc, char** argv) {
-  dqep::ExecMode exec_mode = dqep::ExecMode::kTuple;
   int threads = 1;
   bool profile = false;
   double memory_pages = 0;
@@ -924,13 +858,6 @@ int main(int argc, char** argv) {
         std::fprintf(stderr, "--threads must be in [1, 256]\n");
         return 1;
       }
-    } else if (std::strncmp(arg, "--exec-mode=", 12) == 0) {
-      dqep::Result<dqep::ExecMode> mode = dqep::ParseExecMode(arg + 12);
-      if (!mode.ok()) {
-        std::fprintf(stderr, "%s\n", mode.status().ToString().c_str());
-        return 1;
-      }
-      exec_mode = *mode;
     } else if (std::strncmp(arg, "--memory-pages=", 15) == 0) {
       memory_pages = std::atof(arg + 15);
       if (memory_pages < 2) {
@@ -1013,10 +940,8 @@ int main(int argc, char** argv) {
     } else if (std::strcmp(arg, "--help") == 0) {
       std::printf(
           "usage: dqep_cli [flags]\n"
-          "  --exec-mode=tuple|batch  execution granularity "
-          "(default tuple)\n"
           "  --threads=N              intra-query worker threads "
-          "(default 1; N > 1 uses the batch engine)\n"
+          "(default 1; every query runs on the batch engine)\n"
           "  --memory-pages=N         enforced memory budget in pages "
           "(joins/sorts spill rather than exceed it)\n"
           "  --profile                per-operator counters after each "
@@ -1128,7 +1053,7 @@ int main(int argc, char** argv) {
                  workload.status().ToString().c_str());
     return 1;
   }
-  dqep::Shell shell(std::move(*workload), exec_mode, threads, profile,
+  dqep::Shell shell(std::move(*workload), threads, profile,
                     memory_pages, std::move(trace_path), stats_every_query,
                     stats_format, cost_profile, !cost_profile_path.empty(),
                     query_log_path, plan_cache_capacity, reopt_on,

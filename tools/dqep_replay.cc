@@ -26,9 +26,9 @@
 // Output: a per-template scorecard (win rate, mean measured vs.
 // estimated regret, interval coverage, row parity) as a text report on
 // stdout plus a JSON file for tooling (--out).  Timing uses the median
-// of --repeat executions per plan; replay always runs the tuple engine
-// single-threaded, so row parity is the engine-equivalence invariant
-// the tests already enforce.
+// of --repeat executions per plan; replay always runs single-threaded,
+// so row parity is the thread-count invariant the tests already
+// enforce.
 //
 // Usage:
 //   dqep_replay --log=FILE [--out=FILE] [--repeat=N] [--limit=N]
@@ -100,8 +100,8 @@ void CollectDecisionNodes(
   }
 }
 
-/// One forced (or natural) execution: resolve under `forced`, run the
-/// tuple engine, count rows, time the execution.
+/// One forced (or natural) execution: resolve under `forced`, run it
+/// single-threaded, count rows, time the execution.
 struct RunOutcome {
   bool ok = false;
   std::string error;
@@ -134,7 +134,7 @@ RunOutcome RunOnce(
       out.error = "no execution context";
       return out;
     }
-    Result<std::unique_ptr<Iterator>> iter = BuildExecutor(
+    Result<std::unique_ptr<BatchIterator>> iter = BuildBatchExecutor(
         startup->resolved, workload->db(), planned.bound, ctx.get());
     if (!iter.ok()) {
       out.error = iter.status().ToString();
@@ -143,9 +143,9 @@ RunOutcome RunOnce(
     const auto start = std::chrono::steady_clock::now();
     (*iter)->Open();
     int64_t rows = 0;
-    Tuple tuple;
-    while ((*iter)->Next(&tuple)) {
-      ++rows;
+    TupleBatch batch;
+    while ((*iter)->Next(&batch)) {
+      rows += batch.num_rows();
     }
     (*iter)->Close();
     times.push_back(std::chrono::duration<double>(

@@ -3,9 +3,9 @@
 # suite), the plan-cache amortization gate, the multi-session server
 # gate, the mid-query re-optimization gate, the live telemetry scrape
 # gate, then the ThreadSanitizer and
-# AddressSanitizer trees over the labeled suites (parallel, spill, obs,
-# cache, server, reopt — the obs label includes the calibration feedback
-# tests).  One command for the checks
+# AddressSanitizer trees over the labeled suites (exec, parallel, spill,
+# obs, cache, server, reopt — the obs label includes the calibration
+# feedback tests).  One command for the checks
 # the verify skill lists individually:
 #
 #   tools/run_checks.sh                  # everything
@@ -25,7 +25,7 @@ set -eu
 cd "$(dirname "$0")/.."
 
 steps="${*:-bench plain cachebench serverbench reoptbench telemetry replay tsan asan}"
-labels='parallel|spill|obs|cache|server|reopt'
+labels='exec|parallel|spill|obs|cache|server|reopt'
 
 for step in $steps; do
   case "$step" in
@@ -280,16 +280,18 @@ GATE
       echo "== tsan: labeled suites ($labels) =="
       cmake -B build-tsan -S . -DDQEP_SANITIZE=thread >/dev/null
       cmake --build build-tsan -j --target \
-        exec_parallel_test exec_spill_test obs_test obs_feedback_test \
-        obs_alerts_test plan_cache_test server_test reopt_test
+        exec_batch_test executor_test exec_parallel_test exec_spill_test \
+        obs_test obs_feedback_test obs_alerts_test plan_cache_test \
+        server_test reopt_test
       ctest --test-dir build-tsan -L "$labels" --output-on-failure
       ;;
     asan)
       echo "== asan: labeled suites ($labels) =="
       cmake -B build-asan -S . -DDQEP_SANITIZE=address >/dev/null
       cmake --build build-asan -j --target \
-        exec_parallel_test exec_spill_test obs_test obs_feedback_test \
-        obs_alerts_test plan_cache_test server_test reopt_test
+        exec_batch_test executor_test exec_parallel_test exec_spill_test \
+        obs_test obs_feedback_test obs_alerts_test plan_cache_test \
+        server_test reopt_test
       ctest --test-dir build-asan -L "$labels" --output-on-failure
       ;;
     *)
