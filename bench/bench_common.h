@@ -16,6 +16,7 @@
 
 #include "common/rng.h"
 #include "common/text_table.h"
+#include "obs/metrics.h"
 #include "runtime/lifecycle.h"
 #include "workload/paper_workload.h"
 
@@ -49,6 +50,19 @@ inline std::vector<QueryPoint> PaperQueryPoints() {
     }
   }
   return points;
+}
+
+/// The process-wide metrics snapshot as JSON, re-indented to nest as the
+/// "metrics" member of a bench document.
+inline std::string MetricsJson() {
+  std::string out;
+  for (char c : obs::MetricsRegistry::Instance().RenderJson()) {
+    out += c;
+    if (c == '\n') {
+      out += "  ";
+    }
+  }
+  return out;
 }
 
 /// Builds the shared workload or aborts with a diagnostic.

@@ -139,13 +139,8 @@ SweepPoint SweepQueryAtBudget(PaperWorkload& workload,
 }
 
 void Run() {
-  auto workload_result =
-      PaperWorkload::Create(kWorkloadSeed, /*populate=*/true);
-  if (!workload_result.ok()) {
-    std::fprintf(stderr, "workload failed\n");
-    std::abort();
-  }
-  std::unique_ptr<PaperWorkload> workload = std::move(*workload_result);
+  std::unique_ptr<PaperWorkload> workload =
+      MustCreateWorkload(/*populate=*/true);
 
   std::printf("{\n  \"bench\": \"memory\",\n");
   std::printf("  \"config\": {\"invocations_per_point\": %d, "
@@ -199,17 +194,8 @@ void Run() {
           last ? "" : ",");
     }
   }
-  // Metrics snapshot last, so it reflects the whole sweep.  Re-indent
-  // the registry's document to nest at this depth.
-  std::string metrics = obs::MetricsRegistry::Instance().RenderJson();
-  std::string indented;
-  for (char c : metrics) {
-    indented += c;
-    if (c == '\n') {
-      indented += "  ";
-    }
-  }
-  std::printf("  ],\n  \"metrics\": %s\n}\n", indented.c_str());
+  // Metrics snapshot last, so it reflects the whole sweep.
+  std::printf("  ],\n  \"metrics\": %s\n}\n", MetricsJson().c_str());
 }
 
 }  // namespace

@@ -41,51 +41,6 @@ const double kRepeatRates[] = {0.0, 0.5, 0.9, 0.99};
 constexpr int kQueriesPerRate = 120;
 constexpr size_t kCacheCapacity = 256;
 
-/// The paper chain template over R1..Rn, all selections "Ri.s < lit".
-std::string ChainSql(int32_t n, const std::vector<int64_t>& literals) {
-  std::string sql = "SELECT * FROM ";
-  for (int32_t i = 1; i <= n; ++i) {
-    if (i > 1) {
-      sql += ", ";
-    }
-    sql += "R" + std::to_string(i);
-  }
-  sql += " WHERE ";
-  bool first = true;
-  for (int32_t i = 1; i < n; ++i) {
-    if (!first) {
-      sql += " AND ";
-    }
-    first = false;
-    sql += "R" + std::to_string(i) + ".b = R" + std::to_string(i + 1) + ".a";
-  }
-  for (int32_t i = 1; i <= n; ++i) {
-    if (!first) {
-      sql += " AND ";
-    }
-    first = false;
-    sql += "R" + std::to_string(i) + ".s < " +
-           std::to_string(literals[static_cast<size_t>(i - 1)]);
-  }
-  return sql;
-}
-
-/// One fresh selection literal per relation at a uniform-random target
-/// selectivity, like the paper experiments draw their bindings.
-std::vector<int64_t> DrawLiterals(const PaperWorkload& workload, int32_t n,
-                                  Rng* rng) {
-  std::vector<int64_t> literals;
-  for (int32_t i = 0; i < n; ++i) {
-    SelectionPredicate pred{
-        AttrRef{i, ExperimentColumns::kSelect}, CompareOp::kLt,
-        Operand::Literal(Value(static_cast<int64_t>(0)))};
-    literals.push_back(workload.model()
-                           .ValueForSelectivity(pred, rng->NextDouble())
-                           .AsInt64());
-  }
-  return literals;
-}
-
 /// A never-before-seen template: `variant_id` deterministically encodes,
 /// per relation, the selection column/op shape (base-100 digits: the "s"
 /// op from {<=, >, >=, =} — never the base template's "<" — times an
@@ -226,7 +181,8 @@ void Run() {
       int32_t n = sizes[static_cast<size_t>(
           rng.NextInt(0, static_cast<int64_t>(sizes.size()) - 1))];
       if (rng.NextDouble() < rate) {
-        sqls.push_back(ChainSql(n, DrawLiterals(*workload, n, &rng)));
+        sqls.push_back(
+            PaperWorkload::ChainSql(n, workload->DrawChainLiterals(n, &rng)));
       } else {
         sqls.push_back(ColdSql(n, cold_variant++, &rng));
       }
@@ -258,16 +214,8 @@ void Run() {
   }
 
   // Metrics snapshot last, so it reflects the whole sweep (plan-cache
-  // counters included).  Re-indent the registry document to this depth.
-  std::string metrics = obs::MetricsRegistry::Instance().RenderJson();
-  std::string indented;
-  for (char c : metrics) {
-    indented += c;
-    if (c == '\n') {
-      indented += "  ";
-    }
-  }
-  std::printf("  ],\n  \"metrics\": %s\n}\n", indented.c_str());
+  // counters included).
+  std::printf("  ],\n  \"metrics\": %s\n}\n", MetricsJson().c_str());
 }
 
 }  // namespace

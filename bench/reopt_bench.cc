@@ -55,15 +55,8 @@ constexpr double kTrueSelectivity = 0.9;
 /// modeled selectivity is `sel`, with a point memory grant.
 ParamEnv EnvForSelectivity(const PaperWorkload& workload, const Query& query,
                            double sel) {
-  ParamEnv env(Interval::Point(kMemoryPages));
-  for (const RelationTerm& term : query.terms()) {
-    for (const SelectionPredicate& pred : term.predicates) {
-      if (pred.HasParam()) {
-        env.Bind(pred.operand.param(),
-                 workload.model().ValueForSelectivity(pred, sel));
-      }
-    }
-  }
+  ParamEnv env = workload.BindingsAt(query, sel);
+  env.set_memory_pages(Interval::Point(kMemoryPages));
   return env;
 }
 
@@ -120,13 +113,8 @@ int64_t MustExecute(const PhysNodePtr& plan, const Database& db,
 }
 
 void Run() {
-  auto workload_result =
-      PaperWorkload::Create(kWorkloadSeed, /*populate=*/true);
-  if (!workload_result.ok()) {
-    std::fprintf(stderr, "workload failed\n");
-    std::abort();
-  }
-  std::unique_ptr<PaperWorkload> workload = std::move(*workload_result);
+  std::unique_ptr<PaperWorkload> workload =
+      MustCreateWorkload(/*populate=*/true);
 
   std::printf("{\n  \"bench\": \"reopt\",\n");
   std::printf(
@@ -226,15 +214,7 @@ void Run() {
     emit(name, n, "accurate", "on", armed_t, quiet_triggers, 0.0);
   }
 
-  std::string metrics = obs::MetricsRegistry::Instance().RenderJson();
-  std::string indented;
-  for (char c : metrics) {
-    indented += c;
-    if (c == '\n') {
-      indented += "  ";
-    }
-  }
-  std::printf("\n  ],\n  \"metrics\": %s\n}\n", indented.c_str());
+  std::printf("\n  ],\n  \"metrics\": %s\n}\n", MetricsJson().c_str());
 }
 
 }  // namespace

@@ -54,6 +54,7 @@
 #include "common/timer.h"
 #include "exec/executor.h"
 #include "obs/metrics.h"
+#include "runtime/query_pipeline.h"
 #include "runtime/startup.h"
 #include "server/protocol.h"
 #include "server/server.h"
@@ -82,49 +83,6 @@ constexpr double kRepeatRate = 0.90;
 constexpr double kMaxSelectivity = 0.02;
 /// Client think time for the latency scenarios (see RunClients).
 constexpr int kLatencyThinkMs = 60;
-
-std::string ChainSql(int32_t n, const std::vector<int64_t>& literals) {
-  std::string sql = "SELECT * FROM ";
-  for (int32_t i = 1; i <= n; ++i) {
-    if (i > 1) {
-      sql += ", ";
-    }
-    sql += "R" + std::to_string(i);
-  }
-  sql += " WHERE ";
-  bool first = true;
-  for (int32_t i = 1; i < n; ++i) {
-    if (!first) {
-      sql += " AND ";
-    }
-    first = false;
-    sql += "R" + std::to_string(i) + ".b = R" + std::to_string(i + 1) + ".a";
-  }
-  for (int32_t i = 1; i <= n; ++i) {
-    if (!first) {
-      sql += " AND ";
-    }
-    first = false;
-    sql += "R" + std::to_string(i) + ".s < " +
-           std::to_string(literals[static_cast<size_t>(i - 1)]);
-  }
-  return sql;
-}
-
-std::vector<int64_t> DrawLiterals(const PaperWorkload& workload, int32_t n,
-                                  Rng* rng) {
-  std::vector<int64_t> literals;
-  for (int32_t i = 0; i < n; ++i) {
-    SelectionPredicate pred{
-        AttrRef{i, ExperimentColumns::kSelect}, CompareOp::kLt,
-        Operand::Literal(Value(static_cast<int64_t>(0)))};
-    literals.push_back(
-        workload.model()
-            .ValueForSelectivity(pred, rng->NextDouble() * kMaxSelectivity)
-            .AsInt64());
-  }
-  return literals;
-}
 
 /// A never-before-seen template (same trick as plan_cache_bench: vary
 /// the selection operator shape per relation so the normalized template
@@ -158,7 +116,8 @@ std::vector<std::string> ClientStream(const PaperWorkload& workload,
     if (rng.NextDouble() < kRepeatRate) {
       const int32_t n = kWarmSizes[rng.NextInt(
           0, static_cast<int64_t>(std::size(kWarmSizes)) - 1)];
-      sqls.push_back(ChainSql(n, DrawLiterals(workload, n, &rng)));
+      sqls.push_back(PaperWorkload::ChainSql(
+          n, workload.DrawChainLiterals(n, &rng, kMaxSelectivity)));
     } else {
       // Client-unique variant ids so cold templates never collide.
       sqls.push_back(ColdSql(1 + static_cast<uint64_t>(client) * 1000 +
@@ -310,62 +269,47 @@ void RunPhases() {
   double opt_cold = 0.0, plan_hit = 0.0, resolve_s = 0.0, exec_s = 0.0,
          static_plan = 0.0, static_exec = 0.0;
   for (int i = 0; i < kIters; ++i) {
-    const std::string sql = ChainSql(10, DrawLiterals(*workload, 10, &rng));
+    const std::string sql = PaperWorkload::ChainSql(
+        10, workload->DrawChainLiterals(10, &rng, kMaxSelectivity));
     // Cached path: miss once (cleared cache), then hit.
     CachedPlanRequest request;
     request.catalog = &workload->catalog();
     request.model = &workload->model();
     request.cache = &cache;
     cache.Clear();
-    WallTimer t1;
-    auto missed = PlanQueryWithCache(sql, request);
-    opt_cold += t1.ElapsedSeconds();
-    WallTimer t2;
-    auto planned = PlanQueryWithCache(sql, request);
-    plan_hit += t2.ElapsedSeconds();
-    if (!planned.ok()) {
-      std::fprintf(stderr, "plan: %s\n", planned.status().ToString().c_str());
+    auto missed = PrepareQuery(sql, request, workload->db());
+    auto prepared = PrepareQuery(sql, request, workload->db());
+    if (!missed.ok() || !prepared.ok()) {
+      const Status& status = (missed.ok() ? prepared : missed).status();
+      std::fprintf(stderr, "plan: %s\n", status.ToString().c_str());
       return;
     }
-    StartupOptions startup_options;
-    if (!planned->plan_params.empty()) {
-      startup_options.plan_params = &planned->plan_params;
-    }
-    WallTimer t3;
-    auto startup = ResolveDynamicPlan(planned->root, workload->model(),
-                                      planned->bound, startup_options);
-    resolve_s += t3.ElapsedSeconds();
-    if (!startup.ok()) {
-      return;
-    }
+    opt_cold += missed->plan_seconds;
+    plan_hit += prepared->plan_seconds;
+    resolve_s += prepared->resolve_seconds;
     std::unique_ptr<ExecContext> ctx =
-        MakeExecContext(planned->bound, workload->config());
-    WallTimer t4;
-    auto iter = BuildBatchExecutor(startup->resolved, workload->db(),
-                                   planned->bound, ctx.get());
-    if (!iter.ok()) {
+        MakeExecContext(prepared->planned.bound, workload->config());
+    auto run = ExecuteQuery(std::move(*prepared), *ctx, nullptr);
+    if (!run.ok()) {
       return;
     }
-    DrainRows(**iter, *startup->resolved);
-    exec_s += t4.ElapsedSeconds();
-    // Uncached path: plain parse + point optimize + execute.
+    exec_s += run->exec_seconds;
+    // Uncached path: plain parse + optimize + execute.
     CachedPlanRequest plain = request;
     plain.cache = nullptr;
-    WallTimer t5;
-    auto static_planned = PlanQueryWithCache(sql, plain);
-    static_plan += t5.ElapsedSeconds();
-    if (!static_planned.ok()) {
+    auto static_prepared = PrepareQuery(sql, plain, workload->db());
+    if (!static_prepared.ok()) {
       return;
     }
-    auto static_startup = ResolveDynamicPlan(
-        static_planned->root, workload->model(), static_planned->bound);
+    static_plan += static_prepared->plan_seconds;
     std::unique_ptr<ExecContext> ctx2 =
-        MakeExecContext(static_planned->bound, workload->config());
-    WallTimer t6;
-    auto iter2 = BuildBatchExecutor(static_startup->resolved, workload->db(),
-                                    static_planned->bound, ctx2.get());
-    DrainRows(**iter2, *static_startup->resolved);
-    static_exec += t6.ElapsedSeconds();
+        MakeExecContext(static_prepared->planned.bound, workload->config());
+    auto static_run =
+        ExecuteQuery(std::move(*static_prepared), *ctx2, nullptr);
+    if (!static_run.ok()) {
+      return;
+    }
+    static_exec += static_run->exec_seconds;
   }
   const double k = 1e3 / kIters;
   std::printf("warm template phase means (ms):\n");
@@ -650,15 +594,7 @@ void Run(bool json) {
       }
       std::printf("}%s\n", i + 1 < rows.size() ? "," : "");
     }
-    std::string metrics = obs::MetricsRegistry::Instance().RenderJson();
-    std::string indented;
-    for (char c : metrics) {
-      indented += c;
-      if (c == '\n') {
-        indented += "  ";
-      }
-    }
-    std::printf("  ],\n  \"metrics\": %s\n}\n", indented.c_str());
+    std::printf("  ],\n  \"metrics\": %s\n}\n", MetricsJson().c_str());
   } else {
     for (const Row& row : rows) {
       std::printf("%-22s", row.name.c_str());

@@ -21,7 +21,7 @@
 #include <string>
 #include <vector>
 
-#include "obs/metrics.h"
+#include "bench/bench_common.h"
 
 namespace dqep::bench {
 
@@ -36,20 +36,6 @@ inline std::string JsonEscape(const std::string& s) {
       out += "\\n";
     } else {
       out += c;
-    }
-  }
-  return out;
-}
-
-/// Re-indents a pretty-printed JSON document so it nests at `indent`
-/// inside a larger document.
-inline std::string IndentJson(const std::string& json, const char* indent) {
-  std::string out;
-  out.reserve(json.size());
-  for (char c : json) {
-    out += c;
-    if (c == '\n') {
-      out += indent;
     }
   }
   return out;
@@ -103,7 +89,7 @@ class UnifiedJsonReporter : public benchmark::BenchmarkReporter {
   void Finalize() override {
     std::ostream& out = GetOutputStream();
     out << "\n  ],\n  \"metrics\": "
-        << IndentJson(obs::MetricsRegistry::Instance().RenderJson(), "  ")
+        << MetricsJson()
         << "\n}\n";
   }
 

@@ -29,19 +29,6 @@ uint64_t Mix64(uint64_t x) {
 
 }  // namespace
 
-int64_t TrackedTupleBytes(const Tuple& tuple) {
-  int64_t bytes = static_cast<int64_t>(sizeof(Tuple)) +
-                  static_cast<int64_t>(tuple.size()) *
-                      static_cast<int64_t>(sizeof(Value));
-  for (int32_t i = 0; i < tuple.size(); ++i) {
-    const Value& value = tuple.value(i);
-    if (value.is_string()) {
-      bytes += static_cast<int64_t>(value.AsString().size());
-    }
-  }
-  return bytes;
-}
-
 size_t SpillPartitionOf(const JoinKey& key, int32_t depth, size_t fanout) {
   uint64_t h = Mix64(0x5bd1e995u + static_cast<uint64_t>(depth));
   for (int64_t v : key) {

@@ -34,16 +34,20 @@
 #include "exec/exec_context.h"
 #include "exec/executor_internal.h"
 #include "storage/database.h"
+#include "storage/materialized.h"
 #include "storage/temp_heap.h"
 
 namespace dqep {
 namespace exec_internal {
 
-/// Deterministic model of a materialized tuple's resident bytes.  A model
-/// rather than allocator truth so that spill points depend only on the
-/// logical tuple stream, never on capacity or allocation accidents —
-/// which is what makes runs at every thread count spill identically.
-int64_t TrackedTupleBytes(const Tuple& tuple);
+/// Deterministic model of a materialized tuple's resident bytes — the one
+/// mid-query captures use too (storage/materialized.h).  A model rather
+/// than allocator truth so that spill points depend only on the logical
+/// tuple stream, never on capacity or allocation accidents — which is
+/// what makes runs at every thread count spill identically.
+inline int64_t TrackedTupleBytes(const Tuple& tuple) {
+  return MaterializedTupleBytes(tuple);
+}
 
 /// Partition of `key` at recursion `depth`: an independent split at every
 /// depth (so an oversized partition re-splits productively), and

@@ -9,6 +9,7 @@
 
 #include "obs/json_util.h"
 #include "obs/trace.h"
+#include "runtime/query_pipeline.h"
 
 namespace dqep {
 namespace obs {
@@ -400,8 +401,26 @@ std::vector<AnalyzeRow> CollectAnalyzeRows(const AnalyzeInput& input) {
   return walker.Run();
 }
 
+AnalyzeInput AnalyzeInputFor(QueryRun& run) {
+  AnnotateRun(&run);
+  AnalyzeInput input;
+  input.dynamic_root = run.prepared.planned.root.get();
+  input.resolved_root = run.annotated.get();
+  input.startup = &run.prepared.startup;
+  input.exec_root = run.exec_tree.get();
+  input.plan_cache = run.prepared.cache_status();
+  if (run.reoptimized) {
+    input.reopt = &run.checkpoints;
+  }
+  return input;
+}
+
 std::string RenderAnalyze(const AnalyzeInput& input, AnalyzeFormat format) {
-  std::vector<AnalyzeRow> rows = CollectAnalyzeRows(input);
+  return RenderAnalyze(CollectAnalyzeRows(input), input, format);
+}
+
+std::string RenderAnalyze(const std::vector<AnalyzeRow>& rows,
+                          const AnalyzeInput& input, AnalyzeFormat format) {
   return format == AnalyzeFormat::kJson ? RenderJson(rows, input)
                                         : RenderText(rows, input);
 }

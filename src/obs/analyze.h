@@ -38,6 +38,9 @@
 #include "runtime/startup.h"
 
 namespace dqep {
+
+struct QueryRun;  // runtime/query_pipeline.h
+
 namespace obs {
 
 enum class AnalyzeFormat {
@@ -122,6 +125,12 @@ struct AnalyzeRow {
   std::vector<const char*> alternative_ops;
 };
 
+/// The input of one pipeline run (runtime/query_pipeline.h): its
+/// dynamic plan, start-up result, closed exec tree, plan-cache outcome,
+/// re-opt checkpoints, and annotated plan (AnnotateRun is applied
+/// first).  Valid while `run` lives.
+AnalyzeInput AnalyzeInputFor(QueryRun& run);
+
 /// Runs the triple-walk and returns the joined rows in pre-order.
 std::vector<AnalyzeRow> CollectAnalyzeRows(const AnalyzeInput& input);
 
@@ -129,6 +138,10 @@ std::vector<AnalyzeRow> CollectAnalyzeRows(const AnalyzeInput& input);
 /// one "choose-plan" line per decision.  JSON: {"operators": [...],
 /// "decisions": [...]} with one object per row (depth-encoded tree).
 std::string RenderAnalyze(const AnalyzeInput& input, AnalyzeFormat format);
+
+/// As above, from rows CollectAnalyzeRows already returned for `input`.
+std::string RenderAnalyze(const std::vector<AnalyzeRow>& rows,
+                          const AnalyzeInput& input, AnalyzeFormat format);
 
 /// Inclusive measured seconds of `node`: Open + Next + Close wall time
 /// (children included).  The "actual cost" column.

@@ -91,7 +91,8 @@ FlightRecorder::FlightRecorder(FlightRecorderOptions options)
 }
 
 std::shared_ptr<const FlightRecord> FlightRecorder::Record(
-    FlightRecord record) {
+    FlightRecord record,
+    const std::function<std::string()>& render_analyze) {
   const int64_t latency_us = MicrosOf(record.seconds);
   {
     std::lock_guard<std::mutex> lock(mutex_);
@@ -158,7 +159,7 @@ std::shared_ptr<const FlightRecord> FlightRecorder::Record(
       // Bundle I/O stays outside the lock: a slow disk must not stall
       // the sessions racing to deposit their own records.
       std::string path;
-      if (WriteBundle(record, &path)) {
+      if (WriteBundle(record, render_analyze, &path)) {
         record.bundle_path = path;
         bundles_->Add(1);
         RotateSpool(path);
@@ -531,7 +532,8 @@ std::string FlightRecorder::RenderPrometheusTemplates() const {
   return out;
 }
 
-std::string FlightRecorder::BundleJson(const FlightRecord& record) const {
+std::string FlightRecorder::BundleJson(const FlightRecord& record,
+                                       const std::string& analyze_json) const {
   std::string out = "{\n  \"meta\": {";
   char buf[256];
   std::snprintf(buf, sizeof(buf),
@@ -573,7 +575,7 @@ std::string FlightRecorder::BundleJson(const FlightRecord& record) const {
 
   // EXPLAIN ANALYZE, verbatim (already JSON).
   out += "  \"analyze\": ";
-  out += record.analyze_json.empty() ? "null" : record.analyze_json;
+  out += analyze_json.empty() ? "null" : analyze_json;
   out += ",\n";
 
   // A Chrome trace synthesized from the operator rows: pre-order depth
@@ -616,14 +618,17 @@ std::string FlightRecorder::BundleJson(const FlightRecord& record) const {
   return out;
 }
 
-bool FlightRecorder::WriteBundle(const FlightRecord& record,
-                                 std::string* path) const {
+bool FlightRecorder::WriteBundle(
+    const FlightRecord& record,
+    const std::function<std::string()>& render_analyze,
+    std::string* path) const {
   char name[128];
   std::snprintf(name, sizeof(name), "slow-%06" PRId64 "-0x%016" PRIx64
                 ".json",
                 record.sequence, record.fingerprint);
   std::string full = options_.spool_dir + "/" + name;
-  std::string json = BundleJson(record);
+  std::string json =
+      BundleJson(record, render_analyze ? render_analyze() : std::string());
   FILE* f = std::fopen(full.c_str(), "w");
   if (f == nullptr) {
     return false;

@@ -32,6 +32,7 @@
 
 #include <cstdint>
 #include <deque>
+#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -107,7 +108,6 @@ struct FlightRecord {
   int64_t reopt_adoptions = 0;
   std::vector<std::pair<std::string, std::string>> bindings;
   std::vector<OperatorSample> operators;
-  std::string analyze_json;  ///< RenderAnalyze(kJson); "" when skipped
 
   // Filled in by the recorder:
   bool slow = false;
@@ -142,8 +142,12 @@ class FlightRecorder {
 
   /// Folds the sample into its template's stats, decides slow-ness,
   /// spools a bundle when warranted, and appends to the ring.  Returns
-  /// the finished (immutable) record.
-  std::shared_ptr<const FlightRecord> Record(FlightRecord record);
+  /// the finished (immutable) record.  `render_analyze` (nullable)
+  /// renders the query's EXPLAIN ANALYZE JSON; it is called only when a
+  /// bundle is written, before Record returns.
+  std::shared_ptr<const FlightRecord> Record(
+      FlightRecord record,
+      const std::function<std::string()>& render_analyze = nullptr);
 
   /// Newest-first snapshot of up to `n` ring entries.
   std::vector<std::shared_ptr<const FlightRecord>> Recent(size_t n) const;
@@ -202,8 +206,11 @@ class FlightRecorder {
 
   TemplateStatsView ViewOf(uint64_t fingerprint,
                            const TemplateEntry& entry) const;
-  std::string BundleJson(const FlightRecord& record) const;
-  bool WriteBundle(const FlightRecord& record, std::string* path) const;
+  std::string BundleJson(const FlightRecord& record,
+                         const std::string& analyze_json) const;
+  bool WriteBundle(const FlightRecord& record,
+                   const std::function<std::string()>& render_analyze,
+                   std::string* path) const;
 
   /// Registers a freshly written bundle and unlinks the oldest ones
   /// beyond max_spool_bundles.  Guarded by spool_mutex_, never the main

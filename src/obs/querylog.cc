@@ -9,6 +9,7 @@
 #include "obs/json_util.h"
 #include "obs/trace.h"
 #include "physical/costing.h"
+#include "runtime/query_pipeline.h"
 #include "sql/normalize.h"
 
 namespace dqep {
@@ -279,6 +280,22 @@ QueryLogRecord BuildQueryLogRecord(const std::string& query_text,
     record.actual_cpu_seconds = record.operators.front().actual_cpu_seconds;
     record.result_rows = record.operators.front().actual_rows;
   }
+  return record;
+}
+
+QueryLogRecord BuildQueryLogRecord(const QueryRun& run,
+                                   const AnalyzeInput& input) {
+  const PreparedQuery& prepared = run.prepared;
+  QueryLogRecord record =
+      BuildQueryLogRecord(prepared.sql, input, *prepared.request.model,
+                          prepared.planned.bound);
+  record.plan_cache = prepared.cache_status();
+  record.bindings = prepared.HostBindings();
+  record.threads = run.threads;
+  record.memory_pages = prepared.request.memory_pages;
+  record.peak_memory_bytes = run.peak_memory_bytes;
+  record.spill_files = run.spill_files;
+  record.spill_tuples = run.spill_tuples;
   return record;
 }
 

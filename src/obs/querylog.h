@@ -164,6 +164,13 @@ QueryLogRecord BuildQueryLogRecord(const std::string& query_text,
                                    const CostModel& model,
                                    const ParamEnv& bound_env);
 
+/// The record of one pipeline run (runtime/query_pipeline.h): the core
+/// above from `input` (AnalyzeInputFor(run)), plus the run's text,
+/// plan-cache outcome, bindings, thread count, memory grant, and peak
+/// memory and spill readings.
+QueryLogRecord BuildQueryLogRecord(const QueryRun& run,
+                                   const AnalyzeInput& input);
+
 /// One record as a single JSON line (no trailing newline).  Non-finite
 /// numbers are encoded as null.
 std::string RenderQueryLogRecordJson(const QueryLogRecord& record);

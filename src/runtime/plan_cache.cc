@@ -35,6 +35,17 @@ std::string HexFingerprint(uint64_t fingerprint) {
 
 }  // namespace
 
+std::string PlanCacheStats::ToString() const {
+  char buf[192];
+  std::snprintf(buf, sizeof(buf),
+                "plan cache: %zu/%zu entries; %" PRId64 " hits, %" PRId64
+                " misses, %" PRId64 " inserts, %" PRId64 " evictions, %" PRId64
+                " invalidations",
+                size, capacity, hits, misses, inserts, evictions,
+                invalidations);
+  return buf;
+}
+
 DynamicPlanCache::DynamicPlanCache(size_t capacity) : capacity_(capacity) {}
 
 DynamicPlanCache& DynamicPlanCache::Instance() {
@@ -296,6 +307,7 @@ Result<CachedPlanResult> PlanQueryWithCache(const std::string& sql,
       consult.AddArg("saved_optimize_s", entry->optimize_seconds);
       result.cache_hit = true;
       result.root = entry->root;
+      result.query = entry->query;
       result.cost = entry->cost;
       result.host_params = entry->host_params;
       result.plan_params = entry->plan_params;
@@ -344,6 +356,7 @@ Result<CachedPlanResult> PlanQueryWithCache(const std::string& sql,
   }
   result.root = plan->root;
   result.cost = plan->cost;
+  result.query = std::make_shared<const Query>(std::move(parsed->query));
 
   if (use_cache) {
     DynamicPlanCache::Entry entry;
@@ -351,6 +364,7 @@ Result<CachedPlanResult> PlanQueryWithCache(const std::string& sql,
     entry.template_text = normalized.template_text;
     entry.memory_pages = request.memory_pages;
     entry.root = plan->root;
+    entry.query = result.query;
     entry.cost = plan->cost;
     entry.cardinality = plan->cardinality;
     entry.host_params.assign(parsed->params.begin(), parsed->params.end());

@@ -37,6 +37,11 @@
 // log) annotate a ClonePlan deep copy (runtime/plan_rewrite.h) — this is
 // what makes concurrent server sessions race-free on shared entries.
 //
+// Each entry also keeps the parameterized Query its plan was compiled
+// from: mid-query re-optimization (runtime/reopt.h) cuts its suffix
+// queries from it, under the same bound environment as the plan, so a
+// cache hit needs no second parse.
+//
 // Observability: every operation feeds both the internal stats() (the
 // \cache shell command) and the MetricsRegistry counters
 // runtime.plancache.{hits,misses,inserts,evictions,invalidations} plus
@@ -59,6 +64,7 @@
 #include "common/status.h"
 #include "cost/cost_model.h"
 #include "cost/param_env.h"
+#include "logical/query.h"
 #include "physical/plan.h"
 
 namespace dqep {
@@ -79,6 +85,9 @@ struct PlanCacheStats {
   int64_t invalidations = 0;
   size_t size = 0;
   size_t capacity = 0;
+
+  /// One line: "plan cache: size/capacity entries; N hits, ...".
+  std::string ToString() const;
 };
 
 /// Bounded, thread-safe cache of compiled dynamic plans.
@@ -95,6 +104,9 @@ class DynamicPlanCache {
 
     /// The dynamic plan DAG, choose-plan operators intact.
     PhysNodePtr root;
+    /// The parameterized Query `root` was compiled from; its ParamIds are
+    /// the ones host_params and literal_params bind.
+    std::shared_ptr<const Query> query;
     /// Compile-time interval estimates (the ambiguity start-up resolves).
     Interval cost;
     Interval cardinality;
@@ -130,6 +142,7 @@ class DynamicPlanCache {
           template_text(std::move(other.template_text)),
           memory_pages(other.memory_pages),
           root(std::move(other.root)),
+          query(std::move(other.query)),
           cost(other.cost),
           cardinality(other.cardinality),
           host_params(std::move(other.host_params)),
@@ -219,8 +232,9 @@ class DynamicPlanCache {
 };
 
 /// One cache-aware planning round: everything between "SQL text arrived"
-/// and "ready for start-up resolution", shared by the CLI, the tests,
-/// and the bench so the hot path under test is the shipped hot path.
+/// and "ready for start-up resolution" — the first step of the query
+/// pipeline (runtime/query_pipeline.h), so the hot path the tests and
+/// benches measure is the shipped hot path.
 struct CachedPlanRequest {
   const Catalog* catalog = nullptr;
   const CostModel* model = nullptr;
@@ -238,6 +252,9 @@ struct CachedPlanRequest {
 struct CachedPlanResult {
   /// The dynamic plan (cached or freshly compiled).
   PhysNodePtr root;
+  /// The Query `root` was compiled from — parameterized when a cache was
+  /// consulted — whose ParamIds are the ones `bound` binds.
+  std::shared_ptr<const Query> query;
   /// Compile-time interval cost of `root`.
   Interval cost;
   /// Fully bound environment (memory grant + lifted literals + host

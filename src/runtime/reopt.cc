@@ -114,15 +114,10 @@ Result<ReoptExecution> ExecuteWithReopt(const Query& query,
   };
 
   DecisionEngine engine(model);
-  // The env the *current* plan's ParamIds resolve under: the runtime env
-  // until a re-optimized suffix (whose ids follow `query`) is adopted.
-  const ParamEnv* exec_env = &env;
-  const ParamEnv* suffix_env =
-      options.suffix_env != nullptr ? options.suffix_env : &env;
   ReoptExecution out;
   while (true) {
     Result<std::unique_ptr<BatchIterator>> tree =
-        BuildParallelBatchExecutor(current, db, *exec_env, ctx);
+        BuildParallelBatchExecutor(current, db, env, ctx);
     if (!tree.ok()) {
       cleanup();
       return tree.status();
@@ -153,8 +148,7 @@ Result<ReoptExecution> ExecuteWithReopt(const Query& query,
                                    : nullptr;
         });
     double pre_cost =
-        EstimateRoot(*spliced, model, *exec_env,
-                     EstimationMode::kExpectedValue)
+        EstimateRoot(*spliced, model, env, EstimationMode::kExpectedValue)
             .cost.hi();
     double post_cost = pre_cost;
     bool adopted = false;
@@ -163,19 +157,17 @@ Result<ReoptExecution> ExecuteWithReopt(const Query& query,
         BuildSuffixQuery(query, current, replaced, table, catalog);
     if (suffix.ok()) {
       Result<DecisionEngine::SuffixPlan> plan = engine.ReoptimizeSuffix(
-          *suffix, *suffix_env, options.optimizer, options.startup);
+          *suffix, env, options.optimizer, options.startup);
       if (plan.ok()) {
         post_cost = plan->execution_cost;
         if (post_cost < pre_cost) {
           current = plan->resolved;
-          exec_env = suffix_env;
           adopted = true;
         }
       }
     }
     if (!adopted) {
-      AnnotatePlan(*spliced, model, *exec_env,
-                   EstimationMode::kExpectedValue);
+      AnnotatePlan(*spliced, model, env, EstimationMode::kExpectedValue);
       current = std::move(spliced);
     }
     double seconds = timer.ElapsedSeconds();

@@ -23,6 +23,12 @@
 //
 // The driver always works on a private ClonePlan copy — a plan served
 // from the shared plan cache is never mutated or re-annotated in place.
+//
+// The query pipeline (runtime/query_pipeline.h) runs this driver as its
+// re-optimizing mode, handing it the Query the plan was compiled from
+// (for a cached template, the parameterized Query kept in the cache
+// entry): the original plan and every re-optimized suffix share one
+// set of ParamIds and run under one environment.
 
 #ifndef DQEP_RUNTIME_REOPT_H_
 #define DQEP_RUNTIME_REOPT_H_
@@ -61,15 +67,6 @@ struct ReoptOptions {
   /// runtime environment — intervals then collapse to points and a
   /// checkpoint fires on any misestimate beyond the slack.  Not owned.
   const ParamEnv* estimate_env = nullptr;
-
-  /// Environment whose ParamIds match `query`, used to optimize and
-  /// execute a re-optimized suffix.  Null means the runtime environment.
-  /// Needed when the executed plan was compiled from a parameterized
-  /// template (runtime/plan_cache.h): the template's dense ids cover
-  /// lifted literals too, so they differ from a plain parse of the same
-  /// text — the plan runs under the template env, an adopted suffix
-  /// under this one.  Not owned.
-  const ParamEnv* suffix_env = nullptr;
 };
 
 /// Outcome of one re-optimizing execution.
@@ -114,6 +111,10 @@ Result<Query> BuildSuffixQuery(const Query& original,
 
 /// Executes `resolved_plan` (start-up resolution already done) for
 /// `query` under `ctx`, re-optimizing at runtime cardinality checkpoints.
+/// `query` must be the Query the plan was compiled from, so its ParamIds
+/// are the ones `env` binds: a re-optimized suffix of it is optimized and
+/// executed under `env` too (a cached template's parameterized Query,
+/// CachedPlanResult::query, not a plain parse of the same text).
 /// With options.config.enabled == false this is plain execution plus the
 /// cloned/annotated plan and live tree in the result.
 Result<ReoptExecution> ExecuteWithReopt(const Query& query,

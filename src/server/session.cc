@@ -10,11 +10,7 @@
 #include "exec/executor.h"
 #include "obs/analyze.h"
 #include "obs/metrics.h"
-#include "physical/costing.h"
-#include "runtime/plan_rewrite.h"
-#include "runtime/reopt.h"
 #include "runtime/startup.h"
-#include "sql/parser.h"
 
 namespace dqep {
 namespace server {
@@ -77,19 +73,21 @@ SessionInfo::Snapshot SessionInfo::Snap() const {
   return snap;
 }
 
-void SharedEngine::RegisterContext(ExecContext* ctx) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  live_.insert(ctx);
+SharedEngine::LiveContext::LiveContext(SharedEngine* engine,
+                                       ExecContext* ctx)
+    : engine_(engine), ctx_(ctx) {
+  std::lock_guard<std::mutex> lock(engine_->mutex_);
+  engine_->live_.insert(ctx_);
   // A context registered during the drain must still be cancelled — the
   // CancelAll sweep may already have run.
-  if (draining.load(std::memory_order_relaxed)) {
-    ctx->RequestCancel();
+  if (engine_->draining.load(std::memory_order_relaxed)) {
+    ctx_->RequestCancel();
   }
 }
 
-void SharedEngine::UnregisterContext(ExecContext* ctx) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  live_.erase(ctx);
+SharedEngine::LiveContext::~LiveContext() {
+  std::lock_guard<std::mutex> lock(engine_->mutex_);
+  engine_->live_.erase(ctx_);
 }
 
 void SharedEngine::CancelAll() {
@@ -263,18 +261,7 @@ bool ServerSession::Command(const std::string& line, LineChannel* channel) {
       channel->WriteAll(FormatOkLine(0, 0.0, "off"));
       return true;
     }
-    PlanCacheStats stats = engine_->plan_cache->stats();
-    char buf[192];
-    std::snprintf(buf, sizeof(buf),
-                  "plan cache: %zu/%zu entries; %lld hits, %lld misses, "
-                  "%lld inserts, %lld evictions, %lld invalidations",
-                  stats.size, stats.capacity,
-                  static_cast<long long>(stats.hits),
-                  static_cast<long long>(stats.misses),
-                  static_cast<long long>(stats.inserts),
-                  static_cast<long long>(stats.evictions),
-                  static_cast<long long>(stats.invalidations));
-    out = FormatRowLine(buf);
+    out = FormatRowLine(engine_->plan_cache->stats().ToString());
     out += FormatOkLine(1, 0.0, "off");
     channel->WriteAll(out);
     return true;
@@ -438,9 +425,9 @@ void ServerSession::RunQuery(const std::string& sql, LineChannel* channel) {
   const int64_t trace_start_us =
       engine_->trace == nullptr ? 0 : engine_->trace->NowMicros();
 
-  // Plan through the shared cache: a template any session compiled is a
-  // hit here.  (memory_pages is part of the cache key, so sessions with
-  // different grants never share a compiled plan.)
+  // Plan through the shared cache — a template any session compiled is a
+  // hit here (memory_pages is part of the key, so sessions with different
+  // grants never share a compiled plan) — and resolve start-up.
   CachedPlanRequest request;
   request.catalog = &engine_->workload->catalog();
   request.model = engine_->model;
@@ -448,33 +435,22 @@ void ServerSession::RunQuery(const std::string& sql, LineChannel* channel) {
   request.memory_pages = memory_pages_;
   request.host_bindings = &bindings_;
   request.trace = engine_->trace;
-  Result<CachedPlanResult> planned = PlanQueryWithCache(sql, request);
-  if (!planned.ok()) {
-    channel->WriteAll(FormatErrLine(planned.status().ToString()));
+  Result<PreparedQuery> prepared =
+      PrepareQuery(sql, request, engine_->workload->db());
+  if (!prepared.ok()) {
+    channel->WriteAll(FormatErrLine(prepared.status().ToString()));
     return;
   }
-  const std::string cache_status =
-      planned->cache_used ? (planned->cache_hit ? "hit" : "miss") : "off";
-
-  StartupOptions startup_options;
-  startup_options.trace = engine_->trace;
-  if (!planned->plan_params.empty()) {
-    startup_options.plan_params = &planned->plan_params;
-  }
-  Result<StartupResult> startup = ResolveDynamicPlan(
-      planned->root, *engine_->model, planned->bound, startup_options);
-  if (!startup.ok()) {
-    channel->WriteAll(FormatErrLine(startup.status().ToString()));
-    return;
-  }
+  const uint64_t fingerprint = prepared->planned.fingerprint;
+  const double predicted_seconds = prepared->startup.execution_cost;
 
   // Admission: global memory-grant pool first, then the cost throttle fed
   // by this template's measured history (optimizer estimate until then).
   const int64_t pages = static_cast<int64_t>(std::llround(memory_pages_));
   info_.BeginPhase("queued");
   const auto admit_start = std::chrono::steady_clock::now();
-  AdmitResult admit = engine_->admission->Admit(
-      planned->fingerprint, pages, startup->execution_cost);
+  AdmitResult admit =
+      engine_->admission->Admit(fingerprint, pages, predicted_seconds);
   const double grant_wait_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                     admit_start)
@@ -489,152 +465,40 @@ void ServerSession::RunQuery(const std::string& sql, LineChannel* channel) {
   ExecOptions options;
   options.threads = threads_;
   std::unique_ptr<ExecContext> ctx =
-      MakeExecContext(planned->bound, *engine_->config, options);
-  if (ctx == nullptr) {
-    channel->WriteAll(FormatErrLine("internal: no execution context"));
+      MakeExecContext(prepared->planned.bound, *engine_->config, options);
+  ctx->set_trace(engine_->trace);
+  Result<QueryRun> run = ExecuteAdmitted(std::move(*prepared), *ctx,
+                                         std::move(admit.ticket));
+  if (!run.ok()) {
+    channel->WriteAll(FormatErrLine(run.status().ToString()));
     return;
   }
-  ctx->set_trace(engine_->trace);
-  engine_->RegisterContext(ctx.get());
-
-  std::vector<Tuple> rows;
-  std::unique_ptr<BatchIterator> exec_tree;
-  ReoptExecution reopt;
-  bool ran_reopt = false;
-  const ExecNode* exec_root = nullptr;
-  const auto exec_start = std::chrono::steady_clock::now();
-  if (reopt_enabled_) {
-    // Mid-query re-optimization needs the logical query for suffix
-    // re-entry, and an environment whose ParamIds match it — the cached
-    // template's dense ids (lifted literals included) differ from a
-    // plain parse of the same text (see ReoptOptions::suffix_env).
-    Result<ParsedQuery> parsed =
-        ParseQuery(sql, engine_->workload->catalog());
-    if (!parsed.ok()) {
-      engine_->UnregisterContext(ctx.get());
-      channel->WriteAll(FormatErrLine(parsed.status().ToString()));
-      return;
-    }
-    ParamEnv suffix_env(Interval::Point(memory_pages_));
-    for (const auto& [name, id] : parsed->params) {
-      auto it = bindings_.find(name);
-      if (it == bindings_.end()) {
-        engine_->UnregisterContext(ctx.get());
-        channel->WriteAll(
-            FormatErrLine("host variable :" + name + " is unbound"));
-        return;
-      }
-      suffix_env.Bind(id, Value(it->second));
-    }
-    ReoptOptions reopt_options;
-    reopt_options.config.enabled = true;
-    reopt_options.config.slack = reopt_slack_;
-    reopt_options.optimizer = OptimizerOptions::Static();
-    reopt_options.startup.trace = engine_->trace;
-    reopt_options.suffix_env = &suffix_env;
-    Result<ReoptExecution> executed = ExecuteWithReopt(
-        parsed->query, startup->resolved, engine_->workload->db(),
-        *engine_->model, planned->bound, *ctx, reopt_options);
-    if (!executed.ok()) {
-      engine_->UnregisterContext(ctx.get());
-      channel->WriteAll(FormatErrLine(executed.status().ToString()));
-      return;
-    }
-    reopt = std::move(*executed);
-    ran_reopt = true;
-    rows = std::move(reopt.rows);
-    info_.AddRows(static_cast<int64_t>(rows.size()));
-    exec_root = reopt.exec_root();
-  } else {
-    Result<std::unique_ptr<BatchIterator>> iter = BuildParallelBatchExecutor(
-        startup->resolved, engine_->workload->db(), planned->bound, *ctx);
-    if (!iter.ok()) {
-      engine_->UnregisterContext(ctx.get());
-      channel->WriteAll(FormatErrLine(iter.status().ToString()));
-      return;
-    }
-    exec_tree = std::move(*iter);
-    exec_tree->Open();
-    TupleBatch batch;
-    while (exec_tree->Next(&batch)) {
-      for (int32_t i = 0; i < batch.num_rows(); ++i) {
-        rows.push_back(batch.row(i));
-      }
-      info_.AddRows(batch.num_rows());
-    }
-    exec_tree->Close();
-    exec_root = exec_tree.get();
-  }
-  engine_->UnregisterContext(ctx.get());
-
   if (ctx->cancelled()) {
     channel->WriteAll(FormatErrLine("cancelled: server shutting down"));
     return;
   }
-
-  const double exec_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                    exec_start)
-          .count();
-  engine_->admission->RecordExecution(planned->fingerprint, exec_seconds);
-  info_.SetPeakMemory(ctx->tracker().peak_bytes());
+  const std::string cache_status = run->prepared.cache_status();
+  engine_->admission->RecordExecution(fingerprint, run->exec_seconds);
+  info_.SetPeakMemory(run->peak_memory_bytes);
   if (engine_->drift != nullptr) {
     // Drift compares modeled seconds (the start-up resolution's
     // execution-cost estimate for the chosen plan) against measured
     // execution wall time — the ratio calibration is meant to pin at 1.
-    engine_->drift->Record(planned->fingerprint, startup->execution_cost,
-                           exec_seconds);
+    engine_->drift->Record(fingerprint, predicted_seconds, run->exec_seconds);
   }
 
   // Both the query log and the (always-on) flight recorder report the
-  // resolved plan annotated with compile-time intervals; annotate a
-  // *private* deep copy — the resolved DAG shares subtrees with the
-  // cached dynamic plan that other sessions are concurrently reading
-  // (see runtime/plan_rewrite.h).
+  // executed plan annotated with estimate intervals.
   const bool want_log =
       engine_->query_log != nullptr && engine_->query_log->is_open();
   const bool want_flight = engine_->flight != nullptr;
-  PhysNodePtr annotated;
   obs::AnalyzeInput input;
   if (want_log || want_flight) {
     info_.BeginPhase("log");
-    // A re-optimizing run reports the plan that actually produced the
-    // rows (the driver's private annotated clone — possibly spliced);
-    // plain runs annotate their own private copy here.
-    if (ran_reopt) {
-      annotated = reopt.final_plan;
-    } else {
-      annotated = ClonePlan(engine_->workload->catalog(), startup->resolved);
-      ParamEnv compile_env(Interval::Point(memory_pages_));
-      AnnotatePlan(*annotated, *engine_->model, compile_env,
-                   EstimationMode::kInterval);
-    }
-    input.dynamic_root = planned->root.get();
-    input.resolved_root = annotated.get();
-    input.startup = &*startup;
-    input.exec_root = exec_root;
-    input.plan_cache = cache_status;
-    if (ran_reopt) {
-      input.reopt = &reopt.checkpoints;
-    }
+    input = obs::AnalyzeInputFor(*run);
   }
   if (want_log) {
-    obs::QueryLogRecord record = obs::BuildQueryLogRecord(
-        sql, input, *engine_->model, planned->bound);
-    record.plan_cache = cache_status;
-    for (const auto& [name, id] : planned->host_params) {
-      (void)id;
-      auto it = bindings_.find(name);
-      if (it != bindings_.end()) {
-        record.bindings.emplace_back(name, it->second);
-      }
-    }
-    record.threads = threads_;
-    record.memory_pages = memory_pages_;
-    record.peak_memory_bytes = ctx->tracker().peak_bytes();
-    record.spill_files = ctx->temp_files_created();
-    record.spill_tuples = ctx->tuples_spilled();
-    engine_->query_log->Append(record);
+    engine_->query_log->Append(obs::BuildQueryLogRecord(*run, input));
   }
 
   const double total_seconds =
@@ -646,36 +510,33 @@ void ServerSession::RunQuery(const std::string& sql, LineChannel* channel) {
     // End-to-end latency (queue wait included) is what the SLO promises
     // the client; fire/resolve transitions reach the flight recorder
     // through the server's alert hook.
-    engine_->slo->Record(planned->fingerprint, total_seconds);
+    engine_->slo->Record(fingerprint, total_seconds);
   }
 
+  const std::vector<Tuple>& rows = run->rows;
   if (want_flight) {
     obs::FlightRecord flight;
     flight.session_id = session_id_;
-    flight.fingerprint = planned->fingerprint;
+    flight.fingerprint = fingerprint;
     flight.query = sql;
-    flight.template_text = planned->template_text;
+    flight.template_text = run->prepared.planned.template_text;
     flight.cache = cache_status;
     flight.seconds = total_seconds;
     flight.grant_wait_seconds = grant_wait_seconds;
     flight.rows = static_cast<int64_t>(rows.size());
-    flight.peak_memory_bytes = ctx->tracker().peak_bytes();
-    flight.decisions = startup->decisions;
-    flight.reopt_checkpoints = ran_reopt ? reopt.checkpoints_evaluated : 0;
-    flight.reopt_triggers = ran_reopt ? reopt.triggers_fired : 0;
-    for (const auto& [name, id] : planned->host_params) {
-      (void)id;
-      auto it = bindings_.find(name);
-      if (it != bindings_.end()) {
-        flight.bindings.emplace_back(name, std::to_string(it->second));
-      }
+    flight.peak_memory_bytes = run->peak_memory_bytes;
+    flight.decisions = run->prepared.startup.decisions;
+    flight.reopt_checkpoints = run->checkpoints_evaluated;
+    flight.reopt_triggers = run->triggers_fired;
+    for (const ReoptCheckpoint& cp : run->checkpoints) {
+      flight.reopt_adoptions += cp.adopted ? 1 : 0;
     }
-    if (ran_reopt) {
-      for (const ReoptCheckpoint& cp : reopt.checkpoints) {
-        flight.reopt_adoptions += cp.adopted ? 1 : 0;
-      }
+    for (const auto& [name, value] : run->prepared.HostBindings()) {
+      flight.bindings.emplace_back(name, std::to_string(value));
     }
-    for (const obs::AnalyzeRow& row : obs::CollectAnalyzeRows(input)) {
+    const std::vector<obs::AnalyzeRow> analyze_rows =
+        obs::CollectAnalyzeRows(input);
+    for (const obs::AnalyzeRow& row : analyze_rows) {
       if (row.kind == obs::AnalyzeRow::Kind::kDecision) {
         if (row.have_regret) {
           flight.regret_seconds += row.regret;
@@ -694,8 +555,9 @@ void ServerSession::RunQuery(const std::string& sql, LineChannel* channel) {
       op.have_actual = row.have_actual;
       flight.operators.push_back(std::move(op));
     }
-    flight.analyze_json = obs::RenderAnalyze(input, obs::AnalyzeFormat::kJson);
-    engine_->flight->Record(std::move(flight));
+    engine_->flight->Record(std::move(flight), [&] {
+      return obs::RenderAnalyze(analyze_rows, input, obs::AnalyzeFormat::kJson);
+    });
   }
   if (engine_->trace != nullptr) {
     engine_->trace->AddSpan(
@@ -714,6 +576,23 @@ void ServerSession::RunQuery(const std::string& sql, LineChannel* channel) {
   out += FormatOkLine(static_cast<int64_t>(rows.size()), total_seconds,
                       cache_status);
   channel->WriteAll(out);
+}
+
+Result<QueryRun> ServerSession::ExecuteAdmitted(PreparedQuery prepared,
+                                                ExecContext& ctx,
+                                                AdmissionTicket ticket) {
+  const AdmissionTicket grant = std::move(ticket);
+  SharedEngine::LiveContext live(engine_, &ctx);
+  if (!reopt_enabled_) {
+    return ExecuteQuery(std::move(prepared), ctx, nullptr,
+                        info_.rows_counter());
+  }
+  ReoptOptions reopt;
+  reopt.config.enabled = true;
+  reopt.config.slack = reopt_slack_;
+  reopt.optimizer = OptimizerOptions::Static();
+  reopt.startup.trace = engine_->trace;
+  return ExecuteQuery(std::move(prepared), ctx, &reopt, info_.rows_counter());
 }
 
 }  // namespace server

@@ -1,9 +1,10 @@
 // One server session: the engine surface of a single client connection.
 //
 // A session speaks the line protocol (server/protocol.h) and runs each
-// SQL line through exactly the pipeline the interactive shell uses —
-// PlanQueryWithCache -> ResolveDynamicPlan -> ExecContext -> execute —
-// against engine state shared by every session of the server:
+// SQL line through the query pipeline the interactive shell uses too
+// (runtime/query_pipeline.h): PrepareQuery (plan through the cache,
+// resolve start-up), admission, ExecuteQuery (plain or re-optimizing).
+// It runs against engine state shared by every session of the server:
 //
 //   * one catalog / database / buffer pool (the workload),
 //   * one cost model and SystemConfig,
@@ -18,17 +19,21 @@
 // re-optimization switch and slack.  Every query runs on the one batch
 // engine (exec/executor.h), in parallel when the thread count is > 1.
 //
-// Annotation safety: query-log records need the resolved plan annotated
-// with compile-time cost intervals, but the resolved plan shares
-// subtrees with the cached dynamic plan other sessions are concurrently
-// resolving.  The session therefore annotates a ClonePlan deep copy
-// (runtime/plan_rewrite.h) — the shared DAG is never written after
-// Insert.
+// Admission sits between the pipeline's two calls, and the memory grant
+// it hands out lives exactly as long as ExecuteQuery: annotation, the
+// query log, the flight recorder and the (possibly blocking) reply
+// write all run after the pages are back in the pool.
 //
-// Cancellation: every executing query registers its ExecContext with the
-// shared engine; server shutdown cancels them all, the drain loops cut
-// the query short, and the session answers "@err cancelled ..." before
-// the connection closes.
+// Annotation safety: query-log records need the executed plan annotated
+// with estimate intervals, but the resolved plan shares subtrees with
+// the cached dynamic plan other sessions are concurrently resolving.
+// The pipeline therefore annotates a ClonePlan deep copy (AnnotateRun) —
+// the shared DAG is never written after Insert.
+//
+// Cancellation: while it executes, a query's ExecContext is registered
+// with the shared engine (SharedEngine::LiveContext); shutdown cancels every
+// registered context, the drain loops cut the query short, and the
+// session answers "@err cancelled ..." before the connection closes.
 
 #ifndef DQEP_SERVER_SESSION_H_
 #define DQEP_SERVER_SESSION_H_
@@ -51,6 +56,7 @@
 #include "obs/querylog.h"
 #include "obs/trace.h"
 #include "runtime/plan_cache.h"
+#include "runtime/query_pipeline.h"
 #include "server/admission.h"
 #include "server/protocol.h"
 #include "workload/paper_workload.h"
@@ -74,7 +80,8 @@ class SessionInfo {
   void BeginQuery(const std::string& sql);
   void EndQuery();
 
-  void AddRows(int64_t n) { rows_.fetch_add(n, std::memory_order_relaxed); }
+  /// Rows emitted by the current query, bumped by the executing drain.
+  std::atomic<int64_t>* rows_counter() { return &rows_; }
   void SetPeakMemory(int64_t bytes) {
     peak_memory_bytes_.store(bytes, std::memory_order_relaxed);
   }
@@ -134,8 +141,6 @@ class SharedEngine {
   /// Set once shutdown begins; sessions refuse new queries.
   std::atomic<bool> draining{false};
 
-  void RegisterContext(ExecContext* ctx);
-  void UnregisterContext(ExecContext* ctx);
   /// RequestCancel on every live context (idempotent).
   void CancelAll();
 
@@ -144,6 +149,21 @@ class SharedEngine {
   void RegisterSession(const SessionInfo* info);
   void UnregisterSession(const SessionInfo* info);
   std::vector<SessionInfo::Snapshot> SnapshotSessions() const;
+
+  /// Registers an executing query's context for the guard's lifetime,
+  /// so CancelAll reaches it.  The context must outlive the guard.
+  class LiveContext {
+   public:
+    LiveContext(SharedEngine* engine, ExecContext* ctx);
+    ~LiveContext();
+
+    LiveContext(const LiveContext&) = delete;
+    LiveContext& operator=(const LiveContext&) = delete;
+
+   private:
+    SharedEngine* engine_;
+    ExecContext* ctx_;
+  };
 
  private:
   mutable std::mutex mutex_;
@@ -173,9 +193,15 @@ class ServerSession {
   /// Handles one backslash command; returns false to close the session.
   bool Command(const std::string& line, LineChannel* channel);
 
-  /// Plans, admits, resolves, executes one SQL line and writes rows plus
+  /// Plans, resolves, admits, executes one SQL line and writes rows plus
   /// the status line.
   void RunQuery(const std::string& sql, LineChannel* channel);
+
+  /// Executes an admitted query with its context live for shutdown
+  /// cancellation.  The memory grant (`ticket`) and the registration end
+  /// when execution does — not after the reply is written.
+  Result<QueryRun> ExecuteAdmitted(PreparedQuery prepared, ExecContext& ctx,
+                                   AdmissionTicket ticket);
 
   SharedEngine* engine_;
   const int64_t session_id_;

@@ -7,48 +7,22 @@ namespace dqep {
 
 namespace {
 
-/// Canonical spelling of one token.  Integer literals render as '?';
-/// their values are collected by the caller.
+/// Canonical spelling of one token: keywords and punctuation as the
+/// lexer names them; integer literals render as '?' (their values are
+/// collected by the caller).
 std::string CanonicalToken(const Token& token) {
   switch (token.kind) {
-    case TokenKind::kSelect:
-      return "SELECT";
-    case TokenKind::kFrom:
-      return "FROM";
-    case TokenKind::kWhere:
-      return "WHERE";
-    case TokenKind::kAnd:
-      return "AND";
-    case TokenKind::kOrder:
-      return "ORDER";
-    case TokenKind::kBy:
-      return "BY";
     case TokenKind::kIdentifier:
       return token.text;
     case TokenKind::kInteger:
       return "?";
     case TokenKind::kHostVariable:
       return ":" + token.text;
-    case TokenKind::kStar:
-      return "*";
-    case TokenKind::kComma:
-      return ",";
-    case TokenKind::kDot:
-      return ".";
-    case TokenKind::kEq:
-      return "=";
-    case TokenKind::kLt:
-      return "<";
-    case TokenKind::kLe:
-      return "<=";
-    case TokenKind::kGt:
-      return ">";
-    case TokenKind::kGe:
-      return ">=";
     case TokenKind::kEnd:
       return "";
+    default:
+      return TokenKindName(token.kind);
   }
-  return "";
 }
 
 }  // namespace

@@ -177,23 +177,12 @@ class Parser {
         if (Peek().kind != TokenKind::kIdentifier) {
           return ErrorHere("expected column name");
         }
-        std::string column = Advance().text;
-        Result<RelationId> relation = catalog_.FindRelation(table);
-        if (!relation.ok()) {
-          return Status::InvalidArgument("unknown table '" + table + "'");
-        }
-        if (result_.query.TermOf(*relation) < 0) {
-          return Status::InvalidArgument("table '" + table +
-                                         "' is not listed in FROM");
-        }
-        int32_t column_index =
-            catalog_.relation(*relation).FindColumn(column);
-        if (column_index < 0) {
-          return Status::InvalidArgument("unknown column '" + table + "." +
-                                         column + "'");
+        Result<AttrRef> attr = ResolveNamedColumn(table, Advance().text);
+        if (!attr.ok()) {
+          return attr.status();
         }
         operand.kind = ParsedOperand::Kind::kAttribute;
-        operand.attr = AttrRef{*relation, column_index};
+        operand.attr = *attr;
         return operand;
       }
       default:

@@ -116,9 +116,9 @@ class MaterializedTable {
 
 using MaterializedTablePtr = std::shared_ptr<const MaterializedTable>;
 
-/// Deterministic model of a materialized row's resident bytes; identical
-/// to the executor's TrackedTupleBytes so capture honors the same budget
-/// the operators do.
+/// Deterministic model of a materialized row's resident bytes; the
+/// executor's TrackedTupleBytes is this model, so capture honors the same
+/// budget the operators do.
 int64_t MaterializedTupleBytes(const Tuple& tuple);
 
 }  // namespace dqep

@@ -87,6 +87,38 @@ Query PaperWorkload::ChainQuery(int32_t num_relations) const {
   return query;
 }
 
+std::string PaperWorkload::ChainSql(int32_t n,
+                                    const std::vector<int64_t>& literals) {
+  std::string sql = "SELECT * FROM R1";
+  for (int32_t i = 2; i <= n; ++i) {
+    sql += ", R" + std::to_string(i);
+  }
+  std::string where;
+  for (int32_t i = 1; i < n; ++i) {
+    where += " AND R" + std::to_string(i) + ".b = R" +
+             std::to_string(i + 1) + ".a";
+  }
+  for (int32_t i = 1; i <= n; ++i) {
+    where += " AND R" + std::to_string(i) + ".s < " +
+             std::to_string(literals[static_cast<size_t>(i - 1)]);
+  }
+  return sql + " WHERE" + where.substr(4);
+}
+
+std::vector<int64_t> PaperWorkload::DrawChainLiterals(
+    int32_t n, Rng* rng, double max_selectivity) const {
+  std::vector<int64_t> literals;
+  for (int32_t i = 0; i < n; ++i) {
+    SelectionPredicate pred{AttrRef{i, ExperimentColumns::kSelect},
+                            CompareOp::kLt,
+                            Operand::Literal(Value(static_cast<int64_t>(0)))};
+    literals.push_back(
+        model_->ValueForSelectivity(pred, rng->NextDouble() * max_selectivity)
+            .AsInt64());
+  }
+  return literals;
+}
+
 const std::vector<int32_t>& PaperWorkload::PaperQuerySizes() {
   static const std::vector<int32_t> kSizes = {1, 2, 4, 6, 10};
   return kSizes;
@@ -98,6 +130,20 @@ ParamEnv PaperWorkload::CompileTimeEnv(bool uncertain_memory) const {
           ? config_.UncertainMemoryPages()
           : Interval::Point(config_.expected_memory_pages);
   return ParamEnv(memory);
+}
+
+ParamEnv PaperWorkload::BindingsAt(const Query& query,
+                                   double selectivity) const {
+  ParamEnv env = CompileTimeEnv(/*uncertain_memory=*/false);
+  for (const RelationTerm& term : query.terms()) {
+    for (const SelectionPredicate& pred : term.predicates) {
+      if (pred.HasParam()) {
+        env.Bind(pred.operand.param(),
+                 model_->ValueForSelectivity(pred, selectivity));
+      }
+    }
+  }
+  return env;
 }
 
 ParamEnv PaperWorkload::DrawBindings(Rng* rng, const Query& query,

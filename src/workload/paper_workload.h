@@ -14,6 +14,7 @@
 #define DQEP_WORKLOAD_PAPER_WORKLOAD_H_
 
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "common/rng.h"
@@ -55,12 +56,25 @@ class PaperWorkload {
   /// (param ids 0..n-1).  n = 1 yields the paper's Q1.
   Query ChainQuery(int32_t num_relations) const;
 
+  /// SQL text of the chain query over R1..Rn with literal selections
+  /// "Ri.s < literals[i-1]" (joins first, then selections).
+  static std::string ChainSql(int32_t n, const std::vector<int64_t>& literals);
+
+  /// One selection literal per relation R1..Rn, each at a selectivity
+  /// drawn from U[0, max_selectivity).
+  std::vector<int64_t> DrawChainLiterals(int32_t n, Rng* rng,
+                                         double max_selectivity = 1.0) const;
+
   /// The paper's five queries: n = 1, 2, 4, 6, 10.
   static const std::vector<int32_t>& PaperQuerySizes();
 
   /// Compile-time environment: nothing bound; memory expected (point) or
   /// uncertain (interval).
   ParamEnv CompileTimeEnv(bool uncertain_memory) const;
+
+  /// Run-time bindings: every selection parameter set to the value whose
+  /// modeled selectivity is `selectivity`; the expected memory grant.
+  ParamEnv BindingsAt(const Query& query, double selectivity) const;
 
   /// Run-time bindings: each selection parameter set to a value whose
   /// selectivity is drawn U[0, 1]; memory drawn U[16, 112] pages when

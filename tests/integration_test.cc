@@ -132,13 +132,7 @@ TEST_F(IntegrationTest, AlternativePlansAgreeOnResults) {
   ASSERT_TRUE(dyn.ok());
   ASSERT_EQ(dyn->plan.root->kind(), PhysOpKind::kChoosePlan);
 
-  ParamEnv bound;
-  for (const RelationTerm& term : query.terms()) {
-    for (const SelectionPredicate& pred : term.predicates) {
-      bound.Bind(pred.operand.param(),
-                 workload_->model().ValueForSelectivity(pred, 0.2));
-    }
-  }
+  ParamEnv bound = workload_->BindingsAt(query, 0.2);
   std::vector<Tuple> expected = Reference(query, bound);
   int alternatives_checked = 0;
   for (const PhysNodePtr& alt : dyn->plan.root->children()) {

@@ -275,17 +275,8 @@ class ObsQueryTest : public ::testing::Test {
     workload_ = nullptr;
   }
 
-  /// Binds every selection parameter of `query` to the value whose
-  /// predicted selectivity is `sel`.
   static ParamEnv BindAll(const Query& query, double sel) {
-    ParamEnv bound = workload_->CompileTimeEnv(/*uncertain_memory=*/false);
-    for (const RelationTerm& term : query.terms()) {
-      for (const SelectionPredicate& pred : term.predicates) {
-        bound.Bind(pred.operand.param(),
-                   workload_->model().ValueForSelectivity(pred, sel));
-      }
-    }
-    return bound;
+    return workload_->BindingsAt(query, sel);
   }
 
   static PaperWorkload* workload_;

@@ -19,6 +19,7 @@
 #include "common/rng.h"
 #include "exec/executor.h"
 #include "runtime/plan_cache.h"
+#include "runtime/query_pipeline.h"
 #include "runtime/startup.h"
 #include "sql/normalize.h"
 #include "sql/parser.h"
@@ -105,51 +106,8 @@ class PlanCacheWorkloadTest : public ::testing::Test {
     workload_ = std::move(*workload);
   }
 
-  /// SQL text of the paper's chain query over R1..Rn with one literal
-  /// selection per relation: the cache's unit of compilation.
-  static std::string ChainSql(int32_t n,
-                              const std::vector<int64_t>& literals) {
-    std::string sql = "SELECT * FROM ";
-    for (int32_t i = 1; i <= n; ++i) {
-      if (i > 1) {
-        sql += ", ";
-      }
-      sql += "R" + std::to_string(i);
-    }
-    sql += " WHERE ";
-    bool first = true;
-    for (int32_t i = 1; i < n; ++i) {
-      if (!first) {
-        sql += " AND ";
-      }
-      first = false;
-      sql += "R" + std::to_string(i) + ".b = R" + std::to_string(i + 1) +
-             ".a";
-    }
-    for (int32_t i = 1; i <= n; ++i) {
-      if (!first) {
-        sql += " AND ";
-      }
-      first = false;
-      sql += "R" + std::to_string(i) + ".s < " +
-             std::to_string(literals[static_cast<size_t>(i - 1)]);
-    }
-    return sql;
-  }
-
-  /// One random literal per relation, mapped from a U[0, 1] selectivity
-  /// like the paper's experiments draw their bindings.
-  std::vector<int64_t> DrawLiterals(int32_t n, Rng* rng) const {
-    std::vector<int64_t> literals;
-    for (int32_t i = 0; i < n; ++i) {
-      SelectionPredicate pred{
-          AttrRef{i, ExperimentColumns::kSelect}, CompareOp::kLt,
-          Operand::Literal(Value(static_cast<int64_t>(0)))};
-      literals.push_back(workload_->model()
-                             .ValueForSelectivity(pred, rng->NextDouble())
-                             .AsInt64());
-    }
-    return literals;
+  std::string ChainSql(int32_t n, Rng* rng) const {
+    return PaperWorkload::ChainSql(n, workload_->DrawChainLiterals(n, rng));
   }
 
   CachedPlanRequest Request(DynamicPlanCache* cache) const {
@@ -305,61 +263,46 @@ TEST_F(PlanCacheWorkloadTest, HitIsByteIdenticalToColdAcrossThreads) {
     DynamicPlanCache cache(16);
     CachedPlanRequest request = Request(&cache);
 
-    std::string sql = ChainSql(n, DrawLiterals(n, &rng));
-    auto cold = PlanQueryWithCache(sql, request);
+    std::string sql = ChainSql(n, &rng);
+    auto cold = PrepareQuery(sql, request, workload_->db());
     ASSERT_TRUE(cold.ok()) << cold.status().ToString();
-    EXPECT_TRUE(cold->cache_used);
-    EXPECT_FALSE(cold->cache_hit);
-    auto hit = PlanQueryWithCache(sql, request);
+    EXPECT_TRUE(cold->planned.cache_used);
+    EXPECT_FALSE(cold->planned.cache_hit);
+    auto hit = PrepareQuery(sql, request, workload_->db());
     ASSERT_TRUE(hit.ok());
-    ASSERT_TRUE(hit->cache_hit);
+    ASSERT_TRUE(hit->planned.cache_hit);
     // A hit returns the very same immutable plan DAG, not a copy.
-    EXPECT_EQ(cold->root.get(), hit->root.get());
+    EXPECT_EQ(cold->planned.root.get(), hit->planned.root.get());
 
     // Re-binding the template with fresh literals must also hit.
-    std::vector<int64_t> literals2 = DrawLiterals(n, &rng);
-    std::string sql2 = ChainSql(n, literals2);
-    auto hit2 = PlanQueryWithCache(sql2, request);
+    std::string sql2 = ChainSql(n, &rng);
+    auto hit2 = PrepareQuery(sql2, request, workload_->db());
     ASSERT_TRUE(hit2.ok());
-    ASSERT_TRUE(hit2->cache_hit) << sql2;
+    ASSERT_TRUE(hit2->planned.cache_hit) << sql2;
+    auto parsed2 = ParseQuery(sql2, workload_->catalog());
+    ASSERT_TRUE(parsed2.ok());
+    std::vector<Tuple> expected = Canonicalize(
+        ReferenceEval(parsed2->query, workload_->db(), ParamEnv()));
 
     for (int32_t threads : {1, 4}) {
       SCOPED_TRACE(std::to_string(threads) + " threads");
       ExecOptions options;
       options.threads = threads;
-
+      ExecContext ctx_cold(options), ctx_hit(options), ctx2(options);
       // Start-up re-runs per execution; cold and hit resolve the same
       // DAG under the same bindings and must execute byte-identically.
-      auto startup_cold = ResolveDynamicPlan(cold->root, workload_->model(),
-                                             cold->bound, StartupOptions());
-      ASSERT_TRUE(startup_cold.ok());
-      auto startup_hit = ResolveDynamicPlan(hit->root, workload_->model(),
-                                            hit->bound, StartupOptions());
-      ASSERT_TRUE(startup_hit.ok());
-      auto rows_cold = ExecutePlan(startup_cold->resolved, workload_->db(),
-                                   cold->bound, options);
-      auto rows_hit = ExecutePlan(startup_hit->resolved, workload_->db(),
-                                  hit->bound, options);
+      auto rows_cold = ExecuteQuery(*cold, ctx_cold, nullptr);
+      auto rows_hit = ExecuteQuery(*hit, ctx_hit, nullptr);
       ASSERT_TRUE(rows_cold.ok());
       ASSERT_TRUE(rows_hit.ok());
-      EXPECT_EQ(*rows_cold, *rows_hit);
+      EXPECT_EQ(rows_cold->rows, rows_hit->rows);
 
       // The re-bound hit must compute what the naive reference evaluator
       // computes for the new literals.
-      auto startup2 = ResolveDynamicPlan(hit2->root, workload_->model(),
-                                         hit2->bound, StartupOptions());
-      ASSERT_TRUE(startup2.ok());
-      auto iter = BuildBatchExecutor(startup2->resolved, workload_->db(),
-                                     hit2->bound);
-      ASSERT_TRUE(iter.ok()) << iter.status().ToString();
-      auto rows2 = ExecutePlan(startup2->resolved, workload_->db(),
-                               hit2->bound, options);
-      ASSERT_TRUE(rows2.ok());
-      auto parsed2 = ParseQuery(sql2, workload_->catalog());
-      ASSERT_TRUE(parsed2.ok());
-      std::vector<Tuple> expected = Canonicalize(
-          ReferenceEval(parsed2->query, workload_->db(), ParamEnv()));
-      EXPECT_EQ(Canonicalize(ToReferenceOrder(*rows2, (*iter)->layout(),
+      auto run2 = ExecuteQuery(*hit2, ctx2, nullptr);
+      ASSERT_TRUE(run2.ok()) << run2.status().ToString();
+      EXPECT_EQ(Canonicalize(ToReferenceOrder(run2->rows,
+                                              run2->exec_tree->layout(),
                                               parsed2->query,
                                               workload_->db())),
                 expected);
@@ -369,22 +312,16 @@ TEST_F(PlanCacheWorkloadTest, HitIsByteIdenticalToColdAcrossThreads) {
 
 TEST_F(PlanCacheWorkloadTest, CacheOffMatchesHistoricalPipeline) {
   Rng rng(/*seed=*/11);
-  std::string sql = ChainSql(2, DrawLiterals(2, &rng));
-  CachedPlanRequest without_cache = Request(nullptr);
-  auto planned = PlanQueryWithCache(sql, without_cache);
-  ASSERT_TRUE(planned.ok());
-  EXPECT_FALSE(planned->cache_used);
-  auto startup = ResolveDynamicPlan(planned->root, workload_->model(),
-                                    planned->bound, StartupOptions());
-  ASSERT_TRUE(startup.ok());
-  auto iter =
-      BuildBatchExecutor(startup->resolved, workload_->db(), planned->bound);
-  ASSERT_TRUE(iter.ok());
-  auto rows = ExecutePlan(startup->resolved, workload_->db(), planned->bound);
-  ASSERT_TRUE(rows.ok());
+  std::string sql = ChainSql(2, &rng);
+  auto prepared = PrepareQuery(sql, Request(nullptr), workload_->db());
+  ASSERT_TRUE(prepared.ok());
+  EXPECT_FALSE(prepared->planned.cache_used);
+  ExecContext ctx((ExecOptions()));
+  auto run = ExecuteQuery(std::move(*prepared), ctx, nullptr);
+  ASSERT_TRUE(run.ok());
   auto parsed = ParseQuery(sql, workload_->catalog());
   ASSERT_TRUE(parsed.ok());
-  EXPECT_EQ(Canonicalize(ToReferenceOrder(*rows, (*iter)->layout(),
+  EXPECT_EQ(Canonicalize(ToReferenceOrder(run->rows, run->exec_tree->layout(),
                                           parsed->query, workload_->db())),
             Canonicalize(
                 ReferenceEval(parsed->query, workload_->db(), ParamEnv())));
@@ -396,22 +333,17 @@ TEST_F(PlanCacheWorkloadTest, HostVariablesBindThroughTheCache) {
   std::map<std::string, int64_t> bindings{{"v", 300}};
   request.host_bindings = &bindings;
   const std::string sql = "SELECT * FROM R1 WHERE R1.s < :v AND R1.a < 900";
-  auto cold = PlanQueryWithCache(sql, request);
+  auto cold = PrepareQuery(sql, request, workload_->db());
   ASSERT_TRUE(cold.ok());
-  auto hit = PlanQueryWithCache(sql, request);
+  auto hit = PrepareQuery(sql, request, workload_->db());
   ASSERT_TRUE(hit.ok());
-  ASSERT_TRUE(hit->cache_hit);
-  auto s_cold = ResolveDynamicPlan(cold->root, workload_->model(),
-                                   cold->bound, StartupOptions());
-  auto s_hit = ResolveDynamicPlan(hit->root, workload_->model(), hit->bound,
-                                  StartupOptions());
-  ASSERT_TRUE(s_cold.ok());
-  ASSERT_TRUE(s_hit.ok());
-  auto rows_cold = ExecutePlan(s_cold->resolved, workload_->db(), cold->bound);
-  auto rows_hit = ExecutePlan(s_hit->resolved, workload_->db(), hit->bound);
+  ASSERT_TRUE(hit->planned.cache_hit);
+  ExecContext ctx_cold((ExecOptions())), ctx_hit((ExecOptions()));
+  auto rows_cold = ExecuteQuery(std::move(*cold), ctx_cold, nullptr);
+  auto rows_hit = ExecuteQuery(std::move(*hit), ctx_hit, nullptr);
   ASSERT_TRUE(rows_cold.ok());
   ASSERT_TRUE(rows_hit.ok());
-  EXPECT_EQ(*rows_cold, *rows_hit);
+  EXPECT_EQ(rows_cold->rows, rows_hit->rows);
   // An unbound host variable fails identically on hit and cold paths.
   bindings.erase("v");
   auto unbound = PlanQueryWithCache(sql, request);
@@ -428,7 +360,7 @@ TEST_F(PlanCacheWorkloadTest, AnalyzeInvalidatesWithZeroStaleHits) {
   DynamicPlanCache cache(8);
   CachedPlanRequest request = Request(&cache);
   Rng rng(/*seed=*/13);
-  std::string sql = ChainSql(2, DrawLiterals(2, &rng));
+  std::string sql = ChainSql(2, &rng);
   auto cold = PlanQueryWithCache(sql, request);
   ASSERT_TRUE(cold.ok());
   ASSERT_TRUE(PlanQueryWithCache(sql, request)->cache_hit);

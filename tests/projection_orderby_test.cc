@@ -25,16 +25,7 @@ class ProjectionOrderByTest : public ::testing::Test {
   const CostModel& model() { return workload_->model(); }
 
   ParamEnv BindAll(const Query& query, double selectivity) {
-    ParamEnv bound;
-    for (const RelationTerm& term : query.terms()) {
-      for (const SelectionPredicate& pred : term.predicates) {
-        if (pred.HasParam()) {
-          bound.Bind(pred.operand.param(),
-                     model().ValueForSelectivity(pred, selectivity));
-        }
-      }
-    }
-    return bound;
+    return workload_->BindingsAt(query, selectivity);
   }
 
   std::unique_ptr<PaperWorkload> workload_;

@@ -35,10 +35,13 @@
 #include "physical/costing.h"
 #include "runtime/plan_cache.h"
 #include "runtime/plan_rewrite.h"
+#include "runtime/query_pipeline.h"
 #include "runtime/startup.h"
 #include "server/admission.h"
 #include "server/protocol.h"
 #include "server/server.h"
+#include "tests/reference_eval.h"
+#include "tests/server_fixture.h"
 #include "workload/paper_workload.h"
 
 namespace dqep {
@@ -56,15 +59,8 @@ class ReoptTest : public ::testing::Test {
   /// true selectivity is `sel`, with a point memory grant.
   ParamEnv EnvForSelectivity(const Query& query, double sel,
                              double memory_pages) const {
-    ParamEnv env(Interval::Point(memory_pages));
-    for (const RelationTerm& term : query.terms()) {
-      for (const SelectionPredicate& pred : term.predicates) {
-        if (pred.HasParam()) {
-          env.Bind(pred.operand.param(),
-                   workload_->model().ValueForSelectivity(pred, sel));
-        }
-      }
-    }
+    ParamEnv env = workload_->BindingsAt(query, sel);
+    env.set_memory_pages(Interval::Point(memory_pages));
     return env;
   }
 
@@ -79,9 +75,25 @@ class ReoptTest : public ::testing::Test {
     return startup->resolved;
   }
 
-  static std::vector<Tuple> Sorted(std::vector<Tuple> rows) {
-    std::sort(rows.begin(), rows.end());
-    return rows;
+  /// Armed re-optimization (slack 2, static suffix search) whose
+  /// checkpoint intervals come from `estimates`.
+  static ReoptOptions ArmedOptions(const ParamEnv* estimates) {
+    ReoptOptions options;
+    options.config.enabled = true;
+    options.config.slack = 2.0;
+    options.optimizer = OptimizerOptions::Static();
+    options.estimate_env = estimates;
+    return options;
+  }
+
+  /// Planning through `cache` under the fixture's memory grant.
+  CachedPlanRequest CacheRequest(DynamicPlanCache* cache) const {
+    CachedPlanRequest request;
+    request.catalog = &workload_->catalog();
+    request.model = &workload_->model();
+    request.cache = cache;
+    request.memory_pages = kMemoryPages;
+    return request;
   }
 
   std::unique_ptr<PaperWorkload> workload_;
@@ -101,11 +113,7 @@ TEST_F(ReoptTest, MisestimateFiresCheckpointAndAdoptsMaterializedLeaf) {
   ASSERT_TRUE(baseline.ok());
 
   ExecContext ctx((ExecOptions()));
-  ReoptOptions options;
-  options.config.enabled = true;
-  options.config.slack = 2.0;
-  options.optimizer = OptimizerOptions::Static();
-  options.estimate_env = &misleading;
+  ReoptOptions options = ArmedOptions(&misleading);
   auto executed = ExecuteWithReopt(query, resolved, workload_->db(),
                                    workload_->model(), runtime, ctx, options);
   ASSERT_TRUE(executed.ok()) << executed.status().ToString();
@@ -131,7 +139,7 @@ TEST_F(ReoptTest, MisestimateFiresCheckpointAndAdoptsMaterializedLeaf) {
   }
   EXPECT_TRUE(saw_trigger);
   // Restart-safety: identical rows to the plain execution.
-  EXPECT_EQ(Sorted(executed->rows), Sorted(*baseline));
+  EXPECT_EQ(Canonicalize(executed->rows), Canonicalize(*baseline));
 }
 
 TEST_F(ReoptTest, AccurateEstimatesStayQuiet) {
@@ -143,17 +151,13 @@ TEST_F(ReoptTest, AccurateEstimatesStayQuiet) {
   ASSERT_TRUE(baseline.ok());
 
   ExecContext ctx((ExecOptions()));
-  ReoptOptions options;
-  options.config.enabled = true;
-  options.config.slack = 2.0;
-  options.optimizer = OptimizerOptions::Static();
-  options.estimate_env = &env;  // estimates are exact
+  ReoptOptions options = ArmedOptions(&env);  // estimates are exact
   auto executed = ExecuteWithReopt(query, resolved, workload_->db(),
                                    workload_->model(), env, ctx, options);
   ASSERT_TRUE(executed.ok()) << executed.status().ToString();
   EXPECT_GE(executed->checkpoints_evaluated, 1);  // breakers still report
   EXPECT_EQ(executed->triggers_fired, 0);
-  EXPECT_EQ(Sorted(executed->rows), Sorted(*baseline));
+  EXPECT_EQ(Canonicalize(executed->rows), Canonicalize(*baseline));
 }
 
 TEST_F(ReoptTest, DisabledIsPlainExecution) {
@@ -173,7 +177,82 @@ TEST_F(ReoptTest, DisabledIsPlainExecution) {
   ASSERT_TRUE(executed.ok());
   EXPECT_EQ(executed->checkpoints_evaluated, 0);
   EXPECT_EQ(executed->triggers_fired, 0);
-  EXPECT_EQ(Sorted(executed->rows), Sorted(*baseline));
+  EXPECT_EQ(Canonicalize(executed->rows), Canonicalize(*baseline));
+}
+
+// ---------------------------------------------------------------------------
+// The query pipeline re-optimizes a cached template
+
+// A host variable placed after lifted literals: the template's ParamIds
+// (literals first, dense) differ from a plain parse's (:v would be 0).
+// An adopted suffix is correct only when re-optimization works on the
+// Query the plan was compiled from, under the template's bound env —
+// the pipeline hands ExecuteWithReopt CachedPlanResult::query, never a
+// second parse.  The misestimate recipe through the pipeline: the text's
+// literals (selectivity ~0.02) are what start-up resolves and annotates
+// against; execution then runs under true selectivities near 1.  A
+// miss, then a cache hit with new literals, at threads {1, 4}.
+TEST_F(ReoptTest, PipelineReoptimizesCachedTemplateUnderItsOwnParamIds) {
+  const CostModel& model = workload_->model();
+  const Query chain = workload_->ChainQuery(4);
+  auto literal = [&](int32_t term, double sel) {
+    return model.ValueForSelectivity(chain.term(term).predicates[0], sel)
+        .AsInt64();
+  };
+  DynamicPlanCache cache(8);
+  std::map<std::string, int64_t> bindings;
+  CachedPlanRequest request = CacheRequest(&cache);
+  request.host_bindings = &bindings;
+  for (double sel : {0.02, 0.03}) {
+    const std::string sql =
+        "SELECT * FROM R1, R2, R3, R4 WHERE R1.b = R2.a AND R2.b = R3.a "
+        "AND R3.b = R4.a AND R1.s < " + std::to_string(literal(0, sel)) +
+        " AND R2.s < " + std::to_string(literal(1, sel)) +
+        " AND R3.s < " + std::to_string(literal(2, sel)) + " AND R4.s < :v";
+    bindings["v"] = literal(3, sel);
+    for (int32_t threads : {1, 4}) {
+      SCOPED_TRACE(std::to_string(sel) + " threads " +
+                   std::to_string(threads));
+      auto prepared = PrepareQuery(sql, request, workload_->db());
+      ASSERT_TRUE(prepared.ok()) << prepared.status().ToString();
+      EXPECT_STREQ(prepared->cache_status(),
+                   sel == 0.02 && threads == 1 ? "miss" : "hit");
+      const Query& query = *prepared->planned.query;
+      // Lifted literals come first, so a plain parse would number :v 0.
+      ASSERT_EQ(prepared->planned.host_params.size(), 1u);
+      const ParamId v_id = prepared->planned.host_params[0].second;
+      ASSERT_EQ(v_id, 3);
+
+      // Execute under true bindings: literals at selectivity 0.9, :v at
+      // 0.6 (distinct from every literal).
+      const ParamEnv misleading = prepared->planned.bound;
+      ParamEnv& runtime = prepared->planned.bound;
+      for (const RelationTerm& term : query.terms()) {
+        const SelectionPredicate& pred = term.predicates[0];
+        runtime.Bind(pred.operand.param(),
+                     model.ValueForSelectivity(
+                         pred, pred.operand.param() == v_id ? 0.6 : 0.9));
+      }
+      const std::vector<Tuple> expected =
+          Canonicalize(ReferenceEval(query, workload_->db(), runtime));
+      ASSERT_FALSE(expected.empty());
+
+      ReoptOptions options = ArmedOptions(&misleading);
+      ExecOptions exec_options;
+      exec_options.threads = threads;
+      ExecContext ctx(exec_options);
+      auto run = ExecuteQuery(std::move(*prepared), ctx, &options);
+      ASSERT_TRUE(run.ok()) << run.status().ToString();
+      EXPECT_GT(run->triggers_fired, 0);
+      EXPECT_TRUE(std::any_of(
+          run->checkpoints.begin(), run->checkpoints.end(),
+          [](const ReoptCheckpoint& cp) { return cp.adopted; }));
+      EXPECT_EQ(Canonicalize(ToReferenceOrder(
+                    run->rows, run->exec_tree->layout(),
+                    *run->prepared.planned.query, workload_->db())),
+                expected);
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -187,17 +266,13 @@ TEST_F(ReoptTest, ParityAcrossQueriesAndThreads) {
     PhysNodePtr resolved = PlanUnder(query, misleading);
     auto baseline = ExecutePlan(resolved, workload_->db(), runtime);
     ASSERT_TRUE(baseline.ok());
-    std::vector<Tuple> expected = Sorted(*baseline);
+    std::vector<Tuple> expected = Canonicalize(*baseline);
 
     for (int32_t threads : {1, 4}) {
       ExecOptions exec_options;
       exec_options.threads = threads;
       ExecContext ctx(exec_options);
-      ReoptOptions options;
-      options.config.enabled = true;
-      options.config.slack = 2.0;
-      options.optimizer = OptimizerOptions::Static();
-      options.estimate_env = &misleading;
+      ReoptOptions options = ArmedOptions(&misleading);
       auto executed =
           ExecuteWithReopt(query, resolved, workload_->db(),
                            workload_->model(), runtime, ctx, options);
@@ -208,7 +283,7 @@ TEST_F(ReoptTest, ParityAcrossQueriesAndThreads) {
         EXPECT_GE(executed->triggers_fired, 1)
             << "n=" << n << " threads=" << threads;
       }
-      EXPECT_EQ(Sorted(executed->rows), expected)
+      EXPECT_EQ(Canonicalize(executed->rows), expected)
           << "n=" << n << " threads=" << threads;
     }
   }
@@ -229,16 +304,12 @@ TEST_F(ReoptTest, SpilledCaptureUnderMemoryBudgetKeepsParity) {
   std::unique_ptr<ExecContext> ctx =
       MakeExecContext(runtime, workload_->config(), ExecOptions());
   ASSERT_TRUE(ctx->bounded());
-  ReoptOptions options;
-  options.config.enabled = true;
-  options.config.slack = 2.0;
-  options.optimizer = OptimizerOptions::Static();
-  options.estimate_env = &misleading;
+  ReoptOptions options = ArmedOptions(&misleading);
   auto executed = ExecuteWithReopt(query, resolved, workload_->db(),
                                    workload_->model(), runtime, *ctx, options);
   ASSERT_TRUE(executed.ok()) << executed.status().ToString();
   EXPECT_GE(executed->triggers_fired, 1);
-  EXPECT_EQ(Sorted(executed->rows), Sorted(*baseline));
+  EXPECT_EQ(Canonicalize(executed->rows), Canonicalize(*baseline));
 }
 
 // ---------------------------------------------------------------------------
@@ -246,44 +317,28 @@ TEST_F(ReoptTest, SpilledCaptureUnderMemoryBudgetKeepsParity) {
 
 TEST_F(ReoptTest, SharedCachedPlanIsNeverMutated) {
   DynamicPlanCache cache(8);
-  CachedPlanRequest request;
-  request.catalog = &workload_->catalog();
-  request.model = &workload_->model();
-  request.cache = &cache;
-  request.memory_pages = kMemoryPages;
+  CachedPlanRequest request = CacheRequest(&cache);
   const std::string sql =
       "SELECT * FROM R1, R2 WHERE R1.b = R2.a AND R1.s < 900 AND R2.s < 900";
-  auto planned = PlanQueryWithCache(sql, request);
-  ASSERT_TRUE(planned.ok()) << planned.status().ToString();
-  ASSERT_FALSE(planned->cache_hit);
-  const std::string cached_before = planned->root->ToString();
+  auto prepared = PrepareQuery(sql, request, workload_->db());
+  ASSERT_TRUE(prepared.ok()) << prepared.status().ToString();
+  ASSERT_FALSE(prepared->planned.cache_hit);
+  const PhysNodePtr cached = prepared->planned.root;
+  const std::string cached_before = cached->ToString();
 
-  StartupOptions startup_options;
-  startup_options.plan_params = &planned->plan_params;
-  auto startup = ResolveDynamicPlan(planned->root, workload_->model(),
-                                    planned->bound, startup_options);
-  ASSERT_TRUE(startup.ok());
-
-  // Misleading estimates come from a plain parse of the same text with
-  // tiny literals; the runtime literals (900) select almost everything.
-  Query query = workload_->ChainQuery(2);
-  ParamEnv misleading = EnvForSelectivity(query, 0.02, kMemoryPages);
-
+  // Misleading estimates bind the template's parameters for tiny
+  // selectivities; the runtime literals (900) select almost everything.
+  ParamEnv misleading =
+      EnvForSelectivity(*prepared->planned.query, 0.02, kMemoryPages);
   ExecContext ctx((ExecOptions()));
-  ReoptOptions options;
-  options.config.enabled = true;
-  options.config.slack = 2.0;
-  options.optimizer = OptimizerOptions::Static();
-  options.estimate_env = &misleading;
-  auto executed =
-      ExecuteWithReopt(query, startup->resolved, workload_->db(),
-                       workload_->model(), planned->bound, ctx, options);
+  ReoptOptions options = ArmedOptions(&misleading);
+  auto executed = ExecuteQuery(std::move(*prepared), ctx, &options);
   ASSERT_TRUE(executed.ok()) << executed.status().ToString();
   EXPECT_GE(executed->triggers_fired, 1);
 
   // The cached DAG is byte-identical, and a second planning round trip
   // still hits and yields the same template.
-  EXPECT_EQ(planned->root->ToString(), cached_before);
+  EXPECT_EQ(cached->ToString(), cached_before);
   auto replanned = PlanQueryWithCache(sql, request);
   ASSERT_TRUE(replanned.ok());
   EXPECT_TRUE(replanned->cache_hit);
@@ -389,58 +444,12 @@ TEST(AdaptiveThrottleTest, NonAdaptiveThrottleIgnoresCompletions) {
 // ---------------------------------------------------------------------------
 // Server session: \reopt over the wire
 
-class ReoptServerFixture {
- public:
-  explicit ReoptServerFixture(server::ServerOptions options) {
-    char tmpl[] = "/tmp/dqepreoptXXXXXX";
-    dir_ = ::mkdtemp(tmpl);
-    options.socket_path = dir_ + "/s";
-    server_ = std::make_unique<server::DqepServer>(std::move(options));
-    std::string error;
-    started_ = server_->Start(&error);
-    EXPECT_TRUE(started_) << error;
-    if (started_) {
-      serve_thread_ = std::thread([this] { server_->Serve(); });
-    }
-  }
-
-  ~ReoptServerFixture() {
-    if (serve_thread_.joinable()) {
-      server_->Shutdown();
-      serve_thread_.join();
-    }
-    ::rmdir(dir_.c_str());
-  }
-
-  std::unique_ptr<server::LineChannel> Connect() {
-    std::string error;
-    const int fd = server::ConnectUnix(server_->options().socket_path, &error);
-    EXPECT_GE(fd, 0) << error;
-    return fd < 0 ? nullptr
-                  : std::make_unique<server::LineChannel>(fd);
-  }
-
-  bool started() const { return started_; }
-
- private:
-  std::string dir_;
-  std::unique_ptr<server::DqepServer> server_;
-  std::thread serve_thread_;
-  bool started_ = false;
-};
-
-server::QueryResponse RoundTrip(server::LineChannel* channel,
-                                const std::string& line) {
-  server::QueryResponse response;
-  EXPECT_TRUE(channel->WriteAll(line + "\n"));
-  EXPECT_TRUE(channel->ReadResponse(&response));
-  return response;
-}
+using server::RoundTrip;
 
 TEST(ReoptServerTest, SessionTogglesReoptAndKeepsParity) {
   server::ServerOptions options;
   options.sessions = 1;
-  ReoptServerFixture fixture(options);
+  server::ServerFixture fixture(options);
   ASSERT_TRUE(fixture.started());
   auto conn = fixture.Connect();
   ASSERT_NE(conn, nullptr);
@@ -479,7 +488,7 @@ TEST(ReoptServerTest, ServerWideDefaultAppliesToNewSessions) {
   options.sessions = 1;
   options.reopt = true;
   options.reopt_slack = 3.0;
-  ReoptServerFixture fixture(options);
+  server::ServerFixture fixture(options);
   ASSERT_TRUE(fixture.started());
   auto conn = fixture.Connect();
   ASSERT_NE(conn, nullptr);

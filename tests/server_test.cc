@@ -31,10 +31,12 @@
 #include "physical/costing.h"
 #include "runtime/plan_cache.h"
 #include "runtime/plan_rewrite.h"
+#include "runtime/query_pipeline.h"
 #include "runtime/startup.h"
 #include "server/admission.h"
 #include "server/protocol.h"
 #include "server/server.h"
+#include "tests/server_fixture.h"
 #include "workload/paper_workload.h"
 
 namespace dqep {
@@ -304,30 +306,7 @@ TEST(ProtocolTest, StatusLineRoundTrip) {
 // ClonePlan + annotation safety
 
 std::string ChainSql(int32_t n, int64_t literal) {
-  std::string sql = "SELECT * FROM ";
-  for (int32_t i = 1; i <= n; ++i) {
-    if (i > 1) {
-      sql += ", ";
-    }
-    sql += "R" + std::to_string(i);
-  }
-  sql += " WHERE ";
-  bool first = true;
-  for (int32_t i = 1; i < n; ++i) {
-    if (!first) {
-      sql += " AND ";
-    }
-    first = false;
-    sql += "R" + std::to_string(i) + ".b = R" + std::to_string(i + 1) + ".a";
-  }
-  for (int32_t i = 1; i <= n; ++i) {
-    if (!first) {
-      sql += " AND ";
-    }
-    first = false;
-    sql += "R" + std::to_string(i) + ".s < " + std::to_string(literal);
-  }
-  return sql;
+  return PaperWorkload::ChainSql(n, std::vector<int64_t>(n, literal));
 }
 
 void CollectNodes(const PhysNode* node, std::set<const PhysNode*>* out) {
@@ -475,59 +454,14 @@ TEST(QueryLogConcurrencyTest, ParallelAppendsProduceWholeLines) {
 // ---------------------------------------------------------------------------
 // Socket-level integration
 
-/// Runs one DqepServer on a background thread against a temp-dir socket.
-class ServerFixture {
- public:
-  explicit ServerFixture(ServerOptions options) {
-    char tmpl[] = "/tmp/dqepsrvXXXXXX";
-    dir_ = ::mkdtemp(tmpl);
-    options.socket_path = dir_ + "/s";
-    server_ = std::make_unique<DqepServer>(std::move(options));
-    std::string error;
-    started_ = server_->Start(&error);
-    EXPECT_TRUE(started_) << error;
-    if (started_) {
-      serve_thread_ = std::thread([this] { exit_code_ = server_->Serve(); });
-    }
+/// No memory grant is held and no spill heap is live (registry gauges).
+void ExpectNothingHeld() {
+  const auto snapshot = obs::MetricsRegistry::Instance().Snapshot();
+  for (const char* gauge : {"server.pool.pages_in_use",
+                            "storage.tempheap.live"}) {
+    auto it = snapshot.find(gauge);
+    EXPECT_EQ(it == snapshot.end() ? 0 : it->second.value, 0) << gauge;
   }
-
-  ~ServerFixture() {
-    StopAndJoin();
-    ::rmdir(dir_.c_str());
-  }
-
-  void StopAndJoin() {
-    if (serve_thread_.joinable()) {
-      server_->Shutdown();
-      serve_thread_.join();
-    }
-  }
-
-  std::unique_ptr<LineChannel> Connect() {
-    std::string error;
-    const int fd = ConnectUnix(server_->options().socket_path, &error);
-    EXPECT_GE(fd, 0) << error;
-    return fd < 0 ? nullptr : std::make_unique<LineChannel>(fd);
-  }
-
-  DqepServer& server() { return *server_; }
-  int exit_code() const { return exit_code_; }
-  bool started() const { return started_; }
-
- private:
-  std::string dir_;
-  std::unique_ptr<DqepServer> server_;
-  std::thread serve_thread_;
-  bool started_ = false;
-  int exit_code_ = -1;
-};
-
-/// One request/response round; asserts the connection stayed healthy.
-QueryResponse RoundTrip(LineChannel* channel, const std::string& line) {
-  QueryResponse response;
-  EXPECT_TRUE(channel->WriteAll(line + "\n"));
-  EXPECT_TRUE(channel->ReadResponse(&response));
-  return response;
 }
 
 TEST(ServerIntegrationTest, BasicQueryAndSharedCacheAcrossSessions) {
@@ -576,22 +510,17 @@ TEST(ServerIntegrationTest, ConcurrentSessionsMatchSerialResults) {
     CachedPlanRequest request;
     request.catalog = &(*workload)->catalog();
     request.model = &(*workload)->model();
-    Result<CachedPlanResult> planned =
-        PlanQueryWithCache(sqls.back(), request);
-    ASSERT_TRUE(planned.ok());
-    Result<StartupResult> startup = ResolveDynamicPlan(
-        planned->root, (*workload)->model(), planned->bound);
-    ASSERT_TRUE(startup.ok());
+    Result<PreparedQuery> prepared =
+        PrepareQuery(sqls.back(), request, (*workload)->db());
+    ASSERT_TRUE(prepared.ok());
     // Execute under the same bounded 64-page context the server gives its
     // sessions: spill decisions (and thus row order) depend on the budget.
     std::unique_ptr<ExecContext> ctx =
-        MakeExecContext(planned->bound, (*workload)->config());
-    Result<std::unique_ptr<BatchIterator>> iter =
-        BuildBatchExecutor(startup->resolved, (*workload)->db(),
-                           planned->bound, ctx.get());
-    ASSERT_TRUE(iter.ok());
+        MakeExecContext(prepared->planned.bound, (*workload)->config());
+    Result<QueryRun> run = ExecuteQuery(std::move(*prepared), *ctx, nullptr);
+    ASSERT_TRUE(run.ok());
     std::vector<std::string> rows;
-    for (const Tuple& row : DrainRows(**iter, *startup->resolved)) {
+    for (const Tuple& row : run->rows) {
       rows.push_back(row.ToString());
     }
     expected.push_back(std::move(rows));
@@ -660,12 +589,90 @@ TEST(ServerIntegrationTest, GrantTooLargeIsPoliteProtocolError) {
   ASSERT_FALSE(response.ok);
   EXPECT_NE(response.error.find("admission"), std::string::npos);
   EXPECT_NE(response.error.find("exceeds"), std::string::npos);
+  ExpectNothingHeld();
 
   // The connection survives the rejection: a fitting grant works.
   ASSERT_TRUE(RoundTrip(conn.get(), "\\mem 32").ok);
   QueryResponse retry =
       RoundTrip(conn.get(), "SELECT * FROM R1 WHERE R1.s < 300");
   EXPECT_TRUE(retry.ok) << retry.error;
+  ExpectNothingHeld();
+}
+
+TEST(ServerIntegrationTest, ParseAndBindingErrorsLeakNothing) {
+  ServerOptions options;
+  options.sessions = 1;
+  options.pool_pages = 64;
+  ServerFixture fixture(options);
+  ASSERT_TRUE(fixture.started());
+
+  auto conn = fixture.Connect();
+  ASSERT_NE(conn, nullptr);
+  for (const char* reopt : {"\\reopt off", "\\reopt on"}) {
+    SCOPED_TRACE(reopt);
+    ASSERT_TRUE(RoundTrip(conn.get(), reopt).ok);
+    QueryResponse parse_error = RoundTrip(conn.get(), "SELEC * FROM R1");
+    EXPECT_FALSE(parse_error.ok);
+    ExpectNothingHeld();
+    QueryResponse unbound =
+        RoundTrip(conn.get(), "SELECT * FROM R1 WHERE R1.s < :nope");
+    EXPECT_FALSE(unbound.ok);
+    EXPECT_NE(unbound.error.find("unbound"), std::string::npos)
+        << unbound.error;
+    ExpectNothingHeld();
+    QueryResponse good =
+        RoundTrip(conn.get(), "SELECT * FROM R1 WHERE R1.s < 300");
+    EXPECT_TRUE(good.ok) << good.error;
+    ExpectNothingHeld();
+  }
+}
+
+// The memory grant ends with execution, not with the reply: a client
+// that does not read a large reply must not keep the pages its session
+// holds while blocked writing, or every queued query stalls behind it.
+TEST(ServerIntegrationTest, GrantIsReleasedBeforeTheReplyIsRead) {
+  ServerOptions options;
+  options.sessions = 2;
+  options.pool_pages = 64;  // exactly one session grant
+  options.admission_timeout_ms = 1000;
+  ServerFixture fixture(options);
+  ASSERT_TRUE(fixture.started());
+
+  auto slow = fixture.Connect();
+  auto fast = fixture.Connect();
+  ASSERT_NE(slow, nullptr);
+  ASSERT_NE(fast, nullptr);
+  // An unfiltered 3-way join: about a megabyte of rows, far more than
+  // both socket buffers hold, so the session blocks writing the reply.
+  ASSERT_TRUE(slow->WriteAll(
+      "SELECT * FROM R1, R2, R3 WHERE R1.b = R2.a AND R2.b = R3.a\n"));
+  // Wait until the slow query is past execution (its `\top` phase is
+  // "log", where it stays while the write blocks).
+  bool executed = false;
+  const auto deadline = std::chrono::steady_clock::now() + milliseconds(20000);
+  while (!executed && std::chrono::steady_clock::now() < deadline) {
+    QueryResponse top = RoundTrip(fast.get(), "\\top");
+    ASSERT_TRUE(top.ok) << top.error;
+    for (const std::string& row : top.rows) {
+      executed = executed || (row.find(" log ") != std::string::npos &&
+                              row.find("R3") != std::string::npos);
+    }
+    if (!executed) {
+      std::this_thread::sleep_for(milliseconds(10));
+    }
+  }
+  ASSERT_TRUE(executed);
+
+  // Nothing has been read from the slow connection yet.
+  QueryResponse other =
+      RoundTrip(fast.get(), "SELECT * FROM R1 WHERE R1.s < 300");
+  EXPECT_TRUE(other.ok) << other.error;
+
+  QueryResponse big;
+  ASSERT_TRUE(slow->ReadResponse(&big));
+  ASSERT_TRUE(big.ok) << big.error;
+  EXPECT_GT(big.row_count, 0);
+  ExpectNothingHeld();
 }
 
 TEST(ServerIntegrationTest, ThrottleSaturationTimesOutNotHangs) {
@@ -699,6 +706,7 @@ TEST(ServerIntegrationTest, SigtermDrainsMidStreamAndFlushesLog) {
   ::unlink(log_path.c_str());
   ServerOptions options;
   options.sessions = 2;
+  options.pool_pages = 1024;
   options.query_log_path = log_path;
   ServerFixture fixture(options);
   ASSERT_TRUE(fixture.started());
@@ -737,6 +745,8 @@ TEST(ServerIntegrationTest, SigtermDrainsMidStreamAndFlushesLog) {
   ::raise(SIGTERM);
   client.join();
   fixture.StopAndJoin();
+  // The cancelled query returned its grant and its spill heaps.
+  ExpectNothingHeld();
 
   // Clean exit code and a log in which every line is whole.
   EXPECT_EQ(fixture.exit_code(), 0);
@@ -1016,8 +1026,9 @@ TEST(FlightRecorderTest, SlowBundleIsValidTraceAndAnalyzeJson) {
   child.actual_rows = 42;
   child.have_actual = true;
   record.operators = {parent, child};
-  record.analyze_json = "{\"rows\": []}";
-  auto finished = recorder.Record(std::move(record));
+  auto finished = recorder.Record(std::move(record), [] {
+    return std::string("{\"rows\": []}");
+  });
   ASSERT_TRUE(finished->slow);
   ASSERT_FALSE(finished->bundle_path.empty());
 

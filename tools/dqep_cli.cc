@@ -104,8 +104,7 @@
 #include "optimizer/optimizer.h"
 #include "physical/costing.h"
 #include "runtime/plan_cache.h"
-#include "runtime/plan_rewrite.h"
-#include "runtime/reopt.h"
+#include "runtime/query_pipeline.h"
 #include "runtime/startup.h"
 #include "server/protocol.h"
 #include "sql/parser.h"
@@ -204,7 +203,7 @@ class Shell {
           break;
         }
       } else {
-        Query(line, /*explain=*/false, stats_every_query_);
+        Query(line, stats_every_query_);
       }
     }
     if (trace_ != nullptr) {
@@ -332,7 +331,7 @@ class Shell {
       size_t start = rest.find_first_not_of(" \t");
       if (start != std::string::npos) {
         // \analyze SELECT ... — EXPLAIN ANALYZE for one query.
-        Query(rest.substr(start), /*explain=*/false, /*analyze=*/true);
+        Query(rest.substr(start), /*analyze=*/true);
         return true;
       }
       stats_ = AnalyzeDatabase(workload_->db());
@@ -352,7 +351,7 @@ class Shell {
     if (command == "\\explain") {
       std::string rest;
       std::getline(in, rest);
-      Query(rest, /*explain=*/true);
+      Explain(rest);
       return true;
     }
     if (command == "\\metrics") {
@@ -390,15 +389,7 @@ class Shell {
         std::printf("usage: \\cache [clear]\n");
         return true;
       }
-      PlanCacheStats stats = plan_cache_->stats();
-      std::printf(
-          "plan cache: %zu/%zu entries; %lld hits, %lld misses, "
-          "%lld inserts, %lld evictions, %lld invalidations\n",
-          stats.size, stats.capacity, static_cast<long long>(stats.hits),
-          static_cast<long long>(stats.misses),
-          static_cast<long long>(stats.inserts),
-          static_cast<long long>(stats.evictions),
-          static_cast<long long>(stats.invalidations));
+      std::printf("%s\n", plan_cache_->stats().ToString().c_str());
       return true;
     }
     std::printf("unknown command %s\n", command.c_str());
@@ -420,65 +411,32 @@ class Shell {
         static_cast<long long>(ctx.overflows()));
   }
 
-  /// Post-execution reporting common to plain and re-optimizing runs:
-  /// per-operator trace spans, the profile, (when requested) the EXPLAIN
-  /// ANALYZE report joining the plan's compile-time intervals with the
-  /// measured tree, and (when a query log is open) one persisted record
-  /// of the run.
-  void Report(const ExecNode& exec_root, const PhysNodePtr& dynamic_root,
-              const PhysNodePtr& resolved, const StartupResult* startup,
-              int64_t exec_start_us, bool analyze, const ParamEnv& bound_env,
-              const ExecContext* ctx,
-              const std::vector<ReoptCheckpoint>* reopt = nullptr) {
+  /// Post-execution reporting: per-operator trace spans, the profile,
+  /// (when requested) the EXPLAIN ANALYZE report joining the plan's
+  /// estimate intervals with the measured tree, and (when a query log is
+  /// open) one persisted record of the run.  `pool_hits_before` /
+  /// `pool_misses_before` are the buffer-pool counters before execution.
+  void Report(QueryRun& run, int64_t exec_start_us, bool analyze,
+              int64_t pool_hits_before, int64_t pool_misses_before) {
     if (trace_ != nullptr) {
-      EmitOperatorSpans(trace_.get(), exec_root, exec_start_us);
+      EmitOperatorSpans(trace_.get(), *run.exec_tree, exec_start_us);
     }
     if (profile_) {
-      std::printf("%s", RenderProfile(exec_root).c_str());
+      std::printf("%s", RenderProfile(*run.exec_tree).c_str());
     }
     if (!analyze && !query_log_.is_open()) {
       return;
     }
-    // Re-annotate with the compile-time (unbound, interval) env: plan
-    // rewriting rebuilt the nodes above replaced choose-plan operators
-    // without estimates.  Annotate a private deep copy, not `resolved`
-    // itself — the resolved plan shares subtrees with the cached dynamic
-    // plan, and a concurrent session (the server) may be resolving the
-    // same cache entry while we write estimates.
-    PhysNodePtr annotated = ClonePlan(workload_->catalog(), resolved);
-    ParamEnv compile_env(Interval::Point(memory_pages_));
-    AnnotatePlan(*annotated, model(), compile_env, EstimationMode::kInterval);
-    obs::AnalyzeInput input;
-    input.dynamic_root = dynamic_root.get();
-    input.resolved_root = annotated.get();
-    input.startup = startup;
-    input.exec_root = &exec_root;
-    input.plan_cache = pending_cache_status_;
-    input.reopt = reopt;
+    obs::AnalyzeInput input = obs::AnalyzeInputFor(run);
     if (analyze) {
       std::printf("%s", obs::RenderAnalyze(input, stats_format_).c_str());
     }
     if (query_log_.is_open()) {
-      obs::QueryLogRecord record =
-          obs::BuildQueryLogRecord(pending_sql_, input, model(), bound_env);
-      record.plan_cache = pending_cache_status_;
-      record.bindings = pending_bindings_;
-      record.threads = threads_;
-      record.memory_pages = memory_pages_;
-      if (ctx != nullptr) {
-        record.peak_memory_bytes = ctx->tracker().peak_bytes();
-        record.spill_files = ctx->temp_files_created();
-        record.spill_tuples = ctx->tuples_spilled();
-      }
-      auto snap = obs::MetricsRegistry::Instance().Snapshot();
-      auto counter = [&snap](const char* name) -> int64_t {
-        auto it = snap.find(name);
-        return it == snap.end() ? 0 : it->second.value;
-      };
-      record.pool_hits =
-          counter("storage.bufferpool.hits") - pool_hits_before_;
-      record.pool_misses =
-          counter("storage.bufferpool.misses") - pool_misses_before_;
+      obs::QueryLogRecord record = obs::BuildQueryLogRecord(run, input);
+      record.pool_hits = PoolCounter("storage.bufferpool.hits") -
+                         pool_hits_before;
+      record.pool_misses = PoolCounter("storage.bufferpool.misses") -
+                           pool_misses_before;
       if (!query_log_.Append(record)) {
         std::fprintf(stderr, "query log: append to %s failed\n",
                      query_log_.path().c_str());
@@ -486,110 +444,11 @@ class Shell {
     }
   }
 
-  /// Executes the resolved plan (in parallel when threads > 1),
-  /// printing the per-operator profile afterwards when enabled.  When a
-  /// memory budget was set (`--memory-pages` or \mem), the query runs
-  /// under an ExecContext built from the grant, so joins and sorts spill
-  /// rather than exceed it.  `dynamic_root`/`startup` feed the EXPLAIN
-  /// ANALYZE report when `analyze` is set.
-  Result<std::vector<Tuple>> Execute(const PhysNodePtr& plan,
-                                     const ParamEnv& env,
-                                     const PhysNodePtr& dynamic_root,
-                                     const StartupResult* startup,
-                                     bool analyze) {
-    ExecOptions options;
-    options.threads = threads_;
-    std::unique_ptr<ExecContext> ctx;
-    int64_t exec_start_us = trace_ == nullptr ? 0 : trace_->NowMicros();
-    if (enforce_memory_) {
-      ctx = MakeExecContext(env, config_, options);
-    }
-    if (ctx != nullptr) {
-      ctx->set_trace(trace_.get());
-    }
-    Result<std::unique_ptr<BatchIterator>> iter =
-        ctx != nullptr
-            ? BuildParallelBatchExecutor(plan, workload_->db(), env, *ctx)
-            : BuildParallelBatchExecutor(plan, workload_->db(), env, options);
-    if (!iter.ok()) {
-      return iter.status();
-    }
-    std::vector<Tuple> rows = DrainRows(**iter, *plan);
-    if (trace_ != nullptr) {
-      trace_->EndSpan("execute", "query", exec_start_us,
-                      {{"rows", std::to_string(rows.size())},
-                       {"threads", std::to_string(threads_)}});
-    }
-    Report(**iter, dynamic_root, plan, startup, exec_start_us, analyze, env,
-           ctx.get());
-    if (ctx != nullptr) {
-      PrintMemorySummary(*ctx);
-    }
-    return rows;
-  }
-
-  /// Executes under the mid-query re-optimization driver: runtime
-  /// cardinality checkpoints at pipeline breakers may re-enter the
-  /// decision procedure for the un-executed suffix (runtime/reopt.h).
-  /// Re-parses `sql` plainly — the suffix Query and its environment need
-  /// ParamIds of the plain parse, not the cached template's.
-  Result<std::vector<Tuple>> ExecuteReopt(const std::string& sql,
-                                          const CachedPlanResult& planned,
-                                          const StartupResult* startup,
-                                          bool analyze) {
-    Result<ParsedQuery> parsed = ParseQuery(sql, workload_->catalog());
-    if (!parsed.ok()) {
-      return parsed.status();
-    }
-    ParamEnv suffix_env(Interval::Point(memory_pages_));
-    for (const auto& [name, id] : parsed->params) {
-      auto it = bindings_.find(name);
-      if (it == bindings_.end()) {
-        return Status::InvalidArgument("host variable :" + name +
-                                       " is unbound");
-      }
-      suffix_env.Bind(id, Value(it->second));
-    }
-    ExecOptions options;
-    options.threads = threads_;
-    std::unique_ptr<ExecContext> ctx =
-        enforce_memory_ ? MakeExecContext(planned.bound, config_, options)
-                        : std::make_unique<ExecContext>(options);
-    ctx->set_trace(trace_.get());
-    int64_t exec_start_us = trace_ == nullptr ? 0 : trace_->NowMicros();
-    ReoptOptions reopt_options;
-    reopt_options.config.enabled = true;
-    reopt_options.config.slack = reopt_slack_;
-    reopt_options.optimizer = OptimizerOptions::Static();
-    reopt_options.startup.trace = trace_.get();
-    reopt_options.suffix_env = &suffix_env;
-    Result<ReoptExecution> executed =
-        ExecuteWithReopt(parsed->query, startup->resolved, workload_->db(),
-                         model(), planned.bound, *ctx, reopt_options);
-    if (!executed.ok()) {
-      return executed.status();
-    }
-    if (trace_ != nullptr) {
-      trace_->EndSpan(
-          "execute", "query", exec_start_us,
-          {{"rows", std::to_string(executed->rows.size())},
-           {"threads", std::to_string(threads_)},
-           {"reopt_triggers", std::to_string(executed->triggers_fired)}});
-    }
-    if (executed->triggers_fired > 0) {
-      std::printf("reopt: %lld checkpoint(s) evaluated, %lld trigger(s), "
-                  "%.4f s re-optimizing\n",
-                  static_cast<long long>(executed->checkpoints_evaluated),
-                  static_cast<long long>(executed->triggers_fired),
-                  executed->reopt_seconds);
-    }
-    Report(*executed->exec_root(), planned.root, executed->final_plan,
-           startup, exec_start_us, analyze, planned.bound, ctx.get(),
-           &executed->checkpoints);
-    if (enforce_memory_) {
-      PrintMemorySummary(*ctx);
-    }
-    return std::move(executed->rows);
+  /// One process-wide buffer-pool counter from the metrics registry.
+  static int64_t PoolCounter(const char* name) {
+    auto snap = obs::MetricsRegistry::Instance().Snapshot();
+    auto it = snap.find(name);
+    return it == snap.end() ? 0 : it->second.value;
   }
 
   /// \explain: static plan vs. dynamic plan vs. start-up resolution.
@@ -649,15 +508,9 @@ class Shell {
                 startup->resolved->ToString().c_str());
   }
 
-  void Query(const std::string& sql, bool explain, bool analyze = false) {
-    if (explain) {
-      Explain(sql);
-      return;
-    }
-    // Plan through the cache: normalize -> lookup -> (miss) parameterized
-    // parse + dynamic optimize + insert.  The returned environment binds
-    // the lifted literals and host variables; every execution below —
-    // hit or miss — runs the start-up decision procedure afresh.
+  void Query(const std::string& sql, bool analyze) {
+    // Plan through the cache (every execution — hit or miss — runs the
+    // start-up decision procedure afresh), then execute.
     CachedPlanRequest request;
     request.catalog = &workload_->catalog();
     request.model = &model();
@@ -665,68 +518,75 @@ class Shell {
     request.memory_pages = memory_pages_;
     request.host_bindings = &bindings_;
     request.trace = trace_.get();
-    Result<CachedPlanResult> planned = PlanQueryWithCache(sql, request);
-    if (!planned.ok()) {
-      const std::string& message = planned.status().message();
+    Result<PreparedQuery> prepared =
+        PrepareQuery(sql, request, workload_->db());
+    if (!prepared.ok()) {
+      const std::string& message = prepared.status().message();
       if (message.find("is unbound") != std::string::npos) {
         std::printf("%s\n", message.c_str());
       } else {
-        std::printf("error: %s\n", planned.status().ToString().c_str());
+        std::printf("error: %s\n", prepared.status().ToString().c_str());
       }
       return;
     }
-    pending_cache_status_ =
-        planned->cache_used ? (planned->cache_hit ? "hit" : "miss") : "off";
-    StartupOptions startup_options;
-    startup_options.trace = trace_.get();
-    if (!planned->plan_params.empty()) {
-      startup_options.plan_params = &planned->plan_params;
+    // Without a pinned budget the query still runs under a context, an
+    // unbounded one: usage is tracked, nothing spills.
+    ExecOptions options;
+    options.threads = threads_;
+    std::unique_ptr<ExecContext> ctx =
+        enforce_memory_
+            ? MakeExecContext(prepared->planned.bound, config_, options)
+            : std::make_unique<ExecContext>(options);
+    ctx->set_trace(trace_.get());
+    ReoptOptions reopt;
+    reopt.config.enabled = true;
+    reopt.config.slack = reopt_slack_;
+    reopt.optimizer = OptimizerOptions::Static();
+    reopt.startup.trace = trace_.get();
+    const bool want_log = query_log_.is_open();
+    const int64_t pool_hits_before =
+        want_log ? PoolCounter("storage.bufferpool.hits") : 0;
+    const int64_t pool_misses_before =
+        want_log ? PoolCounter("storage.bufferpool.misses") : 0;
+    const int64_t exec_start_us = trace_ == nullptr ? 0 : trace_->NowMicros();
+    Result<QueryRun> run = ExecuteQuery(std::move(*prepared), *ctx,
+                                        reopt_on_ ? &reopt : nullptr);
+    if (!run.ok()) {
+      std::printf("execution error: %s\n", run.status().ToString().c_str());
+      return;
     }
-    if (query_log_.is_open()) {
-      // Capture what only this scope knows for the log record Report
-      // writes after execution: the query text, the bindings it used, and
-      // the buffer-pool counters to delta against.
-      pending_sql_ = sql;
-      pending_bindings_.clear();
-      for (const auto& [name, id] : planned->host_params) {
-        (void)id;
-        auto it = bindings_.find(name);
-        if (it != bindings_.end()) {
-          pending_bindings_.emplace_back(name, it->second);
-        }
+    if (trace_ != nullptr) {
+      std::vector<std::pair<std::string, std::string>> args = {
+          {"rows", std::to_string(run->rows.size())},
+          {"threads", std::to_string(threads_)}};
+      if (run->reoptimized) {
+        args.emplace_back("reopt_triggers",
+                          std::to_string(run->triggers_fired));
       }
-      auto snap = obs::MetricsRegistry::Instance().Snapshot();
-      auto counter = [&snap](const char* name) -> int64_t {
-        auto it = snap.find(name);
-        return it == snap.end() ? 0 : it->second.value;
-      };
-      pool_hits_before_ = counter("storage.bufferpool.hits");
-      pool_misses_before_ = counter("storage.bufferpool.misses");
+      trace_->EndSpan("execute", "query", exec_start_us, std::move(args));
     }
-    Result<StartupResult> startup = ResolveDynamicPlan(
-        planned->root, model(), planned->bound, startup_options);
-    if (!startup.ok()) {
-      std::printf("start-up error: %s\n",
-                  startup.status().ToString().c_str());
-      return;
+    if (run->triggers_fired > 0) {
+      std::printf("reopt: %lld checkpoint(s) evaluated, %lld trigger(s), "
+                  "%.4f s re-optimizing\n",
+                  static_cast<long long>(run->checkpoints_evaluated),
+                  static_cast<long long>(run->triggers_fired),
+                  run->reopt_seconds);
     }
-    Result<std::vector<Tuple>> rows =
-        reopt_on_ ? ExecuteReopt(sql, *planned, &*startup, analyze)
-                  : Execute(startup->resolved, planned->bound, planned->root,
-                            &*startup, analyze);
-    if (!rows.ok()) {
-      std::printf("execution error: %s\n", rows.status().ToString().c_str());
-      return;
+    Report(*run, exec_start_us, analyze, pool_hits_before,
+           pool_misses_before);
+    if (enforce_memory_) {
+      PrintMemorySummary(*ctx);
     }
+    const std::vector<Tuple>& rows = run->rows;
     size_t shown = 0;
-    for (const Tuple& row : *rows) {
+    for (const Tuple& row : rows) {
       if (shown++ >= 10) {
-        std::printf("... (%zu rows total)\n", rows->size());
+        std::printf("... (%zu rows total)\n", rows.size());
         return;
       }
       std::printf("%s\n", row.ToString().c_str());
     }
-    std::printf("(%zu rows)\n", rows->size());
+    std::printf("(%zu rows)\n", rows.size());
   }
 
   std::unique_ptr<PaperWorkload> workload_;
@@ -739,15 +599,8 @@ class Shell {
   double memory_pages_ = 64.0;
   /// Persistent query log (--query-log / DQEP_QUERY_LOG); closed = off.
   obs::QueryLogWriter query_log_;
-  /// Per-query capture for the log record (set in Query, read in Report).
-  std::string pending_sql_;
-  std::vector<std::pair<std::string, int64_t>> pending_bindings_;
-  /// Plan-cache outcome of the current query: "hit", "miss", or "off".
-  std::string pending_cache_status_;
   /// The process-wide cache, or null when --plan-cache=off.
   DynamicPlanCache* plan_cache_ = nullptr;
-  int64_t pool_hits_before_ = 0;
-  int64_t pool_misses_before_ = 0;
   /// Set once the user pins a budget (flag or \mem): execution then runs
   /// under an ExecContext so the grant is enforced, not just priced.
   bool enforce_memory_ = false;

@@ -2,7 +2,8 @@
 # Build-and-test gauntlet: the bench-schema gate, the plain tree (full
 # suite), the plan-cache amortization gate, the multi-session server
 # gate, the mid-query re-optimization gate, the live telemetry scrape
-# gate, then the ThreadSanitizer and
+# gate, the oracle-replay gate, a served-query benchmark smoke run, then
+# the ThreadSanitizer and
 # AddressSanitizer trees over the labeled suites (exec, parallel, spill,
 # obs, cache, server, reopt — the obs label includes the calibration
 # feedback tests).  One command for the checks
@@ -15,6 +16,7 @@
 #   tools/run_checks.sh reoptbench       # mid-query re-optimization gate
 #   tools/run_checks.sh telemetry        # live /metrics scrape gate
 #   tools/run_checks.sh replay           # oracle-replay scorecard gate
+#   tools/run_checks.sh perfbench        # served-query benchmark smoke run
 #   tools/run_checks.sh tsan asan        # just the sanitizer trees
 #
 # Exits non-zero on the first failing step.  Sanitizer trees live in
@@ -24,7 +26,7 @@
 set -eu
 cd "$(dirname "$0")/.."
 
-steps="${*:-bench plain cachebench serverbench reoptbench telemetry replay tsan asan}"
+steps="${*:-bench plain cachebench serverbench reoptbench telemetry replay perfbench tsan asan}"
 labels='exec|parallel|spill|obs|cache|server|reopt'
 
 for step in $steps; do
@@ -276,6 +278,28 @@ print(f"reoptbench: {trig} checkpoints fired across Q2-Q5, parity held, "
       "accurate runs stayed quiet")
 GATE
       ;;
+    perfbench)
+      # The served-query benchmark (perfbench/, built by its own runner
+      # into .bench_build/) names engine declarations directly and checks
+      # every reply against an embedded reference.  A short run of each
+      # workload proves it still builds and that no served reply is wrong
+      # or failed.
+      echo "== perfbench: served-query benchmark smoke run =="
+      for workload in warm_chains cold_templates wide_bindings; do
+        result="$(python3 perfbench/run.py --workload "$workload" --seed 1 \
+          --seconds 2 --trace 0 | tail -n 1)"
+        python3 - "$workload" "$result" <<'GATE'
+import json
+import sys
+
+workload, line = sys.argv[1], sys.argv[2]
+doc = json.loads(line)
+assert doc.get("correct") is True, f"{workload}: wrong replies: {line}"
+assert doc.get("failed") == 0, f"{workload}: failed operations: {line}"
+print(f"perfbench {workload}: {doc['attempted']} operations, all correct")
+GATE
+      done
+      ;;
     tsan)
       echo "== tsan: labeled suites ($labels) =="
       cmake -B build-tsan -S . -DDQEP_SANITIZE=thread >/dev/null
@@ -296,7 +320,8 @@ GATE
       ;;
     *)
       echo "unknown step: $step (want bench, plain, cachebench," \
-           "serverbench, reoptbench, telemetry, replay, tsan, asan)" >&2
+           "serverbench, reoptbench, telemetry, replay, perfbench, tsan," \
+           "asan)" >&2
       exit 2
       ;;
   esac
