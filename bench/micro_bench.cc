@@ -15,6 +15,7 @@
 #include "physical/access_module.h"
 #include "physical/costing.h"
 #include "runtime/startup.h"
+#include "runtime/startup_program.h"
 
 namespace dqep::bench {
 namespace {
@@ -66,21 +67,48 @@ void BM_EstimatePlan(benchmark::State& state) {
 }
 BENCHMARK(BM_EstimatePlan)->Arg(2)->Arg(4)->Arg(10);
 
-void BM_StartupResolve(benchmark::State& state) {
-  int32_t n = static_cast<int32_t>(state.range(0));
+/// The dynamic plan of the n-way chain query plus one seeded binding —
+/// the shared setup of the start-up benchmarks.
+struct StartupCase {
+  Query query;
+  PhysNodePtr root;
+  ParamEnv bound;
+};
+
+StartupCase MakeStartupCase(int32_t n) {
   const PaperWorkload& workload = Workload();
-  Query query = workload.ChainQuery(n);
+  StartupCase c{workload.ChainQuery(n), nullptr, ParamEnv()};
   Optimizer optimizer(&workload.model(), OptimizerOptions::Dynamic());
-  auto plan = optimizer.Optimize(query, workload.CompileTimeEnv(false));
+  auto plan = optimizer.Optimize(c.query, workload.CompileTimeEnv(false));
   DQEP_CHECK(plan.ok());
+  c.root = plan->root;
   Rng rng(2);
-  ParamEnv bound = workload.DrawBindings(&rng, query, false);
+  c.bound = workload.DrawBindings(&rng, c.query, false);
+  return c;
+}
+
+/// Compiling the start-up program: once per cached plan, on the plan
+/// cache's miss path.
+void BM_StartupCompile(benchmark::State& state) {
+  StartupCase c = MakeStartupCase(static_cast<int32_t>(state.range(0)));
   for (auto _ : state) {
-    auto startup = ResolveDynamicPlan(plan->root, workload.model(), bound);
+    StartupProgram program(c.root);
+    benchmark::DoNotOptimize(program);
+  }
+  state.counters["nodes"] = static_cast<double>(c.root->CountNodes());
+}
+BENCHMARK(BM_StartupCompile)->Arg(2)->Arg(4)->Arg(10);
+
+/// Start-up resolution over a prebuilt program: what every plan-cache
+/// hit pays.
+void BM_StartupResolve(benchmark::State& state) {
+  StartupCase c = MakeStartupCase(static_cast<int32_t>(state.range(0)));
+  StartupProgram program(c.root);
+  for (auto _ : state) {
+    auto startup = ResolveDynamicPlan(program, Workload().model(), c.bound);
     benchmark::DoNotOptimize(startup);
   }
-  state.counters["nodes"] =
-      static_cast<double>(plan->root->CountNodes());
+  state.counters["nodes"] = static_cast<double>(program.size());
 }
 BENCHMARK(BM_StartupResolve)->Arg(2)->Arg(4)->Arg(10);
 

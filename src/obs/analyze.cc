@@ -1,5 +1,6 @@
 #include "obs/analyze.h"
 
+#include <atomic>
 #include <cmath>
 #include <cstdarg>
 #include <cstdio>
@@ -17,6 +18,8 @@ namespace obs {
 namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
+
+std::atomic<int64_t> g_analyze_walks{0};
 
 /// Exec-side wrappers that have no plan-side counterpart: the row cursor
 /// over a batch tree and the exchange operator (whose single child is the
@@ -397,8 +400,13 @@ double ActualCpuSeconds(const ExecNode& node) {
 }
 
 std::vector<AnalyzeRow> CollectAnalyzeRows(const AnalyzeInput& input) {
+  g_analyze_walks.fetch_add(1, std::memory_order_relaxed);
   AnalyzeWalker walker(input);
   return walker.Run();
+}
+
+int64_t AnalyzeWalkCount() {
+  return g_analyze_walks.load(std::memory_order_relaxed);
 }
 
 AnalyzeInput AnalyzeInputFor(QueryRun& run) {

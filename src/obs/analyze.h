@@ -29,6 +29,7 @@
 #ifndef DQEP_OBS_ANALYZE_H_
 #define DQEP_OBS_ANALYZE_H_
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -133,6 +134,10 @@ AnalyzeInput AnalyzeInputFor(QueryRun& run);
 
 /// Runs the triple-walk and returns the joined rows in pre-order.
 std::vector<AnalyzeRow> CollectAnalyzeRows(const AnalyzeInput& input);
+
+/// Triple-walks CollectAnalyzeRows has run in this process (monotonic).
+/// A served query walks once however many reports it feeds.
+int64_t AnalyzeWalkCount();
 
 /// Renders the analyze report.  Text: one aligned row per operator plus
 /// one "choose-plan" line per decision.  JSON: {"operators": [...],

@@ -170,6 +170,7 @@ uint64_t HashQueryText(const std::string& text) {
 
 QueryLogRecord BuildQueryLogRecord(const std::string& query_text,
                                    const AnalyzeInput& input,
+                                   const std::vector<AnalyzeRow>& rows,
                                    const CostModel& model,
                                    const ParamEnv& bound_env) {
   QueryLogRecord record;
@@ -211,7 +212,6 @@ QueryLogRecord BuildQueryLogRecord(const std::string& query_text,
   PlanTermsMap terms =
       ComputePlanTerms(*input.resolved_root, model, bound_env);
 
-  std::vector<AnalyzeRow> rows = CollectAnalyzeRows(input);
   for (const AnalyzeRow& row : rows) {
     if (row.kind == AnalyzeRow::Kind::kDecision) {
       QueryLogDecision d;
@@ -284,10 +284,11 @@ QueryLogRecord BuildQueryLogRecord(const std::string& query_text,
 }
 
 QueryLogRecord BuildQueryLogRecord(const QueryRun& run,
-                                   const AnalyzeInput& input) {
+                                   const AnalyzeInput& input,
+                                   const std::vector<AnalyzeRow>& rows) {
   const PreparedQuery& prepared = run.prepared;
   QueryLogRecord record =
-      BuildQueryLogRecord(prepared.sql, input, *prepared.request.model,
+      BuildQueryLogRecord(prepared.sql, input, rows, *prepared.request.model,
                           prepared.planned.bound);
   record.plan_cache = prepared.cache_status();
   record.bindings = prepared.HostBindings();

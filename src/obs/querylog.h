@@ -155,21 +155,25 @@ struct QueryLogRecord {
 uint64_t HashQueryText(const std::string& text);
 
 /// Builds the plan/actuals core of a record from the same inputs EXPLAIN
-/// ANALYZE renders, plus the *bound* environment, which is needed for the
-/// point estimates and unit-operation counts the compile-time intervals
-/// don't carry.  `input.resolved_root` must be annotated with compile-
-/// time intervals (AnnotatePlan), exactly as for RenderAnalyze.
+/// ANALYZE renders — `input` and the rows CollectAnalyzeRows(input)
+/// returned, so a caller that also renders or records them walks once —
+/// plus the *bound* environment, which is needed for the point estimates
+/// and unit-operation counts the compile-time intervals don't carry.
+/// `input.resolved_root` must be annotated with compile-time intervals
+/// (AnnotatePlan), exactly as for RenderAnalyze.
 QueryLogRecord BuildQueryLogRecord(const std::string& query_text,
                                    const AnalyzeInput& input,
+                                   const std::vector<AnalyzeRow>& rows,
                                    const CostModel& model,
                                    const ParamEnv& bound_env);
 
 /// The record of one pipeline run (runtime/query_pipeline.h): the core
-/// above from `input` (AnalyzeInputFor(run)), plus the run's text,
-/// plan-cache outcome, bindings, thread count, memory grant, and peak
-/// memory and spill readings.
+/// above from `input` (AnalyzeInputFor(run)) and its `rows`, plus the
+/// run's text, plan-cache outcome, bindings, thread count, memory grant,
+/// and peak memory and spill readings.
 QueryLogRecord BuildQueryLogRecord(const QueryRun& run,
-                                   const AnalyzeInput& input);
+                                   const AnalyzeInput& input,
+                                   const std::vector<AnalyzeRow>& rows);
 
 /// One record as a single JSON line (no trailing newline).  Non-finite
 /// numbers are encoded as null.

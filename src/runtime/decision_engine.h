@@ -10,11 +10,14 @@
 //
 // Both entries share one engine:
 //
-//   * Resolve()          — start-up entry.  Exactly the historical
-//                          ResolveDynamicPlan semantics (startup.h keeps a
-//                          thin wrapper for compatibility): evaluate every
-//                          choose-plan's alternatives under the bound
-//                          environment, extract the chosen plan.
+//   * Resolve()          — start-up entry (ResolveDynamicPlan in startup.h
+//                          is its door): evaluate every choose-plan's
+//                          alternatives under the bound environment over
+//                          the plan's StartupProgram
+//                          (runtime/startup_program.h), extract the chosen
+//                          plan.  Per-resolve state is dense arrays indexed
+//                          by program node; the program is read-only, so
+//                          concurrent resolutions share one.
 //   * ReoptimizeSuffix() — runtime entry.  Optimizes a suffix Query (the
 //                          un-executed remainder, with a materialized term
 //                          standing in for the finished subtree) under the
@@ -30,6 +33,7 @@
 #include "logical/query.h"
 #include "optimizer/optimizer.h"
 #include "runtime/startup.h"
+#include "runtime/startup_program.h"
 
 namespace dqep {
 
@@ -37,9 +41,10 @@ class DecisionEngine {
  public:
   explicit DecisionEngine(const CostModel& model) : model_(model) {}
 
-  /// Start-up entry: resolves `root` under fully bound `env`.  See
-  /// StartupResult (startup.h) for the outcome fields.
-  Result<StartupResult> Resolve(const PhysNodePtr& root, const ParamEnv& env,
+  /// Start-up entry: resolves `program`'s plan under fully bound `env`.
+  /// See StartupResult (startup.h) for the outcome fields.
+  Result<StartupResult> Resolve(const StartupProgram& program,
+                                const ParamEnv& env,
                                 const StartupOptions& options = {}) const;
 
   /// Outcome of one runtime re-entry.

@@ -16,6 +16,7 @@ Result<CompiledQuery> CompileQuery(const Query& query, const CostModel& model,
   }
   AccessModule module(plan->root);
   CompiledQuery compiled(std::move(*plan), std::move(module));
+  compiled.program = std::make_shared<const StartupProgram>(compiled.plan.root);
   // Scenario totals mix measured CPU with modeled I/O; scale to the
   // modeled testbed's CPU speed (see SystemConfig::cpu_time_scale).
   compiled.optimize_seconds =
@@ -48,7 +49,7 @@ Result<InvocationResult> InvokeDynamic(const CompiledQuery& compiled,
                                        const ParamEnv& bound_env,
                                        const StartupOptions& options) {
   Result<StartupResult> startup =
-      ResolveDynamicPlan(compiled.plan.root, model, bound_env, options);
+      ResolveDynamicPlan(*compiled.program, model, bound_env, options);
   if (!startup.ok()) {
     return startup.status();
   }

@@ -14,6 +14,7 @@
 #ifndef DQEP_RUNTIME_LIFECYCLE_H_
 #define DQEP_RUNTIME_LIFECYCLE_H_
 
+#include <memory>
 #include <optional>
 
 #include "common/status.h"
@@ -22,6 +23,7 @@
 #include "optimizer/optimizer.h"
 #include "physical/access_module.h"
 #include "runtime/startup.h"
+#include "runtime/startup_program.h"
 
 namespace dqep {
 
@@ -30,6 +32,10 @@ struct CompiledQuery {
   OptimizedPlan plan;
   AccessModule module;
 
+  /// The plan's start-up program, built once here like the access
+  /// module (compile-time work, not counted in optimize_seconds); every
+  /// InvokeDynamic resolves over it.
+  std::shared_ptr<const StartupProgram> program;
   /// Measured compile-time optimization CPU seconds (a or e).
   double optimize_seconds = 0.0;
 

@@ -8,7 +8,6 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "optimizer/optimizer.h"
-#include "runtime/startup.h"
 #include "sql/normalize.h"
 #include "sql/parser.h"
 
@@ -310,7 +309,8 @@ Result<CachedPlanResult> PlanQueryWithCache(const std::string& sql,
       result.query = entry->query;
       result.cost = entry->cost;
       result.host_params = entry->host_params;
-      result.plan_params = entry->plan_params;
+      result.program = entry->program;
+      result.plan_params = entry->program->params();
       for (size_t i = 0; i < entry->literal_params.size(); ++i) {
         result.bound.Bind(entry->literal_params[i],
                           Value(normalized.literals[i]));
@@ -348,11 +348,14 @@ Result<CachedPlanResult> PlanQueryWithCache(const std::string& sql,
   if (!plan.ok()) {
     return plan.status();
   }
+  // Compiled here, outside the cache lock; Insert only links it.
+  result.program = std::make_shared<const StartupProgram>(plan->root);
+  result.plan_params = result.program->params();
   if (request.trace != nullptr) {
     request.trace->EndSpan(
         "optimize", "query", optimize_start,
-        {{"nodes", std::to_string(plan->root->CountNodes())},
-         {"choose_nodes", std::to_string(plan->root->CountChooseNodes())}});
+        {{"nodes", std::to_string(result.program->size())},
+         {"choose_nodes", std::to_string(result.program->choose_count())}});
   }
   result.root = plan->root;
   result.cost = plan->cost;
@@ -369,8 +372,7 @@ Result<CachedPlanResult> PlanQueryWithCache(const std::string& sql,
     entry.cardinality = plan->cardinality;
     entry.host_params.assign(parsed->params.begin(), parsed->params.end());
     entry.literal_params = parsed->lifted_params;
-    entry.plan_params = PlanParams(*plan->root);
-    result.plan_params = entry.plan_params;
+    entry.program = result.program;
     entry.stats_epoch = epochs.first;
     entry.profile_epoch = epochs.second;
     entry.optimize_seconds = compile_timer.ElapsedSeconds();

@@ -42,6 +42,13 @@
 // queries from it, under the same bound environment as the plan, so a
 // cache hit needs no second parse.
 //
+// Each entry also carries its plan's StartupProgram
+// (runtime/startup_program.h), the start-up decision procedure compiled
+// once: built on the miss path outside the cache lock, in the same walk
+// that collects the plan's host variables, and shared read-only by every
+// hit's resolution.  A hit therefore pays only the per-binding cost
+// arithmetic, never a walk of the DAG's structure.
+//
 // Observability: every operation feeds both the internal stats() (the
 // \cache shell command) and the MetricsRegistry counters
 // runtime.plancache.{hits,misses,inserts,evictions,invalidations} plus
@@ -66,6 +73,7 @@
 #include "cost/param_env.h"
 #include "logical/query.h"
 #include "physical/plan.h"
+#include "runtime/startup_program.h"
 
 namespace dqep {
 namespace obs {
@@ -116,9 +124,9 @@ class DynamicPlanCache {
     /// Synthetic ParamId per lifted literal, in template-'?' order:
     /// literal_params[i] binds NormalizedQuery::literals[i].
     std::vector<ParamId> literal_params;
-    /// PlanParams(*root), computed once here so every hit can skip the
-    /// full-DAG parameter-discovery walk at start-up resolution.
-    std::vector<ParamId> plan_params;
+    /// The start-up program compiled from `root` (its params() are every
+    /// host variable the plan references); every hit resolves over it.
+    std::shared_ptr<const StartupProgram> program;
 
     /// Epochs the plan was compiled under (see header comment).
     uint64_t stats_epoch = 0;
@@ -147,7 +155,7 @@ class DynamicPlanCache {
           cardinality(other.cardinality),
           host_params(std::move(other.host_params)),
           literal_params(std::move(other.literal_params)),
-          plan_params(std::move(other.plan_params)),
+          program(std::move(other.program)),
           stats_epoch(other.stats_epoch),
           profile_epoch(other.profile_epoch),
           optimize_seconds(other.optimize_seconds),
@@ -267,9 +275,11 @@ struct CachedPlanResult {
   /// Host variables the query references (name -> ParamId) — what the
   /// caller's bindings were matched against.
   std::vector<std::pair<std::string, ParamId>> host_params;
-  /// PlanParams(*root) when a cache supplied or built the plan (empty on
-  /// the no-cache path).  Pass as StartupOptions::plan_params to skip
-  /// rediscovery at resolution.
+  /// The start-up program of `root` — the cached entry's on a hit, built
+  /// with the plan otherwise.  Resolve with ResolveDynamicPlan(*program,
+  /// ...).
+  std::shared_ptr<const StartupProgram> program;
+  /// program->params(): every host variable the plan references.
   std::vector<ParamId> plan_params;
   /// Wall seconds spent in each phase (zero when skipped).
   double normalize_seconds = 0.0;

@@ -41,12 +41,9 @@ Result<PreparedQuery> PrepareQuery(const std::string& sql,
 
   StartupOptions startup_options;
   startup_options.trace = request.trace;
-  if (!prepared.planned.plan_params.empty()) {
-    startup_options.plan_params = &prepared.planned.plan_params;
-  }
   WallTimer resolve_timer;
   Result<StartupResult> startup =
-      ResolveDynamicPlan(prepared.planned.root, *request.model,
+      ResolveDynamicPlan(*prepared.planned.program, *request.model,
                          prepared.planned.bound, startup_options);
   prepared.resolve_seconds = resolve_timer.ElapsedSeconds();
   if (!startup.ok()) {

@@ -1,33 +1,21 @@
 #include "runtime/startup.h"
 
 #include <algorithm>
-#include <set>
 
 #include "obs/metrics.h"
 #include "runtime/decision_engine.h"
+#include "runtime/startup_program.h"
 
 namespace dqep {
 
-std::vector<ParamId> PlanParams(const PhysNode& root) {
-  std::set<ParamId> params;
-  for (const PhysNode* node : root.TopologicalOrder()) {
-    for (const SelectionPredicate& pred : node->predicates()) {
-      if (pred.HasParam()) {
-        params.insert(pred.operand.param());
-      }
-    }
-  }
-  return std::vector<ParamId>(params.begin(), params.end());
-}
-
-Result<StartupResult> ResolveDynamicPlan(const PhysNodePtr& root,
+Result<StartupResult> ResolveDynamicPlan(const StartupProgram& program,
                                          const CostModel& model,
                                          const ParamEnv& env,
                                          const StartupOptions& options) {
   // The decision procedure lives in the re-enterable DecisionEngine
   // (runtime/decision_engine.h); this entry point is the start-up door.
-  Result<StartupResult> result = DecisionEngine(model).Resolve(root, env,
-                                                              options);
+  Result<StartupResult> result =
+      DecisionEngine(model).Resolve(program, env, options);
   if (result.ok()) {
     auto& registry = obs::MetricsRegistry::Instance();
     registry.SharedCounter("runtime.startup.resolves")->Add(1);
@@ -35,6 +23,13 @@ Result<StartupResult> ResolveDynamicPlan(const PhysNodePtr& root,
         ->Add(static_cast<int64_t>(result->decisions));
   }
   return result;
+}
+
+Result<StartupResult> ResolveDynamicPlan(const PhysNodePtr& root,
+                                         const CostModel& model,
+                                         const ParamEnv& env,
+                                         const StartupOptions& options) {
+  return ResolveDynamicPlan(StartupProgram(root), model, env, options);
 }
 
 std::unique_ptr<ExecContext> MakeExecContext(const ParamEnv& env,

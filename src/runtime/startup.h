@@ -5,6 +5,10 @@
 // comparison of its alternatives with the bindings instantiated: the
 // original cost functions are re-evaluated bottom-up over the plan DAG,
 // each shared subplan exactly once; no cost-function inverses are needed.
+// The DAG's structure never changes between runs, so it is flattened
+// once into a StartupProgram (runtime/startup_program.h) — per cached
+// plan, on the plan cache's miss path — and every run resolves over that
+// program's dense node array.
 // Optionally, branch-and-bound abandons the evaluation of an alternative
 // as soon as its partial cost exceeds the best alternative so far (the
 // paper proposes this but did not implement it; we provide it as an
@@ -26,6 +30,8 @@
 
 namespace dqep {
 
+class StartupProgram;
+
 /// Options for start-up resolution.
 struct StartupOptions {
   /// Abort an alternative's cost evaluation once it exceeds the best
@@ -46,9 +52,10 @@ struct StartupOptions {
   /// cost interval.  Null (default) disables tracing.  Not owned.
   obs::TraceSession* trace = nullptr;
 
-  /// Precomputed PlanParams(*root), e.g. stored alongside a plan-cache
-  /// entry: skips the full-DAG parameter-discovery walk on the hot
-  /// resolve path.  Must match the plan being resolved.  Not owned.
+  /// The host variables the plan references, checked for bindings
+  /// instead of the program's own StartupProgram::params() (e.g.
+  /// CachedPlanResult::plan_params).  Must match the plan being
+  /// resolved.  Not owned.
   const std::vector<ParamId>* plan_params = nullptr;
 
   /// Forces specific choose-plan decisions: a node present here resolves
@@ -96,14 +103,19 @@ struct StartupResult {
   std::unordered_map<const PhysNode*, std::vector<double>> alternative_costs;
 };
 
-/// All host-variable ids referenced anywhere in the plan DAG.
-std::vector<ParamId> PlanParams(const PhysNode& root);
-
-/// Resolves `root` under fully bound `env`.
+/// Resolves `program`'s plan under fully bound `env` — the hot path: a
+/// cached plan's program is built once and resolved on every hit.
 ///
 /// Fails with InvalidArgument if any referenced host variable is unbound
 /// or the memory grant is still an interval.  Works on static plans too
 /// (no decisions; returns the plan unchanged).
+Result<StartupResult> ResolveDynamicPlan(const StartupProgram& program,
+                                         const CostModel& model,
+                                         const ParamEnv& env,
+                                         const StartupOptions& options = {});
+
+/// As above for a plan without a prebuilt program: builds a transient
+/// StartupProgram for `root` first.
 Result<StartupResult> ResolveDynamicPlan(const PhysNodePtr& root,
                                          const CostModel& model,
                                          const ParamEnv& env,

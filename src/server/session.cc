@@ -492,13 +492,17 @@ void ServerSession::RunQuery(const std::string& sql, LineChannel* channel) {
   const bool want_log =
       engine_->query_log != nullptr && engine_->query_log->is_open();
   const bool want_flight = engine_->flight != nullptr;
+  // One analyze walk feeds both.
   obs::AnalyzeInput input;
+  std::vector<obs::AnalyzeRow> analyze_rows;
   if (want_log || want_flight) {
     info_.BeginPhase("log");
     input = obs::AnalyzeInputFor(*run);
+    analyze_rows = obs::CollectAnalyzeRows(input);
   }
   if (want_log) {
-    engine_->query_log->Append(obs::BuildQueryLogRecord(*run, input));
+    engine_->query_log->Append(
+        obs::BuildQueryLogRecord(*run, input, analyze_rows));
   }
 
   const double total_seconds =
@@ -534,8 +538,6 @@ void ServerSession::RunQuery(const std::string& sql, LineChannel* channel) {
     for (const auto& [name, value] : run->prepared.HostBindings()) {
       flight.bindings.emplace_back(name, std::to_string(value));
     }
-    const std::vector<obs::AnalyzeRow> analyze_rows =
-        obs::CollectAnalyzeRows(input);
     for (const obs::AnalyzeRow& row : analyze_rows) {
       if (row.kind == obs::AnalyzeRow::Kind::kDecision) {
         if (row.have_regret) {

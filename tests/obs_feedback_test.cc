@@ -109,9 +109,14 @@ TEST_F(FeedbackTest, CalibrationReducesRootErrorAndPreservesDecisions) {
     input.resolved_root = entry.startup.resolved.get();
     input.startup = &entry.startup;
     input.exec_root = iter->get();
-
+    // Fit and score on thread CPU time: wall time also counts the moments
+    // a loaded host preempts the query, noise no profile can fit away.
+    std::vector<obs::AnalyzeRow> rows = obs::CollectAnalyzeRows(input);
+    for (obs::AnalyzeRow& row : rows) {
+      row.actual_seconds = row.actual_cpu_seconds;
+    }
     obs::QueryLogRecord record = obs::BuildQueryLogRecord(
-        "chain(" + std::to_string(n) + ")", input, workload_->model(),
+        "chain(" + std::to_string(n) + ")", input, rows, workload_->model(),
         entry.bound);
     // decision_count carries the start-up total (every choose node in the
     // DAG, nested alternatives included); the decisions array holds only
@@ -193,7 +198,8 @@ TEST_F(FeedbackTest, ScaleOnlyCalibrationUsesUniformMultipliers) {
   input.startup = &*startup;
   input.exec_root = iter->get();
   std::vector<obs::QueryLogRecord> records = {
-      obs::BuildQueryLogRecord("chain(2)", input, workload_->model(), bound)};
+      obs::BuildQueryLogRecord("chain(2)", input, obs::CollectAnalyzeRows(input),
+                               workload_->model(), bound)};
 
   obs::CalibrationOptions options;
   options.allow_per_unit = false;

@@ -380,7 +380,8 @@ TEST_F(ReoptTest, AnalyzeAndQueryLogSurfaceCheckpoints) {
 
   // Query-log record (schema v2): flat reopt_* fields round-trip.
   obs::QueryLogRecord record = obs::BuildQueryLogRecord(
-      "chain(2)", input, workload_->model(), runtime);
+      "chain(2)", input, obs::CollectAnalyzeRows(input), workload_->model(),
+      runtime);
   EXPECT_EQ(record.reopt_checkpoints, executed->checkpoints_evaluated);
   EXPECT_EQ(record.reopt_triggers, executed->triggers_fired);
   EXPECT_GT(record.reopt_seconds, 0.0);

@@ -23,6 +23,7 @@
 #include <gtest/gtest.h>
 
 #include "exec/executor.h"
+#include "obs/analyze.h"
 #include "obs/exporter.h"
 #include "obs/flight_recorder.h"
 #include "obs/json_util.h"
@@ -1051,6 +1052,41 @@ TEST(FlightRecorderTest, SlowBundleIsValidTraceAndAnalyzeJson) {
             At(events.items[0], "ts").number +
                 At(events.items[0], "dur").number);
   RemoveTree(dir);
+}
+
+TEST(ServerIntegrationTest, QueryLogAndFlightRecordShareOneAnalyzeWalk) {
+  // With the query log on, a served query feeds both the log record and
+  // the flight record from one analyze walk.
+  const std::string log_path = ::testing::TempDir() + "/one_walk_qlog.jsonl";
+  ::unlink(log_path.c_str());
+  ServerOptions options;
+  options.sessions = 1;
+  options.query_log_path = log_path;
+  options.flight_recorder_capacity = 8;
+  ServerFixture fixture(options);
+  ASSERT_TRUE(fixture.started());
+  auto conn = fixture.Connect();
+  ASSERT_NE(conn, nullptr);
+  constexpr int kQueries = 3;
+  const int64_t walks_before = obs::AnalyzeWalkCount();
+  for (int i = 0; i < kQueries; ++i) {
+    // The reply is written after the log and flight records.
+    QueryResponse response = RoundTrip(
+        conn.get(), "SELECT * FROM R1 WHERE R1.s < " + std::to_string(100 + i));
+    ASSERT_TRUE(response.ok) << response.error;
+  }
+  EXPECT_EQ(obs::AnalyzeWalkCount() - walks_before, kQueries);
+  conn.reset();
+  fixture.StopAndJoin();
+  int64_t skipped = 0;
+  Result<std::vector<obs::QueryLogRecord>> records =
+      obs::LoadQueryLog(log_path, &skipped);
+  ASSERT_TRUE(records.ok());
+  EXPECT_EQ(static_cast<int>(records->size()), kQueries);
+  EXPECT_EQ(
+      static_cast<int>(fixture.server().flight_recorder()->Recent(8).size()),
+      kQueries);
+  ::unlink(log_path.c_str());
 }
 
 TEST(ServerIntegrationTest, TelemetryEndpointIntrospectionAndSlowBundle) {

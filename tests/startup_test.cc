@@ -1,6 +1,7 @@
 // Start-up-time resolution of dynamic plans (paper §4).
 
 #include "runtime/startup.h"
+#include "runtime/startup_program.h"
 
 #include <gtest/gtest.h>
 
@@ -31,11 +32,11 @@ class StartupTest : public ::testing::Test {
   std::unique_ptr<PaperWorkload> workload_;
 };
 
-TEST_F(StartupTest, PlanParamsCollectsHostVariables) {
+TEST_F(StartupTest, ProgramCollectsHostVariables) {
   Query query = workload_->ChainQuery(3);
   OptimizedPlan plan = OptimizeDynamic(query, false);
-  std::vector<ParamId> params = PlanParams(*plan.root);
-  EXPECT_EQ(params, (std::vector<ParamId>{0, 1, 2}));
+  StartupProgram program(plan.root);
+  EXPECT_EQ(program.params(), (std::vector<ParamId>{0, 1, 2}));
 }
 
 TEST_F(StartupTest, ResolutionRemovesAllChooseNodes) {

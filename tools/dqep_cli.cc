@@ -428,11 +428,13 @@ class Shell {
       return;
     }
     obs::AnalyzeInput input = obs::AnalyzeInputFor(run);
+    const std::vector<obs::AnalyzeRow> rows = obs::CollectAnalyzeRows(input);
     if (analyze) {
-      std::printf("%s", obs::RenderAnalyze(input, stats_format_).c_str());
+      std::printf("%s",
+                  obs::RenderAnalyze(rows, input, stats_format_).c_str());
     }
     if (query_log_.is_open()) {
-      obs::QueryLogRecord record = obs::BuildQueryLogRecord(run, input);
+      obs::QueryLogRecord record = obs::BuildQueryLogRecord(run, input, rows);
       record.pool_hits = PoolCounter("storage.bufferpool.hits") -
                          pool_hits_before;
       record.pool_misses = PoolCounter("storage.bufferpool.misses") -

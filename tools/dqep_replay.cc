@@ -115,12 +115,9 @@ RunOutcome RunOnce(
     const std::unordered_map<const PhysNode*, size_t>* forced) {
   RunOutcome out;
   StartupOptions startup_options;
-  if (!planned.plan_params.empty()) {
-    startup_options.plan_params = &planned.plan_params;
-  }
   startup_options.forced_choices = forced;
-  Result<StartupResult> startup =
-      ResolveDynamicPlan(planned.root, model, planned.bound, startup_options);
+  Result<StartupResult> startup = ResolveDynamicPlan(
+      *planned.program, model, planned.bound, startup_options);
   if (!startup.ok()) {
     out.error = startup.status().ToString();
     return out;
@@ -428,12 +425,8 @@ int RunReplay(const std::string& log_path, const std::string& out_path,
     }
 
     // Natural (chosen-plan) replay.
-    StartupOptions startup_options;
-    if (!planned->plan_params.empty()) {
-      startup_options.plan_params = &planned->plan_params;
-    }
-    Result<StartupResult> startup = ResolveDynamicPlan(
-        planned->root, model, planned->bound, startup_options);
+    Result<StartupResult> startup =
+        ResolveDynamicPlan(*planned->program, model, planned->bound);
     if (!startup.ok()) {
       score.skip_reason = "resolve: " + startup.status().ToString();
       continue;
