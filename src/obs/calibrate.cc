@@ -79,7 +79,7 @@ struct OperatorPair {
 /// logged scalar estimate exactly; non-uniform ones are evaluated through
 /// the logged unit-operation counts (valid when every operator carried
 /// terms, which the caller gates on).
-double RootError(const std::vector<QueryLogRecord>& records,
+double RootError(const std::vector<QueryRecord>& records,
                  const double* u0, const double* mult, int64_t* pairs) {
   bool uniform = true;
   for (int k = 1; k < kUnits; ++k) {
@@ -91,11 +91,11 @@ double RootError(const std::vector<QueryLogRecord>& records,
   }
   double sum = 0.0;
   int64_t n = 0;
-  for (const QueryLogRecord& record : records) {
+  for (const QueryRecord& record : records) {
     if (record.operators.empty()) {
       continue;
     }
-    const QueryLogOperator& root = record.operators.front();
+    const QueryOperator& root = record.operators.front();
     if (!root.have_actual || root.actual_seconds <= 0.0 ||
         root.est_cost_point <= 0.0) {
       continue;
@@ -105,7 +105,7 @@ double RootError(const std::vector<QueryLogRecord>& records,
       est = root.est_cost_point * mult[0];
     } else {
       est = 0.0;
-      for (const QueryLogOperator& op : record.operators) {
+      for (const QueryOperator& op : record.operators) {
         est += TermsDotUnits(op.terms, units);
       }
     }
@@ -142,7 +142,7 @@ double OperatorError(const std::vector<OperatorPair>& pairs,
 }  // namespace
 
 Result<CalibrationReport> Calibrate(
-    const std::vector<QueryLogRecord>& records,
+    const std::vector<QueryRecord>& records,
     const SystemConfig& base_config, const CalibrationOptions& options) {
   CalibrationReport report;
   report.records = static_cast<int64_t>(records.size());
@@ -153,11 +153,11 @@ Result<CalibrationReport> Calibrate(
   // --- Stage 1: global scale from root pairs ---------------------------
   double log_sum = 0.0;
   int64_t root_pairs = 0;
-  for (const QueryLogRecord& record : records) {
+  for (const QueryRecord& record : records) {
     if (record.operators.empty()) {
       continue;
     }
-    const QueryLogOperator& root = record.operators.front();
+    const QueryOperator& root = record.operators.front();
     if (root.have_actual && root.actual_seconds > 0.0 &&
         root.est_cost_point > 0.0) {
       log_sum += std::log(root.actual_seconds / root.est_cost_point);
@@ -178,8 +178,8 @@ Result<CalibrationReport> Calibrate(
   double regret_before_sum = 0.0;
   double regret_after_sum = 0.0;
   int64_t regret_pairs = 0;
-  for (const QueryLogRecord& record : records) {
-    for (const QueryLogDecision& d : record.decisions) {
+  for (const QueryRecord& record : records) {
+    for (const QueryDecision& d : record.decisions) {
       ++decisions;
       if (std::isfinite(d.chosen_est) && d.chosen_est > 0.0 &&
           std::isfinite(d.best_other_est) && d.best_other_est > 0.0) {
@@ -212,8 +212,8 @@ Result<CalibrationReport> Calibrate(
   // --- Operator pairs for the per-unit stage ---------------------------
   std::vector<OperatorPair> pairs;
   bool full_terms = true;
-  for (const QueryLogRecord& record : records) {
-    for (const QueryLogOperator& op : record.operators) {
+  for (const QueryRecord& record : records) {
+    for (const QueryOperator& op : record.operators) {
       if (!op.have_terms) {
         full_terms = false;
         continue;

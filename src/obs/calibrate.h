@@ -98,7 +98,7 @@ struct CalibrationReport {
 /// the logged estimates were computed under).  Fails when the log holds
 /// no usable (estimate, actual) root pair.
 Result<CalibrationReport> Calibrate(
-    const std::vector<QueryLogRecord>& records,
+    const std::vector<QueryRecord>& records,
     const SystemConfig& base_config, const CalibrationOptions& options = {});
 
 /// Human-readable fit summary (multipliers, before/after error, regret).

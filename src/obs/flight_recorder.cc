@@ -38,6 +38,18 @@ void EnsureDir(const std::string& path) {
   }
 }
 
+/// One ring entry as JSON: the record's JSON (its query-log line) plus
+/// the recorder's verdict.  Each /slow item, and a bundle's "meta".
+std::string EntryJson(const FlightEntry& entry) {
+  std::string out = RenderQueryRecordJson(*entry.record);
+  out.pop_back();
+  out += ", \"sequence\": " + std::to_string(entry.sequence);
+  out += entry.slow() ? ", \"slow\": true" : ", \"slow\": false";
+  out += ", \"slow_reason\": \"" + JsonEscape(entry.slow_reason) + "\"";
+  out += ", \"bundle\": \"" + JsonEscape(entry.bundle_path) + "\"}";
+  return out;
+}
+
 int64_t MicrosOf(double seconds) {
   double us = seconds * 1e6;
   if (us <= 0.0) {
@@ -90,29 +102,29 @@ FlightRecorder::FlightRecorder(FlightRecorderOptions options)
   }
 }
 
-std::shared_ptr<const FlightRecord> FlightRecorder::Record(
-    FlightRecord record,
+FlightEntry FlightRecorder::Record(
+    std::shared_ptr<const QueryRecord> record,
     const std::function<std::string()>& render_analyze) {
-  const int64_t latency_us = MicrosOf(record.seconds);
+  const QueryRecord& r = *record;
+  const int64_t latency_us = MicrosOf(r.total_seconds);
+  FlightEntry finished;
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    record.sequence = next_sequence_++;
-    TemplateEntry& entry = templates_[record.fingerprint];
-    if (entry.text.empty() && !record.template_text.empty()) {
-      entry.text = record.template_text;
+    finished.sequence = next_sequence_++;
+    TemplateEntry& entry = templates_[r.query_hash];
+    if (entry.text.empty() && !r.query_template.empty()) {
+      entry.text = r.query_template;
     }
 
     // Slow verdict comes BEFORE folding the new sample, so the sample
     // is judged against the history it arrived into.
     if (options_.slow_query_ms > 0.0 &&
-        record.seconds * 1e3 >= options_.slow_query_ms) {
-      record.slow = true;
-      record.slow_reason = "threshold";
+        r.total_seconds * 1e3 >= options_.slow_query_ms) {
+      finished.slow_reason = "threshold";
     } else if (entry.count >= options_.min_template_samples) {
       double p99_us = Log2BucketPercentile(entry.buckets, entry.count, 0.99);
       if (static_cast<double>(latency_us) > p99_us) {
-        record.slow = true;
-        record.slow_reason = "template-p99";
+        finished.slow_reason = "template-p99";
       }
     }
 
@@ -128,11 +140,11 @@ std::shared_ptr<const FlightRecord> FlightRecorder::Record(
       it = entry.buckets.emplace(it, bucket, 0);
     }
     it->second += 1;
-    entry.decisions += record.decisions;
-    entry.regret_seconds += record.regret_seconds;
-    entry.reopt_triggers += record.reopt_triggers;
-    entry.reopt_adoptions += record.reopt_adoptions;
-    if (record.slow) {
+    entry.decisions += r.decision_count;
+    entry.regret_seconds += r.RegretSeconds();
+    entry.reopt_triggers += r.reopt_triggers;
+    entry.reopt_adoptions += r.reopt_adoptions;
+    if (finished.slow()) {
       entry.slow_count += 1;
     }
     if (++entry.decay_credit >= options_.decay_every) {
@@ -152,30 +164,28 @@ std::shared_ptr<const FlightRecord> FlightRecorder::Record(
     }
   }
 
+  finished.record = std::move(record);
   recorded_->Add(1);
-  if (record.slow) {
+  if (finished.slow()) {
     slow_->Add(1);
     if (!options_.spool_dir.empty()) {
       // Bundle I/O stays outside the lock: a slow disk must not stall
       // the sessions racing to deposit their own records.
-      std::string path;
-      if (WriteBundle(record, render_analyze, &path)) {
-        record.bundle_path = path;
+      if (WriteBundle(&finished, render_analyze)) {
         bundles_->Add(1);
-        RotateSpool(path);
+        RotateSpool(finished.bundle_path);
       }
     }
   }
 
-  auto shared = std::make_shared<const FlightRecord>(std::move(record));
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    ring_.push_back(shared);
+    ring_.push_back(finished);
     while (ring_.size() > options_.capacity) {
       ring_.pop_front();
     }
   }
-  return shared;
+  return finished;
 }
 
 void FlightRecorder::RotateSpool(const std::string& path) {
@@ -220,9 +230,8 @@ std::string FlightRecorder::RenderAlertsText(size_t n) const {
   return out;
 }
 
-std::vector<std::shared_ptr<const FlightRecord>> FlightRecorder::Recent(
-    size_t n) const {
-  std::vector<std::shared_ptr<const FlightRecord>> out;
+std::vector<FlightEntry> FlightRecorder::Recent(size_t n) const {
+  std::vector<FlightEntry> out;
   std::lock_guard<std::mutex> lock(mutex_);
   size_t take = std::min(n, ring_.size());
   out.reserve(take);
@@ -276,28 +285,29 @@ std::string FlightRecorder::RenderRecentText(size_t n) const {
   }
   std::string out;
   char line[512];
-  for (const auto& rp : records) {
-    const FlightRecord& r = *rp;
+  for (const FlightEntry& e : records) {
+    const QueryRecord& r = *e.record;
     std::snprintf(line, sizeof(line),
                   "#%" PRId64 " session=%" PRId64 " fp=0x%016" PRIx64
                   " %.3fms rows=%" PRId64 " cache=%s wait=%.3fms"
                   " decisions=%" PRId64 " regret=%+.6fs reopt=%" PRId64
                   "/%" PRId64 "/%" PRId64 "%s%s\n",
-                  r.sequence, r.session_id, r.fingerprint, r.seconds * 1e3,
-                  r.rows, r.cache.empty() ? "-" : r.cache.c_str(),
-                  r.grant_wait_seconds * 1e3, r.decisions, r.regret_seconds,
-                  r.reopt_checkpoints, r.reopt_triggers, r.reopt_adoptions,
-                  r.slow ? " SLOW:" : "",
-                  r.slow ? r.slow_reason.c_str() : "");
+                  e.sequence, r.session_id, r.query_hash,
+                  r.total_seconds * 1e3, r.result_rows,
+                  r.plan_cache.empty() ? "-" : r.plan_cache.c_str(),
+                  r.grant_wait_seconds * 1e3, r.decision_count,
+                  r.RegretSeconds(), r.reopt_checkpoints, r.reopt_triggers,
+                  r.reopt_adoptions, e.slow() ? " SLOW:" : "",
+                  e.slow_reason.c_str());
     out += line;
     std::snprintf(line, sizeof(line), "  sql: %.200s\n", r.query.c_str());
     out += line;
-    if (!r.bundle_path.empty()) {
+    if (!e.bundle_path.empty()) {
       std::snprintf(line, sizeof(line), "  bundle: %s\n",
-                    r.bundle_path.c_str());
+                    e.bundle_path.c_str());
       out += line;
     }
-    for (const auto& op : r.operators) {
+    for (const QueryOperator& op : r.operators) {
       std::snprintf(line, sizeof(line),
                     "  %*s%s est_cost=[%.4f,%.4f] est_rows=[%.0f,%.0f]"
                     " actual=%.4fs rows=%" PRId64 "%s\n",
@@ -312,35 +322,12 @@ std::string FlightRecorder::RenderRecentText(size_t n) const {
 }
 
 std::string FlightRecorder::RenderRecentJson(size_t n) const {
-  auto records = Recent(n);
   std::string out = "[";
-  char buf[256];
-  bool first = true;
-  for (const auto& rp : records) {
-    const FlightRecord& r = *rp;
-    if (!first) {
-      out += ",";
-    }
-    first = false;
-    std::snprintf(buf, sizeof(buf),
-                  "\n  {\"sequence\": %" PRId64 ", \"session\": %" PRId64
-                  ", \"fingerprint\": \"0x%016" PRIx64 "\",",
-                  r.sequence, r.session_id, r.fingerprint);
-    out += buf;
-    out += " \"query\": \"" + JsonEscape(r.query) + "\",";
-    std::snprintf(buf, sizeof(buf),
-                  " \"seconds\": %.6f, \"rows\": %" PRId64
-                  ", \"grant_wait_seconds\": %.6f, \"decisions\": %" PRId64
-                  ", \"regret_seconds\": %.6f, \"reopt_triggers\": %" PRId64
-                  ", \"slow\": %s,",
-                  r.seconds, r.rows, r.grant_wait_seconds, r.decisions,
-                  r.regret_seconds, r.reopt_triggers,
-                  r.slow ? "true" : "false");
-    out += buf;
-    out += " \"slow_reason\": \"" + JsonEscape(r.slow_reason) + "\",";
-    out += " \"bundle\": \"" + JsonEscape(r.bundle_path) + "\"}";
+  for (const FlightEntry& e : Recent(n)) {
+    out += out.size() == 1 ? "\n  " : ",\n  ";
+    out += EntryJson(e);
   }
-  out += first ? "]" : "\n]";
+  out += out.size() == 1 ? "]" : "\n]";
   return out;
 }
 
@@ -532,46 +519,9 @@ std::string FlightRecorder::RenderPrometheusTemplates() const {
   return out;
 }
 
-std::string FlightRecorder::BundleJson(const FlightRecord& record,
+std::string FlightRecorder::BundleJson(const FlightEntry& entry,
                                        const std::string& analyze_json) const {
-  std::string out = "{\n  \"meta\": {";
-  char buf[256];
-  std::snprintf(buf, sizeof(buf),
-                "\n    \"sequence\": %" PRId64 ",\n    \"session\": %" PRId64
-                ",\n    \"fingerprint\": \"0x%016" PRIx64 "\",",
-                record.sequence, record.session_id, record.fingerprint);
-  out += buf;
-  out += "\n    \"query\": \"" + JsonEscape(record.query) + "\",";
-  out += "\n    \"template\": \"" + JsonEscape(record.template_text) + "\",";
-  out += "\n    \"cache\": \"" + JsonEscape(record.cache) + "\",";
-  std::snprintf(buf, sizeof(buf),
-                "\n    \"seconds\": %.6f,\n    \"grant_wait_seconds\": %.6f,"
-                "\n    \"rows\": %" PRId64
-                ",\n    \"peak_memory_bytes\": %" PRId64
-                ",\n    \"decisions\": %" PRId64
-                ",\n    \"regret_seconds\": %.6f,",
-                record.seconds, record.grant_wait_seconds, record.rows,
-                record.peak_memory_bytes, record.decisions,
-                record.regret_seconds);
-  out += buf;
-  std::snprintf(buf, sizeof(buf),
-                "\n    \"reopt_checkpoints\": %" PRId64
-                ",\n    \"reopt_triggers\": %" PRId64
-                ",\n    \"reopt_adoptions\": %" PRId64 ",",
-                record.reopt_checkpoints, record.reopt_triggers,
-                record.reopt_adoptions);
-  out += buf;
-  out += "\n    \"slow_reason\": \"" + JsonEscape(record.slow_reason) + "\",";
-  out += "\n    \"bindings\": {";
-  bool first = true;
-  for (const auto& [k, v] : record.bindings) {
-    if (!first) {
-      out += ", ";
-    }
-    first = false;
-    out += "\"" + JsonEscape(k) + "\": \"" + JsonEscape(v) + "\"";
-  }
-  out += "}\n  },\n";
+  std::string out = "{\n  \"meta\": " + EntryJson(entry) + ",\n";
 
   // EXPLAIN ANALYZE, verbatim (already JSON).
   out += "  \"analyze\": ";
@@ -588,8 +538,9 @@ std::string FlightRecorder::BundleJson(const FlightRecord& record,
     int64_t cursor_us;
   };
   std::vector<Frame> stack;
-  first = true;
-  for (const auto& op : record.operators) {
+  char buf[256];
+  bool first = true;
+  for (const QueryOperator& op : entry.record->operators) {
     int64_t dur = MicrosOf(op.actual_seconds);
     while (!stack.empty() && stack.back().depth >= op.depth) {
       stack.pop_back();
@@ -619,26 +570,26 @@ std::string FlightRecorder::BundleJson(const FlightRecord& record,
 }
 
 bool FlightRecorder::WriteBundle(
-    const FlightRecord& record,
-    const std::function<std::string()>& render_analyze,
-    std::string* path) const {
+    FlightEntry* entry,
+    const std::function<std::string()>& render_analyze) const {
   char name[128];
   std::snprintf(name, sizeof(name), "slow-%06" PRId64 "-0x%016" PRIx64
                 ".json",
-                record.sequence, record.fingerprint);
-  std::string full = options_.spool_dir + "/" + name;
+                entry->sequence, entry->record->query_hash);
+  entry->bundle_path = options_.spool_dir + "/" + name;
   std::string json =
-      BundleJson(record, render_analyze ? render_analyze() : std::string());
-  FILE* f = std::fopen(full.c_str(), "w");
-  if (f == nullptr) {
-    return false;
+      BundleJson(*entry, render_analyze ? render_analyze() : std::string());
+  FILE* f = std::fopen(entry->bundle_path.c_str(), "w");
+  size_t written = 0;
+  int rc = -1;
+  if (f != nullptr) {
+    written = std::fwrite(json.data(), 1, json.size(), f);
+    rc = std::fclose(f);
   }
-  size_t written = std::fwrite(json.data(), 1, json.size(), f);
-  int rc = std::fclose(f);
   if (written != json.size() || rc != 0) {
+    entry->bundle_path.clear();
     return false;
   }
-  *path = std::move(full);
   return true;
 }
 

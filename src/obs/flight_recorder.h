@@ -1,11 +1,12 @@
 // Slow-query flight recorder: an always-on, fixed-size ring of the last
-// N completed query summaries, plus per-template rolling latency stats.
+// N completed queries, plus per-template rolling latency stats.
 //
-// Every completed query deposits a FlightRecord (template fingerprint,
-// bindings, per-operator est-vs-actual rows, choose-plan decision count
-// and regret, re-opt checkpoint counts, admission grant wait).  The
-// recorder folds the sample into its template's rolling log2-bucket
-// latency histogram and decides whether the query was *slow*:
+// Every completed query deposits its obs::QueryRecord (obs/querylog.h) —
+// the one per-query record the query log renders too: template
+// fingerprint, bindings, per-operator est-vs-actual rows, choose-plan
+// decisions with regret, re-opt counts, admission grant wait.  The
+// recorder folds it into its template's rolling log2-bucket latency
+// histogram and decides whether the query was *slow*:
 //
 //   * threshold rule — latency breached the configured --slow-query-ms;
 //   * p99 rule — no threshold configured (or not breached), but the
@@ -13,9 +14,11 @@
 //     template's rolling p99.
 //
 // Slow queries get a full diagnosis bundle — one JSON file holding the
-// query metadata, the EXPLAIN ANALYZE JSON, and a synthesized Chrome
-// trace of the operator tree — written to a spool directory, so the
-// evidence survives the ring's eviction and the server's restart.
+// record's JSON as "meta" (the query-log line, plus the recorder's
+// verdict: sequence, slow reason, bundle path), the EXPLAIN ANALYZE
+// JSON, and a synthesized Chrome trace of the operator tree — written to
+// a spool directory, so the evidence survives the ring's eviction and
+// the server's restart.  `/slow` renders each ring entry the same way.
 //
 // "Rolling" is approximated by halving every template's histogram once
 // its count passes a decay threshold: old traffic fades geometrically,
@@ -41,6 +44,7 @@
 #include <vector>
 
 #include "obs/metrics.h"
+#include "obs/querylog.h"
 
 namespace dqep {
 namespace obs {
@@ -73,46 +77,15 @@ struct FlightRecorderOptions {
   size_t max_spool_bundles = 0;
 };
 
-/// One operator row of a completed query, est-vs-actual (a flattened
-/// AnalyzeRow kOperator — the recorder keeps no plan pointers, so a
-/// record stays valid after the plan is gone).
-struct OperatorSample {
-  std::string op;
-  int depth = 0;
-  double est_cost_lo = 0.0;
-  double est_cost_hi = 0.0;
-  double est_rows_lo = 0.0;
-  double est_rows_hi = 0.0;
-  double actual_seconds = 0.0;
-  int64_t actual_rows = 0;
-  bool have_actual = false;
-};
-
-/// One completed query.  The caller fills everything up to `slow`; the
-/// recorder assigns `sequence` and the slow verdict / bundle path.
-struct FlightRecord {
+/// One ring entry: a completed query's record plus the recorder's own
+/// verdict on it.
+struct FlightEntry {
+  std::shared_ptr<const QueryRecord> record;
   int64_t sequence = 0;
-  int64_t session_id = 0;
-  uint64_t fingerprint = 0;
-  std::string query;          ///< the SQL as received
-  std::string template_text;  ///< normalized template ("" if unparsed)
-  std::string cache;          ///< plan-cache outcome: hit/miss/off/""
-  double seconds = 0.0;       ///< end-to-end wall seconds
-  double grant_wait_seconds = 0.0;
-  int64_t rows = 0;
-  int64_t peak_memory_bytes = 0;
-  int64_t decisions = 0;      ///< choose-plan decisions resolved
-  double regret_seconds = 0.0;
-  int64_t reopt_checkpoints = 0;
-  int64_t reopt_triggers = 0;
-  int64_t reopt_adoptions = 0;
-  std::vector<std::pair<std::string, std::string>> bindings;
-  std::vector<OperatorSample> operators;
-
-  // Filled in by the recorder:
-  bool slow = false;
-  std::string slow_reason;  ///< "threshold" or "template-p99"
+  std::string slow_reason;  ///< "threshold", "template-p99", "" if not slow
   std::string bundle_path;  ///< spooled bundle, "" when not written
+
+  bool slow() const { return !slow_reason.empty(); }
 };
 
 /// Rolling per-template aggregate, as returned by snapshots.
@@ -140,17 +113,17 @@ class FlightRecorder {
   FlightRecorder(const FlightRecorder&) = delete;
   FlightRecorder& operator=(const FlightRecorder&) = delete;
 
-  /// Folds the sample into its template's stats, decides slow-ness,
+  /// Folds the record into its template's stats, decides slow-ness,
   /// spools a bundle when warranted, and appends to the ring.  Returns
-  /// the finished (immutable) record.  `render_analyze` (nullable)
-  /// renders the query's EXPLAIN ANALYZE JSON; it is called only when a
-  /// bundle is written, before Record returns.
-  std::shared_ptr<const FlightRecord> Record(
-      FlightRecord record,
+  /// the ring entry.  `render_analyze` (nullable) renders the query's
+  /// EXPLAIN ANALYZE JSON; it is called only when a bundle is written,
+  /// before Record returns.
+  FlightEntry Record(
+      std::shared_ptr<const QueryRecord> record,
       const std::function<std::string()>& render_analyze = nullptr);
 
   /// Newest-first snapshot of up to `n` ring entries.
-  std::vector<std::shared_ptr<const FlightRecord>> Recent(size_t n) const;
+  std::vector<FlightEntry> Recent(size_t n) const;
 
   /// Every template's rolling stats, sorted by fingerprint.
   std::vector<TemplateStatsView> TemplateStats() const;
@@ -161,7 +134,8 @@ class FlightRecorder {
   /// `\slow [n]`: newest-first text rendering of recent records.
   std::string RenderRecentText(size_t n) const;
 
-  /// Newest-first JSON array of recent records (the exporter's /slow).
+  /// Newest-first JSON array of recent entries (the exporter's /slow),
+  /// each rendered as a bundle's "meta" is.
   std::string RenderRecentJson(size_t n) const;
 
   /// `\stats template <fp>` / `\stats [p99|regret]`: per-template text
@@ -206,11 +180,11 @@ class FlightRecorder {
 
   TemplateStatsView ViewOf(uint64_t fingerprint,
                            const TemplateEntry& entry) const;
-  std::string BundleJson(const FlightRecord& record,
+  std::string BundleJson(const FlightEntry& entry,
                          const std::string& analyze_json) const;
-  bool WriteBundle(const FlightRecord& record,
-                   const std::function<std::string()>& render_analyze,
-                   std::string* path) const;
+  /// Writes `entry`'s bundle and sets its path; clears it on failure.
+  bool WriteBundle(FlightEntry* entry,
+                   const std::function<std::string()>& render_analyze) const;
 
   /// Registers a freshly written bundle and unlinks the oldest ones
   /// beyond max_spool_bundles.  Guarded by spool_mutex_, never the main
@@ -220,7 +194,7 @@ class FlightRecorder {
   const FlightRecorderOptions options_;
   mutable std::mutex mutex_;
   int64_t next_sequence_ = 1;
-  std::deque<std::shared_ptr<const FlightRecord>> ring_;
+  std::deque<FlightEntry> ring_;
   std::map<uint64_t, TemplateEntry> templates_;
   std::deque<std::string> alerts_;  ///< bounded alert journal
 

@@ -407,6 +407,20 @@ void MetricsRegistry::ResetForTest() {
   }
   metrics_.clear();
   by_name_.clear();
+  generation_.fetch_add(1, std::memory_order_release);
+}
+
+void SharedCounterRef::Add(int64_t delta) {
+  MetricsRegistry& registry = MetricsRegistry::Instance();
+  const uint64_t generation = registry.generation();
+  Cell* cell = cell_.load(std::memory_order_acquire);
+  if (cell == nullptr ||
+      generation_.load(std::memory_order_relaxed) != generation) {
+    cell = registry.SharedCounter(name_);
+    generation_.store(generation, std::memory_order_relaxed);
+    cell_.store(cell, std::memory_order_release);
+  }
+  cell->Add(delta);
 }
 
 }  // namespace obs

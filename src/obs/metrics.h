@@ -259,6 +259,12 @@ class MetricsRegistry {
   /// cells are kept alive, just detached); only tests should call this.
   void ResetForTest();
 
+  /// Bumped by ResetForTest: a shared cell cached under an older
+  /// generation is detached and must be looked up again.
+  uint64_t generation() const {
+    return generation_.load(std::memory_order_acquire);
+  }
+
  private:
   friend class CellHandle;
   friend class HistogramHandle;
@@ -294,6 +300,24 @@ class MetricsRegistry {
   /// Cells detached by ResetForTest, kept alive for outstanding handles.
   std::vector<std::unique_ptr<Cell>> orphans_;
   std::vector<std::unique_ptr<HistogramCell>> orphan_histograms_;
+  std::atomic<uint64_t> generation_{0};
+};
+
+/// A shared counter (MetricsRegistry::SharedCounter) looked up by name
+/// once and then bumped with one relaxed add — for per-query call sites
+/// without an owning instance.  Constant-initialized, so it can be a
+/// namespace-scope static.  It looks the name up again after
+/// ResetForTest; a bump racing that reset may land in the detached cell.
+class SharedCounterRef {
+ public:
+  explicit constexpr SharedCounterRef(const char* name) : name_(name) {}
+
+  void Add(int64_t delta);
+
+ private:
+  const char* name_;
+  std::atomic<Cell*> cell_{nullptr};
+  std::atomic<uint64_t> generation_{0};
 };
 
 }  // namespace obs

@@ -5,12 +5,10 @@
 #include <cstring>
 #include <limits>
 
-#include "common/hash.h"
 #include "obs/json_util.h"
 #include "obs/trace.h"
 #include "physical/costing.h"
 #include "runtime/query_pipeline.h"
-#include "sql/normalize.h"
 
 namespace dqep {
 namespace obs {
@@ -19,43 +17,47 @@ namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
-void AppendKey(std::string* out, const char* key) {
-  *out += '"';
-  *out += key;
-  *out += "\": ";
-}
+/// Appends `"key": value` members to one JSON object, comma-separated.
+class JsonFields {
+ public:
+  explicit JsonFields(std::string* out) : out_(out) {}
 
-void AppendNumberField(std::string* out, const char* key, double v) {
-  AppendKey(out, key);
-  AppendJsonNumber(out, v);
-}
+  void Key(const char* key) {
+    *out_ += first_ ? "\"" : ", \"";
+    first_ = false;
+    *out_ += key;
+    *out_ += "\": ";
+  }
+  void Number(const char* key, double v) {
+    Key(key);
+    AppendJsonNumber(out_, v);
+  }
+  void Int(const char* key, int64_t v) {
+    Key(key);
+    char buf[32];
+    std::snprintf(buf, sizeof(buf), "%" PRId64, v);
+    *out_ += buf;
+  }
+  void String(const char* key, const std::string& v) {
+    Key(key);
+    *out_ += '"';
+    *out_ += JsonEscape(v);
+    *out_ += '"';
+  }
 
-void AppendIntField(std::string* out, const char* key, int64_t v) {
-  AppendKey(out, key);
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%" PRId64, v);
-  *out += buf;
-}
-
-void AppendStringField(std::string* out, const char* key,
-                       const std::string& v) {
-  AppendKey(out, key);
-  *out += '"';
-  *out += JsonEscape(v);
-  *out += '"';
-}
+ private:
+  std::string* out_;
+  bool first_ = true;
+};
 
 void AppendTerms(std::string* out, const CostTerms& terms) {
   *out += "{";
-  AppendNumberField(out, "seq_pages", terms.seq_pages);
-  *out += ", ";
-  AppendNumberField(out, "random_pages", terms.random_pages);
-  *out += ", ";
-  AppendNumberField(out, "tuple_ops", terms.tuple_ops);
-  *out += ", ";
-  AppendNumberField(out, "compare_ops", terms.compare_ops);
-  *out += ", ";
-  AppendNumberField(out, "hash_ops", terms.hash_ops);
+  JsonFields f(out);
+  f.Number("seq_pages", terms.seq_pages);
+  f.Number("random_pages", terms.random_pages);
+  f.Number("tuple_ops", terms.tuple_ops);
+  f.Number("compare_ops", terms.compare_ops);
+  f.Number("hash_ops", terms.hash_ops);
   *out += "}";
 }
 
@@ -66,7 +68,7 @@ double NumberOrInf(const JsonValue& object, const char* key) {
   return v != nullptr && v->is_number() ? v->number : kInf;
 }
 
-bool ParseRecord(const JsonValue& doc, QueryLogRecord* record) {
+bool ParseRecord(const JsonValue& doc, QueryRecord* record) {
   if (!doc.is_object()) {
     return false;
   }
@@ -87,12 +89,16 @@ bool ParseRecord(const JsonValue& doc, QueryLogRecord* record) {
       }
     }
   }
+  record->session_id = doc.IntOr("session_id", 0);
   record->threads = static_cast<int32_t>(doc.IntOr("threads", 1));
   record->memory_pages = doc.NumberOr("memory_pages", 0.0);
   record->predicted_cost = doc.NumberOr("predicted_cost", 0.0);
   record->decision_count = doc.IntOr("decision_count", 0);
   record->cost_evaluations = doc.IntOr("cost_evaluations", 0);
   record->resolve_cpu_seconds = doc.NumberOr("resolve_cpu_seconds", 0.0);
+  record->total_seconds = doc.NumberOr("total_seconds", 0.0);
+  record->grant_wait_seconds = doc.NumberOr("grant_wait_seconds", 0.0);
+  record->exec_seconds = doc.NumberOr("exec_seconds", 0.0);
   record->actual_seconds = doc.NumberOr("actual_seconds", 0.0);
   record->actual_cpu_seconds = doc.NumberOr("actual_cpu_seconds", 0.0);
   record->result_rows = doc.IntOr("result_rows", 0);
@@ -103,6 +109,7 @@ bool ParseRecord(const JsonValue& doc, QueryLogRecord* record) {
   record->pool_misses = doc.IntOr("pool_misses", 0);
   record->reopt_checkpoints = doc.IntOr("reopt_checkpoints", 0);
   record->reopt_triggers = doc.IntOr("reopt_triggers", 0);
+  record->reopt_adoptions = doc.IntOr("reopt_adoptions", 0);
   record->reopt_seconds = doc.NumberOr("reopt_seconds", 0.0);
   record->reopt_cost_pre = doc.NumberOr("reopt_cost_pre", 0.0);
   record->reopt_cost_post = doc.NumberOr("reopt_cost_post", 0.0);
@@ -112,7 +119,7 @@ bool ParseRecord(const JsonValue& doc, QueryLogRecord* record) {
       if (!item.is_object()) {
         return false;
       }
-      QueryLogOperator op;
+      QueryOperator op;
       op.op = item.StringOr("op", "");
       op.depth = static_cast<int>(item.IntOr("depth", 0));
       op.est_cost_lo = item.NumberOr("est_cost_lo", 0.0);
@@ -143,7 +150,7 @@ bool ParseRecord(const JsonValue& doc, QueryLogRecord* record) {
       if (!item.is_object()) {
         return false;
       }
-      QueryLogDecision d;
+      QueryDecision d;
       d.depth = static_cast<int>(item.IntOr("depth", 0));
       d.alternatives = item.IntOr("alternatives", 0);
       d.chosen = item.IntOr("chosen", 0);
@@ -152,69 +159,74 @@ bool ParseRecord(const JsonValue& doc, QueryLogRecord* record) {
       d.best_other_est = NumberOrInf(item, "best_other_est");
       d.have_actual = item.Find("actual_seconds") != nullptr;
       d.actual_seconds = item.NumberOr("actual_seconds", 0.0);
+      d.have_regret = item.Find("regret") != nullptr;
+      d.regret = item.NumberOr("regret", 0.0);
       record->decisions.push_back(std::move(d));
     }
   }
   return true;
 }
 
-}  // namespace
-
-uint64_t HashQueryText(const std::string& text) {
-  Result<NormalizedQuery> normalized = NormalizeQuery(text);
-  if (normalized.ok()) {
-    return normalized->fingerprint;
+/// The start-up summary and re-opt counts (either source may be null).
+void FillSummary(const StartupResult* startup,
+                 const std::vector<ReoptCheckpoint>* reopt,
+                 QueryRecord* record) {
+  if (startup != nullptr) {
+    record->predicted_cost = startup->execution_cost;
+    record->decision_count = startup->decisions;
+    record->cost_evaluations = startup->cost_evaluations;
+    record->resolve_cpu_seconds = startup->measured_cpu_seconds;
   }
-  return Fnv1a64(text);
+  if (reopt == nullptr) {
+    return;
+  }
+  record->reopt_checkpoints = static_cast<int64_t>(reopt->size());
+  for (const ReoptCheckpoint& cp : *reopt) {
+    record->reopt_adoptions += cp.adopted ? 1 : 0;
+    if (!cp.triggered) {
+      continue;
+    }
+    ++record->reopt_triggers;
+    record->reopt_seconds += cp.reopt_seconds;
+    record->reopt_cost_pre = cp.pre_cost;
+    record->reopt_cost_post = cp.post_cost;
+  }
 }
 
-QueryLogRecord BuildQueryLogRecord(const std::string& query_text,
-                                   const AnalyzeInput& input,
-                                   const std::vector<AnalyzeRow>& rows,
-                                   const CostModel& model,
-                                   const ParamEnv& bound_env) {
-  QueryLogRecord record;
-  record.query = query_text;
-  Result<NormalizedQuery> normalized = NormalizeQuery(query_text);
-  if (normalized.ok()) {
-    record.query_hash = normalized->fingerprint;
-    record.query_template = normalized->template_text;
-  } else {
-    record.query_hash = Fnv1a64(query_text);
-  }
-  if (input.startup != nullptr) {
-    record.predicted_cost = input.startup->execution_cost;
-    record.decision_count = input.startup->decisions;
-    record.cost_evaluations = input.startup->cost_evaluations;
-    record.resolve_cpu_seconds = input.startup->measured_cpu_seconds;
-  }
-  if (input.reopt != nullptr) {
-    record.reopt_checkpoints =
-        static_cast<int64_t>(input.reopt->size());
-    for (const ReoptCheckpoint& cp : *input.reopt) {
-      if (!cp.triggered) {
-        continue;
-      }
-      ++record.reopt_triggers;
-      record.reopt_seconds += cp.reopt_seconds;
-      record.reopt_cost_pre = cp.pre_cost;
-      record.reopt_cost_post = cp.post_cost;
+}  // namespace
+
+double QueryRecord::RegretSeconds() const {
+  double sum = 0.0;
+  for (const QueryDecision& d : decisions) {
+    if (d.have_regret) {
+      sum += d.regret;
     }
   }
+  return sum;
+}
+
+QueryRecord BuildQueryRecord(const AnalyzeInput& input,
+                             const std::vector<AnalyzeRow>& rows,
+                             const CostModel* model,
+                             const ParamEnv& bound_env) {
+  QueryRecord record;
+  FillSummary(input.startup, input.reopt, &record);
   if (input.resolved_root == nullptr) {
     return record;
   }
   // Bound-point estimates and unit-operation counts: the compile-time
   // interval annotations on the plan can't provide either.
-  PlanEstimateMap points = EstimatePlan(*input.resolved_root, model,
-                                        bound_env,
-                                        EstimationMode::kExpectedValue);
-  PlanTermsMap terms =
-      ComputePlanTerms(*input.resolved_root, model, bound_env);
+  PlanEstimateMap points;
+  PlanTermsMap terms;
+  if (model != nullptr) {
+    points = EstimatePlan(*input.resolved_root, *model, bound_env,
+                          EstimationMode::kExpectedValue);
+    terms = ComputePlanTerms(*input.resolved_root, *model, bound_env);
+  }
 
   for (const AnalyzeRow& row : rows) {
     if (row.kind == AnalyzeRow::Kind::kDecision) {
-      QueryLogDecision d;
+      QueryDecision d;
       d.depth = row.depth;
       d.alternatives = static_cast<int64_t>(row.alternatives);
       d.chosen = static_cast<int64_t>(row.chosen);
@@ -223,10 +235,12 @@ QueryLogRecord BuildQueryLogRecord(const std::string& query_text,
       d.best_other_est = row.best_other_est;
       d.have_actual = row.have_actual;
       d.actual_seconds = row.actual_seconds;
+      d.have_regret = row.have_regret;
+      d.regret = row.regret;
       record.decisions.push_back(std::move(d));
       continue;
     }
-    QueryLogOperator op;
+    QueryOperator op;
     op.op = row.op;
     op.depth = row.depth;
     op.est_cost_lo = row.est_cost.lo();
@@ -237,11 +251,11 @@ QueryLogRecord BuildQueryLogRecord(const std::string& query_text,
     op.actual_seconds = row.actual_seconds;
     op.actual_cpu_seconds = row.actual_cpu_seconds;
     op.actual_rows = row.actual_rows;
-    if (auto it = points.find(row.plan_node); it != points.end()) {
-      op.est_cost_point = it->second.cost.lo();
-    }
-    if (auto it = terms.find(row.plan_node); it != terms.end()) {
-      op.terms = it->second;
+    auto point = points.find(row.plan_node);
+    auto term = terms.find(row.plan_node);
+    if (point != points.end() && term != terms.end()) {
+      op.est_cost_point = point->second.cost.lo();
+      op.terms = term->second;
       op.have_terms = true;
     }
     record.operators.push_back(std::move(op));
@@ -258,7 +272,7 @@ QueryLogRecord BuildQueryLogRecord(const std::string& query_text,
     if (rows[i].kind != AnalyzeRow::Kind::kOperator) {
       continue;
     }
-    QueryLogOperator& op = record.operators[op_index++];
+    QueryOperator& op = record.operators[op_index++];
     if (!op.have_actual) {
       continue;
     }
@@ -283,147 +297,123 @@ QueryLogRecord BuildQueryLogRecord(const std::string& query_text,
   return record;
 }
 
-QueryLogRecord BuildQueryLogRecord(const QueryRun& run,
-                                   const AnalyzeInput& input,
-                                   const std::vector<AnalyzeRow>& rows) {
+QueryRecord BuildQueryRecord(const QueryRun& run, const AnalyzeInput& input,
+                             const std::vector<AnalyzeRow>& rows,
+                             bool with_terms) {
   const PreparedQuery& prepared = run.prepared;
-  QueryLogRecord record =
-      BuildQueryLogRecord(prepared.sql, input, rows, *prepared.request.model,
-                          prepared.planned.bound);
+  QueryRecord record = BuildQueryRecord(
+      input, rows, with_terms ? prepared.request.model : nullptr,
+      prepared.planned.bound);
+  record.query = prepared.sql;
+  record.query_hash = prepared.planned.fingerprint;
+  record.query_template = prepared.planned.template_text;
   record.plan_cache = prepared.cache_status();
   record.bindings = prepared.HostBindings();
   record.threads = run.threads;
   record.memory_pages = prepared.request.memory_pages;
+  if (input.startup == nullptr) {
+    // No analyze walk: summarize what AnalyzeInputFor would point at.
+    FillSummary(&prepared.startup,
+                run.reoptimized ? &run.checkpoints : nullptr, &record);
+  }
+  record.exec_seconds = run.exec_seconds;
+  record.result_rows = static_cast<int64_t>(run.rows.size());
   record.peak_memory_bytes = run.peak_memory_bytes;
   record.spill_files = run.spill_files;
   record.spill_tuples = run.spill_tuples;
   return record;
 }
 
-std::string RenderQueryLogRecordJson(const QueryLogRecord& record) {
+std::string RenderQueryRecordJson(const QueryRecord& record) {
   std::string out = "{";
-  AppendIntField(&out, "v", 2);
-  out += ", ";
-  AppendStringField(&out, "query", record.query);
-  out += ", ";
+  JsonFields f(&out);
+  f.Int("v", 3);
+  f.String("query", record.query);
   char hash[24];
   std::snprintf(hash, sizeof(hash), "%016" PRIx64, record.query_hash);
-  AppendStringField(&out, "query_hash", hash);
+  f.String("query_hash", hash);
   if (!record.query_template.empty()) {
-    out += ", ";
-    AppendStringField(&out, "query_template", record.query_template);
+    f.String("query_template", record.query_template);
   }
   if (!record.plan_cache.empty()) {
-    out += ", ";
-    AppendStringField(&out, "plan_cache", record.plan_cache);
+    f.String("plan_cache", record.plan_cache);
   }
-  out += ", \"bindings\": {";
-  bool first = true;
+  f.Key("bindings");
+  out += "{";
+  JsonFields bindings(&out);
   for (const auto& [name, value] : record.bindings) {
-    if (!first) {
-      out += ", ";
-    }
-    first = false;
-    AppendIntField(&out, JsonEscape(name).c_str(), value);
+    bindings.Int(JsonEscape(name).c_str(), value);
   }
-  out += "}, ";
-  AppendIntField(&out, "threads", record.threads);
-  out += ", ";
-  AppendNumberField(&out, "memory_pages", record.memory_pages);
-  out += ", ";
-  AppendNumberField(&out, "predicted_cost", record.predicted_cost);
-  out += ", ";
-  AppendIntField(&out, "decision_count", record.decision_count);
-  out += ", ";
-  AppendIntField(&out, "cost_evaluations", record.cost_evaluations);
-  out += ", ";
-  AppendNumberField(&out, "resolve_cpu_seconds",
-                    record.resolve_cpu_seconds);
-  out += ", ";
-  AppendNumberField(&out, "actual_seconds", record.actual_seconds);
-  out += ", ";
-  AppendNumberField(&out, "actual_cpu_seconds", record.actual_cpu_seconds);
-  out += ", ";
-  AppendIntField(&out, "result_rows", record.result_rows);
-  out += ", ";
-  AppendIntField(&out, "peak_memory_bytes", record.peak_memory_bytes);
-  out += ", ";
-  AppendIntField(&out, "spill_files", record.spill_files);
-  out += ", ";
-  AppendIntField(&out, "spill_tuples", record.spill_tuples);
-  out += ", ";
-  AppendIntField(&out, "pool_hits", record.pool_hits);
-  out += ", ";
-  AppendIntField(&out, "pool_misses", record.pool_misses);
-  out += ", ";
-  AppendIntField(&out, "reopt_checkpoints", record.reopt_checkpoints);
-  out += ", ";
-  AppendIntField(&out, "reopt_triggers", record.reopt_triggers);
-  out += ", ";
-  AppendNumberField(&out, "reopt_seconds", record.reopt_seconds);
-  out += ", ";
-  AppendNumberField(&out, "reopt_cost_pre", record.reopt_cost_pre);
-  out += ", ";
-  AppendNumberField(&out, "reopt_cost_post", record.reopt_cost_post);
-  out += ", \"operators\": [";
-  first = true;
-  for (const QueryLogOperator& op : record.operators) {
-    if (!first) {
-      out += ", ";
+  out += "}";
+  f.Int("session_id", record.session_id);
+  f.Int("threads", record.threads);
+  f.Number("memory_pages", record.memory_pages);
+  f.Number("predicted_cost", record.predicted_cost);
+  f.Int("decision_count", record.decision_count);
+  f.Int("cost_evaluations", record.cost_evaluations);
+  f.Number("resolve_cpu_seconds", record.resolve_cpu_seconds);
+  f.Number("total_seconds", record.total_seconds);
+  f.Number("grant_wait_seconds", record.grant_wait_seconds);
+  f.Number("exec_seconds", record.exec_seconds);
+  f.Number("actual_seconds", record.actual_seconds);
+  f.Number("actual_cpu_seconds", record.actual_cpu_seconds);
+  f.Int("result_rows", record.result_rows);
+  f.Int("peak_memory_bytes", record.peak_memory_bytes);
+  f.Int("spill_files", record.spill_files);
+  f.Int("spill_tuples", record.spill_tuples);
+  f.Int("pool_hits", record.pool_hits);
+  f.Int("pool_misses", record.pool_misses);
+  f.Int("reopt_checkpoints", record.reopt_checkpoints);
+  f.Int("reopt_triggers", record.reopt_triggers);
+  f.Int("reopt_adoptions", record.reopt_adoptions);
+  f.Number("reopt_seconds", record.reopt_seconds);
+  f.Number("reopt_cost_pre", record.reopt_cost_pre);
+  f.Number("reopt_cost_post", record.reopt_cost_post);
+  f.Key("operators");
+  out += "[";
+  for (size_t i = 0; i < record.operators.size(); ++i) {
+    const QueryOperator& op = record.operators[i];
+    out += i == 0 ? "{" : ", {";
+    JsonFields o(&out);
+    o.String("op", op.op);
+    o.Int("depth", op.depth);
+    o.Number("est_cost_lo", op.est_cost_lo);
+    o.Number("est_cost_hi", op.est_cost_hi);
+    if (op.have_terms) {
+      o.Number("est_cost_point", op.est_cost_point);
     }
-    first = false;
-    out += "{";
-    AppendStringField(&out, "op", op.op);
-    out += ", ";
-    AppendIntField(&out, "depth", op.depth);
-    out += ", ";
-    AppendNumberField(&out, "est_cost_lo", op.est_cost_lo);
-    out += ", ";
-    AppendNumberField(&out, "est_cost_hi", op.est_cost_hi);
-    out += ", ";
-    AppendNumberField(&out, "est_cost_point", op.est_cost_point);
-    out += ", ";
-    AppendNumberField(&out, "est_rows_lo", op.est_rows_lo);
-    out += ", ";
-    AppendNumberField(&out, "est_rows_hi", op.est_rows_hi);
+    o.Number("est_rows_lo", op.est_rows_lo);
+    o.Number("est_rows_hi", op.est_rows_hi);
     if (op.have_actual) {
-      out += ", ";
-      AppendNumberField(&out, "actual_seconds", op.actual_seconds);
-      out += ", ";
-      AppendNumberField(&out, "actual_cpu_seconds", op.actual_cpu_seconds);
-      out += ", ";
-      AppendNumberField(&out, "self_seconds", op.self_seconds);
-      out += ", ";
-      AppendIntField(&out, "actual_rows", op.actual_rows);
+      o.Number("actual_seconds", op.actual_seconds);
+      o.Number("actual_cpu_seconds", op.actual_cpu_seconds);
+      o.Number("self_seconds", op.self_seconds);
+      o.Int("actual_rows", op.actual_rows);
     }
     if (op.have_terms) {
-      out += ", \"terms\": ";
+      o.Key("terms");
       AppendTerms(&out, op.terms);
     }
     out += "}";
   }
-  out += "], \"decisions\": [";
-  first = true;
-  for (const QueryLogDecision& d : record.decisions) {
-    if (!first) {
-      out += ", ";
-    }
-    first = false;
-    out += "{";
-    AppendIntField(&out, "depth", d.depth);
-    out += ", ";
-    AppendIntField(&out, "alternatives", d.alternatives);
-    out += ", ";
-    AppendIntField(&out, "chosen", d.chosen);
-    out += ", ";
-    AppendStringField(&out, "chosen_op", d.chosen_op);
-    out += ", ";
-    AppendNumberField(&out, "chosen_est", d.chosen_est);
-    out += ", ";
-    AppendNumberField(&out, "best_other_est", d.best_other_est);
+  out += "]";
+  f.Key("decisions");
+  out += "[";
+  for (size_t i = 0; i < record.decisions.size(); ++i) {
+    const QueryDecision& d = record.decisions[i];
+    out += i == 0 ? "{" : ", {";
+    JsonFields o(&out);
+    o.Int("depth", d.depth);
+    o.Int("alternatives", d.alternatives);
+    o.Int("chosen", d.chosen);
+    o.String("chosen_op", d.chosen_op);
+    o.Number("chosen_est", d.chosen_est);
+    o.Number("best_other_est", d.best_other_est);
     if (d.have_actual) {
-      out += ", ";
-      AppendNumberField(&out, "actual_seconds", d.actual_seconds);
+      o.Number("actual_seconds", d.actual_seconds);
+    }
+    if (d.have_regret) {
+      o.Number("regret", d.regret);
     }
     out += "}";
   }
@@ -450,10 +440,10 @@ bool QueryLogWriter::Open(const std::string& path, std::string* error) {
   return true;
 }
 
-bool QueryLogWriter::Append(const QueryLogRecord& record) {
+bool QueryLogWriter::Append(const QueryRecord& record) {
   // Serialize outside the lock; hold it only for the write + flush so
   // concurrent sessions' records land as whole, unmixed lines.
-  std::string line = RenderQueryLogRecordJson(record);
+  std::string line = RenderQueryRecordJson(record);
   line += '\n';
   std::lock_guard<std::mutex> lock(mutex_);
   if (file_ == nullptr) {
@@ -472,7 +462,7 @@ void QueryLogWriter::Close() {
   path_.clear();
 }
 
-Result<std::vector<QueryLogRecord>> LoadQueryLog(const std::string& path,
+Result<std::vector<QueryRecord>> LoadQueryLog(const std::string& path,
                                                  int64_t* skipped_lines) {
   std::FILE* f = std::fopen(path.c_str(), "r");
   if (f == nullptr) {
@@ -486,7 +476,7 @@ Result<std::vector<QueryLogRecord>> LoadQueryLog(const std::string& path,
   }
   std::fclose(f);
 
-  std::vector<QueryLogRecord> records;
+  std::vector<QueryRecord> records;
   int64_t skipped = 0;
   size_t pos = 0;
   while (pos < content.size()) {
@@ -500,7 +490,7 @@ Result<std::vector<QueryLogRecord>> LoadQueryLog(const std::string& path,
       continue;
     }
     JsonValue doc;
-    QueryLogRecord record;
+    QueryRecord record;
     if (ParseJson(line, &doc) && ParseRecord(doc, &record)) {
       records.push_back(std::move(record));
     } else {

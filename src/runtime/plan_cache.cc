@@ -15,10 +15,13 @@ namespace dqep {
 
 namespace {
 
-/// Mirrors an internal counter bump into the process-wide registry.
-void BumpMetric(const char* name, int64_t delta = 1) {
-  obs::MetricsRegistry::Instance().SharedCounter(name)->Add(delta);
-}
+// The registry counters the cache's own counters are mirrored into.
+obs::SharedCounterRef g_hits_metric("runtime.plancache.hits");
+obs::SharedCounterRef g_misses_metric("runtime.plancache.misses");
+obs::SharedCounterRef g_inserts_metric("runtime.plancache.inserts");
+obs::SharedCounterRef g_evictions_metric("runtime.plancache.evictions");
+obs::SharedCounterRef g_invalidations_metric(
+    "runtime.plancache.invalidations");
 
 void SetSizeGauge(size_t size) {
   obs::MetricsRegistry::Instance()
@@ -72,11 +75,11 @@ DynamicPlanCache::EntryPtr DynamicPlanCache::Lookup(uint64_t fingerprint,
     }
   }
   if (hit != nullptr) {
-    BumpMetric("runtime.plancache.hits");
+    g_hits_metric.Add(1);
     return hit;
   }
   misses_.fetch_add(1, std::memory_order_relaxed);
-  BumpMetric("runtime.plancache.misses");
+  g_misses_metric.Add(1);
   return nullptr;
 }
 
@@ -111,7 +114,7 @@ DynamicPlanCache::EntryPtr DynamicPlanCache::Insert(Entry entry) {
     evicted = EvictToCapacityLocked(&removed);
     size = entries_.size();
   }
-  BumpMetric("runtime.plancache.inserts");
+  g_inserts_metric.Add(1);
   ReportEvictions(evicted, size);
   return shared;
 }
@@ -230,14 +233,14 @@ int64_t DynamicPlanCache::EvictToCapacityLocked(
 
 void DynamicPlanCache::ReportEvictions(int64_t evicted, size_t size) {
   if (evicted > 0) {
-    BumpMetric("runtime.plancache.evictions", evicted);
+    g_evictions_metric.Add(evicted);
   }
   SetSizeGauge(size);
 }
 
 void DynamicPlanCache::ReportInvalidations(int64_t dropped, size_t size) {
   if (dropped > 0) {
-    BumpMetric("runtime.plancache.invalidations", dropped);
+    g_invalidations_metric.Add(dropped);
   }
   SetSizeGauge(size);
 }

@@ -8,6 +8,13 @@
 
 namespace dqep {
 
+namespace {
+
+obs::SharedCounterRef g_resolves_metric("runtime.startup.resolves");
+obs::SharedCounterRef g_decisions_metric("runtime.startup.decisions");
+
+}  // namespace
+
 Result<StartupResult> ResolveDynamicPlan(const StartupProgram& program,
                                          const CostModel& model,
                                          const ParamEnv& env,
@@ -17,10 +24,8 @@ Result<StartupResult> ResolveDynamicPlan(const StartupProgram& program,
   Result<StartupResult> result =
       DecisionEngine(model).Resolve(program, env, options);
   if (result.ok()) {
-    auto& registry = obs::MetricsRegistry::Instance();
-    registry.SharedCounter("runtime.startup.resolves")->Add(1);
-    registry.SharedCounter("runtime.startup.decisions")
-        ->Add(static_cast<int64_t>(result->decisions));
+    g_resolves_metric.Add(1);
+    g_decisions_metric.Add(static_cast<int64_t>(result->decisions));
   }
   return result;
 }

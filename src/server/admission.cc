@@ -316,11 +316,15 @@ int64_t TemplateCostTable::SeedFromLog(const std::string& path) {
     return 0;
   }
   int64_t folded = 0;
-  for (const obs::QueryLogRecord& record : *records) {
-    if (record.query_hash == 0 || record.actual_seconds <= 0.0) {
+  for (const obs::QueryRecord& record : *records) {
+    // v3 lines carry the execution wall the live EWMA folds; older ones
+    // only the root operator's.
+    const double seconds = record.exec_seconds > 0.0 ? record.exec_seconds
+                                                     : record.actual_seconds;
+    if (record.query_hash == 0 || seconds <= 0.0) {
       continue;
     }
-    Record(record.query_hash, record.actual_seconds);
+    Record(record.query_hash, seconds);
     ++folded;
   }
   return folded;

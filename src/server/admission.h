@@ -199,8 +199,8 @@ class TemplateCostTable {
   /// Folds one measured execution into the template's EWMA.
   void Record(uint64_t fingerprint, double measured_seconds);
 
-  /// Seeds EWMAs from a persisted query log's (query_hash,
-  /// actual_seconds) pairs so a restarted server throttles from history.
+  /// Seeds EWMAs from a persisted query log's (query_hash, execution
+  /// seconds) pairs so a restarted server throttles from history.
   /// Returns the number of records folded in.
   int64_t SeedFromLog(const std::string& path);
 

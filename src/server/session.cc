@@ -117,6 +117,28 @@ std::vector<SessionInfo::Snapshot> SharedEngine::SnapshotSessions() const {
   return out;
 }
 
+void SharedEngine::RecordQuery(
+    std::shared_ptr<const obs::QueryRecord> record,
+    const std::function<std::string()>& render_analyze) {
+  const obs::QueryRecord& r = *record;
+  admission->RecordExecution(r.query_hash, r.exec_seconds);
+  if (drift != nullptr) {
+    // Drift compares modeled seconds (the start-up resolution's
+    // execution-cost estimate for the chosen plan) against measured
+    // execution wall time — the ratio calibration is meant to pin at 1.
+    drift->Record(r.query_hash, r.predicted_cost, r.exec_seconds);
+  }
+  if (slo != nullptr) {
+    // End-to-end latency (queue wait included) is what the SLO promises
+    // the client; fire/resolve transitions reach the flight recorder
+    // through the server's alert hook.
+    slo->Record(r.query_hash, r.total_seconds);
+  }
+  if (flight != nullptr) {
+    flight->Record(std::move(record), render_analyze);
+  }
+}
+
 ServerSession::ServerSession(SharedEngine* engine, int64_t session_id,
                              double default_memory_pages)
     : engine_(engine),
@@ -441,16 +463,14 @@ void ServerSession::RunQuery(const std::string& sql, LineChannel* channel) {
     channel->WriteAll(FormatErrLine(prepared.status().ToString()));
     return;
   }
-  const uint64_t fingerprint = prepared->planned.fingerprint;
-  const double predicted_seconds = prepared->startup.execution_cost;
-
   // Admission: global memory-grant pool first, then the cost throttle fed
   // by this template's measured history (optimizer estimate until then).
   const int64_t pages = static_cast<int64_t>(std::llround(memory_pages_));
   info_.BeginPhase("queued");
   const auto admit_start = std::chrono::steady_clock::now();
   AdmitResult admit =
-      engine_->admission->Admit(fingerprint, pages, predicted_seconds);
+      engine_->admission->Admit(prepared->planned.fingerprint, pages,
+                                prepared->startup.execution_cost);
   const double grant_wait_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                     admit_start)
@@ -477,90 +497,40 @@ void ServerSession::RunQuery(const std::string& sql, LineChannel* channel) {
     channel->WriteAll(FormatErrLine("cancelled: server shutting down"));
     return;
   }
-  const std::string cache_status = run->prepared.cache_status();
-  engine_->admission->RecordExecution(fingerprint, run->exec_seconds);
   info_.SetPeakMemory(run->peak_memory_bytes);
-  if (engine_->drift != nullptr) {
-    // Drift compares modeled seconds (the start-up resolution's
-    // execution-cost estimate for the chosen plan) against measured
-    // execution wall time — the ratio calibration is meant to pin at 1.
-    engine_->drift->Record(fingerprint, predicted_seconds, run->exec_seconds);
-  }
 
-  // Both the query log and the (always-on) flight recorder report the
-  // executed plan annotated with estimate intervals.
+  // One record per served query.  Its operator rows come from one analyze
+  // walk, taken only when a report shows them (the flight recorder is on
+  // by default); its bound-point estimates only when the query log, their
+  // one reader, is open.
   const bool want_log =
       engine_->query_log != nullptr && engine_->query_log->is_open();
-  const bool want_flight = engine_->flight != nullptr;
-  // One analyze walk feeds both.
   obs::AnalyzeInput input;
   std::vector<obs::AnalyzeRow> analyze_rows;
-  if (want_log || want_flight) {
+  if (want_log || engine_->flight != nullptr) {
     info_.BeginPhase("log");
     input = obs::AnalyzeInputFor(*run);
     analyze_rows = obs::CollectAnalyzeRows(input);
   }
-  if (want_log) {
-    engine_->query_log->Append(
-        obs::BuildQueryLogRecord(*run, input, analyze_rows));
-  }
-
-  const double total_seconds =
+  auto record = std::make_shared<obs::QueryRecord>(
+      obs::BuildQueryRecord(*run, input, analyze_rows, want_log));
+  record->session_id = session_id_;
+  record->grant_wait_seconds = grant_wait_seconds;
+  record->total_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                     wall_start)
           .count();
+  const double total_seconds = record->total_seconds;
   latency_histogram_.Record(static_cast<int64_t>(total_seconds * 1e6));
-  if (engine_->slo != nullptr) {
-    // End-to-end latency (queue wait included) is what the SLO promises
-    // the client; fire/resolve transitions reach the flight recorder
-    // through the server's alert hook.
-    engine_->slo->Record(fingerprint, total_seconds);
+  if (want_log) {
+    engine_->query_log->Append(*record);
   }
+  engine_->RecordQuery(std::move(record), [&] {
+    return obs::RenderAnalyze(analyze_rows, input, obs::AnalyzeFormat::kJson);
+  });
 
   const std::vector<Tuple>& rows = run->rows;
-  if (want_flight) {
-    obs::FlightRecord flight;
-    flight.session_id = session_id_;
-    flight.fingerprint = fingerprint;
-    flight.query = sql;
-    flight.template_text = run->prepared.planned.template_text;
-    flight.cache = cache_status;
-    flight.seconds = total_seconds;
-    flight.grant_wait_seconds = grant_wait_seconds;
-    flight.rows = static_cast<int64_t>(rows.size());
-    flight.peak_memory_bytes = run->peak_memory_bytes;
-    flight.decisions = run->prepared.startup.decisions;
-    flight.reopt_checkpoints = run->checkpoints_evaluated;
-    flight.reopt_triggers = run->triggers_fired;
-    for (const ReoptCheckpoint& cp : run->checkpoints) {
-      flight.reopt_adoptions += cp.adopted ? 1 : 0;
-    }
-    for (const auto& [name, value] : run->prepared.HostBindings()) {
-      flight.bindings.emplace_back(name, std::to_string(value));
-    }
-    for (const obs::AnalyzeRow& row : analyze_rows) {
-      if (row.kind == obs::AnalyzeRow::Kind::kDecision) {
-        if (row.have_regret) {
-          flight.regret_seconds += row.regret;
-        }
-        continue;
-      }
-      obs::OperatorSample op;
-      op.op = row.op;
-      op.depth = row.depth;
-      op.est_cost_lo = row.est_cost.lo();
-      op.est_cost_hi = row.est_cost.hi();
-      op.est_rows_lo = row.est_rows.lo();
-      op.est_rows_hi = row.est_rows.hi();
-      op.actual_seconds = row.actual_seconds;
-      op.actual_rows = row.actual_rows;
-      op.have_actual = row.have_actual;
-      flight.operators.push_back(std::move(op));
-    }
-    engine_->flight->Record(std::move(flight), [&] {
-      return obs::RenderAnalyze(analyze_rows, input, obs::AnalyzeFormat::kJson);
-    });
-  }
+  const char* cache_status = run->prepared.cache_status();
   if (engine_->trace != nullptr) {
     engine_->trace->AddSpan(
         "query", "server", trace_start_us,

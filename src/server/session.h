@@ -21,14 +21,21 @@
 //
 // Admission sits between the pipeline's two calls, and the memory grant
 // it hands out lives exactly as long as ExecuteQuery: annotation, the
-// query log, the flight recorder and the (possibly blocking) reply
-// write all run after the pages are back in the pool.
+// query record and the (possibly blocking) reply write all run after the
+// pages are back in the pool.
 //
-// Annotation safety: query-log records need the executed plan annotated
-// with estimate intervals, but the resolved plan shares subtrees with
-// the cached dynamic plan other sessions are concurrently resolving.
-// The pipeline therefore annotates a ClonePlan deep copy (AnnotateRun) —
-// the shared DAG is never written after Insert.
+// Observation: each served query yields one obs::QueryRecord
+// (obs/querylog.h), built from the run, the admission facts and at most
+// one analyze walk.  It has two renderings — the query-log line (its
+// JSON, schema v3) and the flight recorder's ring entry and bundle,
+// whose "meta" is the same JSON — and SharedEngine::RecordQuery hands it
+// to every per-template consumer in one call.
+//
+// Annotation safety: the record's operator rows need the executed plan
+// annotated with estimate intervals, but the resolved plan shares
+// subtrees with the cached dynamic plan other sessions are concurrently
+// resolving.  The pipeline therefore annotates a ClonePlan deep copy
+// (AnnotateRun) — the shared DAG is never written after Insert.
 //
 // Cancellation: while it executes, a query's ExecContext is registered
 // with the shared engine (SharedEngine::LiveContext); shutdown cancels every
@@ -40,6 +47,7 @@
 
 #include <chrono>
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -143,6 +151,12 @@ class SharedEngine {
 
   /// RequestCancel on every live context (idempotent).
   void CancelAll();
+
+  /// Hands a served query's record to every per-template consumer: the
+  /// admission cost EWMA, calibration drift, SLO burn and the flight
+  /// recorder (which calls `render_analyze` only to spool a bundle).
+  void RecordQuery(std::shared_ptr<const obs::QueryRecord> record,
+                   const std::function<std::string()>& render_analyze);
 
   /// `\top` registry: sessions register themselves for the lifetime of
   /// their connection.

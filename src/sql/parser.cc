@@ -75,8 +75,8 @@ class Parser {
     if (Peek().kind != TokenKind::kEnd) {
       return ErrorHere("unexpected trailing input");
     }
+    std::vector<AttrRef> projection;
     if (!select_star) {
-      std::vector<AttrRef> projection;
       for (const auto& [table, column] : select_list) {
         Result<AttrRef> attr = ResolveNamedColumn(table, column);
         if (!attr.ok()) {
@@ -84,6 +84,20 @@ class Parser {
         }
         projection.push_back(*attr);
       }
+    } else if (result_.query.num_terms() > 1) {
+      // '*' over a join: every FROM relation's columns, in FROM order and
+      // catalog order within each, so the output columns do not follow
+      // the join order start-up happens to pick.  One relation's output
+      // is already in catalog order.
+      for (const RelationTerm& term : result_.query.terms()) {
+        const int32_t columns =
+            catalog_.relation(term.relation).num_columns();
+        for (int32_t c = 0; c < columns; ++c) {
+          projection.push_back(AttrRef{term.relation, c});
+        }
+      }
+    }
+    if (!projection.empty()) {
       result_.query.SetProjection(std::move(projection));
     }
     DQEP_RETURN_IF_ERROR(result_.query.Validate(catalog_));

@@ -318,14 +318,14 @@ TEST(FlightRecorderSpoolTest, RotationKeepsOnlyTheNewestBundles) {
 
   std::vector<std::string> paths;
   for (int i = 0; i < 5; ++i) {
-    FlightRecord record;
-    record.fingerprint = 0x5;
-    record.query = "SELECT " + std::to_string(i);
-    record.seconds = 0.5;
-    auto finished = recorder.Record(std::move(record));
-    ASSERT_TRUE(finished->slow);
-    ASSERT_FALSE(finished->bundle_path.empty());
-    paths.push_back(finished->bundle_path);
+    auto record = std::make_shared<QueryRecord>();
+    record->query_hash = 0x5;
+    record->query = "SELECT " + std::to_string(i);
+    record->total_seconds = 0.5;
+    FlightEntry finished = recorder.Record(std::move(record));
+    ASSERT_TRUE(finished.slow());
+    ASSERT_FALSE(finished.bundle_path.empty());
+    paths.push_back(finished.bundle_path);
   }
   // Only the two newest bundles survive on disk.
   struct stat st;
@@ -357,10 +357,10 @@ TEST(FlightRecorderSpoolTest, UnboundedSpoolKeepsEverything) {
   FlightRecorder recorder(options);
   std::vector<std::string> paths;
   for (int i = 0; i < 4; ++i) {
-    FlightRecord record;
-    record.fingerprint = 0x6;
-    record.seconds = 0.5;
-    paths.push_back(recorder.Record(std::move(record))->bundle_path);
+    auto record = std::make_shared<QueryRecord>();
+    record->query_hash = 0x6;
+    record->total_seconds = 0.5;
+    paths.push_back(recorder.Record(std::move(record)).bundle_path);
   }
   struct stat st;
   for (const std::string& path : paths) {

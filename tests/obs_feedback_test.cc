@@ -80,7 +80,7 @@ TEST_F(FeedbackTest, CalibrationReducesRootErrorAndPreservesDecisions) {
   Optimizer optimizer(&workload_->model(), OptimizerOptions::Dynamic());
 
   std::vector<LoggedQuery> logged;
-  std::vector<obs::QueryLogRecord> records;
+  std::vector<obs::QueryRecord> records;
   int64_t total_decisions = 0;
 
   for (int32_t n : PaperWorkload::PaperQuerySizes()) {
@@ -115,9 +115,8 @@ TEST_F(FeedbackTest, CalibrationReducesRootErrorAndPreservesDecisions) {
     for (obs::AnalyzeRow& row : rows) {
       row.actual_seconds = row.actual_cpu_seconds;
     }
-    obs::QueryLogRecord record = obs::BuildQueryLogRecord(
-        "chain(" + std::to_string(n) + ")", input, rows, workload_->model(),
-        entry.bound);
+    obs::QueryRecord record =
+        obs::BuildQueryRecord(input, rows, &workload_->model(), entry.bound);
     // decision_count carries the start-up total (every choose node in the
     // DAG, nested alternatives included); the decisions array holds only
     // the ones on the chosen path, which is all the analyze walk visits.
@@ -197,9 +196,8 @@ TEST_F(FeedbackTest, ScaleOnlyCalibrationUsesUniformMultipliers) {
   input.resolved_root = startup->resolved.get();
   input.startup = &*startup;
   input.exec_root = iter->get();
-  std::vector<obs::QueryLogRecord> records = {
-      obs::BuildQueryLogRecord("chain(2)", input, obs::CollectAnalyzeRows(input),
-                               workload_->model(), bound)};
+  std::vector<obs::QueryRecord> records = {obs::BuildQueryRecord(
+      input, obs::CollectAnalyzeRows(input), &workload_->model(), bound)};
 
   obs::CalibrationOptions options;
   options.allow_per_unit = false;
@@ -219,9 +217,9 @@ TEST_F(FeedbackTest, ScaleOnlyCalibrationUsesUniformMultipliers) {
 // JSONL persistence: records survive a file round trip bit-for-meaning,
 // and a torn tail line (crash mid-append) is skipped, not fatal.
 TEST_F(FeedbackTest, QueryLogJsonlRoundTripSkipsTornLines) {
-  obs::QueryLogRecord record;
+  obs::QueryRecord record;
   record.query = "select * from r1 where s < ?0";
-  record.query_hash = obs::HashQueryText(record.query);
+  record.query_hash = 0x00c0ffee12345678;
   record.bindings = {{"?0", 123}};
   record.threads = 1;
   record.memory_pages = 64.0;
@@ -235,7 +233,7 @@ TEST_F(FeedbackTest, QueryLogJsonlRoundTripSkipsTornLines) {
   record.pool_hits = 10;
   record.pool_misses = 3;
 
-  obs::QueryLogOperator op;
+  obs::QueryOperator op;
   op.op = "FileScan";
   op.depth = 0;
   op.est_cost_lo = 0.1;
@@ -253,7 +251,7 @@ TEST_F(FeedbackTest, QueryLogJsonlRoundTripSkipsTornLines) {
   op.have_terms = true;
   record.operators.push_back(op);
 
-  obs::QueryLogDecision decision;
+  obs::QueryDecision decision;
   decision.depth = 0;
   decision.alternatives = 2;
   decision.chosen = 1;
@@ -273,11 +271,28 @@ TEST_F(FeedbackTest, QueryLogJsonlRoundTripSkipsTornLines) {
     ASSERT_TRUE(writer.Append(record));
     ASSERT_TRUE(writer.Append(record));
   }
-  // An older v2 record still carries "exec_mode"; then a crash mid-append
-  // leaves a torn, unterminated final line.
-  std::string old_v2 = obs::RenderQueryLogRecordJson(record);
-  ASSERT_EQ(old_v2.front(), '{');
-  old_v2.insert(1, "\"exec_mode\": \"tuple\", ");
+  // A v2 line (written before the v3 fields existed, and still carrying
+  // the retired "exec_mode") describing the same query; then a crash
+  // mid-append leaves a torn, unterminated final line.
+  const std::string old_v2 =
+      R"({"v": 2, "exec_mode": "tuple", "query": "select * from r1 where s < ?0", )"
+      R"("query_hash": "00c0ffee12345678", "bindings": {"?0": 123}, )"
+      R"("threads": 1, "memory_pages": 64, "predicted_cost": 0.25, )"
+      R"("decision_count": 1, "cost_evaluations": 7, )"
+      R"("resolve_cpu_seconds": 0, "actual_seconds": 0.002, )"
+      R"("actual_cpu_seconds": 0.0015, "result_rows": 321, )"
+      R"("peak_memory_bytes": 1048576, "spill_files": 0, "spill_tuples": 0, )"
+      R"("pool_hits": 10, "pool_misses": 3, "reopt_checkpoints": 0, )"
+      R"("reopt_triggers": 0, "reopt_seconds": 0, "reopt_cost_pre": 0, )"
+      R"("reopt_cost_post": 0, "operators": [{"op": "FileScan", "depth": 0, )"
+      R"("est_cost_lo": 0.1, "est_cost_hi": 0.9, "est_cost_point": 0.25, )"
+      R"("est_rows_lo": 100, "est_rows_hi": 1000, "actual_seconds": 0.002, )"
+      R"("actual_cpu_seconds": 0.0015, "self_seconds": 0.002, )"
+      R"("actual_rows": 321, "terms": {"seq_pages": 80, "random_pages": 0, )"
+      R"("tuple_ops": 640, "compare_ops": 0, "hash_ops": 0}}], )"
+      R"("decisions": [{"depth": 0, "alternatives": 2, "chosen": 1, )"
+      R"("chosen_op": "FileScan", "chosen_est": 0.25, )"
+      R"("best_other_est": null, "actual_seconds": 0.002}]})";
   {
     std::FILE* f = std::fopen(path.c_str(), "a");
     ASSERT_NE(f, nullptr);
@@ -287,16 +302,17 @@ TEST_F(FeedbackTest, QueryLogJsonlRoundTripSkipsTornLines) {
   }
 
   int64_t skipped = 0;
-  Result<std::vector<obs::QueryLogRecord>> loaded =
+  Result<std::vector<obs::QueryRecord>> loaded =
       obs::LoadQueryLog(path, &skipped);
   ASSERT_TRUE(loaded.ok()) << loaded.status().message();
   EXPECT_EQ(skipped, 1);
   ASSERT_EQ(loaded->size(), 3u);
 
-  const obs::QueryLogRecord& back = loaded->front();
-  // The loader ignores the retired field: the old record loads unchanged.
-  EXPECT_EQ(obs::RenderQueryLogRecordJson((*loaded)[2]),
-            obs::RenderQueryLogRecordJson(back));
+  const obs::QueryRecord& back = loaded->front();
+  // The v2 line loads as the same record, its v3 fields defaulted and
+  // the retired field ignored.
+  EXPECT_EQ(obs::RenderQueryRecordJson((*loaded)[2]),
+            obs::RenderQueryRecordJson(back));
   EXPECT_EQ(back.query, record.query);
   EXPECT_EQ(back.query_hash, record.query_hash);
   ASSERT_EQ(back.bindings.size(), 1u);

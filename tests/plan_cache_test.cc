@@ -7,10 +7,12 @@
 // entry (older statistics epoch or cost-profile epoch) must never be
 // served, not even once.
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <string>
 #include <thread>
+#include <unordered_map>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -350,6 +352,71 @@ TEST_F(PlanCacheWorkloadTest, HostVariablesBindThroughTheCache) {
   ASSERT_FALSE(unbound.ok());
   EXPECT_NE(unbound.status().message().find("host variable :v is unbound"),
             std::string::npos);
+}
+
+/// The sorted text of every row `prepared` returns.
+std::vector<std::string> RowText(PreparedQuery prepared, const Database& db) {
+  ExecContext ctx((ExecOptions()));
+  auto run = ExecuteQuery(std::move(prepared), ctx, nullptr);
+  EXPECT_TRUE(run.ok()) << run.status().ToString();
+  std::vector<std::string> text;
+  if (run.ok()) {
+    for (const Tuple& row : run->rows) {
+      text.push_back(row.ToString());
+    }
+  }
+  std::sort(text.begin(), text.end());
+  return text;
+}
+
+// SELECT * lists every FROM relation's columns in FROM order, whatever
+// join order start-up picks: the cache-off, cold-cache and cached plans
+// and every forced choose-plan alternative print the same row text.
+TEST_F(PlanCacheWorkloadTest, SelectStarColumnsFollowFromOrder) {
+  Rng rng(/*seed=*/13);
+  const std::vector<std::string> queries = {
+      "SELECT * FROM R9, R10 WHERE R9.b = R10.a AND R9.s >= 418 AND "
+      "R9.b <= 226 AND R10.s > 760 AND R10.a >= 17",
+      PaperWorkload::ChainSql(4, workload_->DrawChainLiterals(4, &rng))};
+  for (const std::string& sql : queries) {
+    SCOPED_TRACE(sql);
+    auto off = PrepareQuery(sql, Request(nullptr), workload_->db());
+    ASSERT_TRUE(off.ok()) << off.status().ToString();
+    const std::vector<std::string> expected = RowText(*off, workload_->db());
+    ASSERT_FALSE(expected.empty());
+
+    DynamicPlanCache cache(4);
+    auto cold = PrepareQuery(sql, Request(&cache), workload_->db());
+    auto hit = PrepareQuery(sql, Request(&cache), workload_->db());
+    ASSERT_TRUE(cold.ok() && hit.ok());
+    ASSERT_TRUE(hit->planned.cache_hit);
+    EXPECT_EQ(RowText(*cold, workload_->db()), expected);
+    EXPECT_EQ(RowText(*hit, workload_->db()), expected);
+
+    int64_t forced_runs = 0;
+    for (const PreparedQuery* prepared : {&*off, &*hit}) {
+      for (const PhysNode* node : prepared->planned.root->TopologicalOrder()) {
+        if (node->kind() != PhysOpKind::kChoosePlan) {
+          continue;
+        }
+        for (size_t alt = 0; alt < node->children().size(); ++alt) {
+          std::unordered_map<const PhysNode*, size_t> force{{node, alt}};
+          StartupOptions options;
+          options.forced_choices = &force;
+          auto startup =
+              ResolveDynamicPlan(prepared->planned.root, workload_->model(),
+                                 prepared->planned.bound, options);
+          ASSERT_TRUE(startup.ok()) << startup.status().ToString();
+          PreparedQuery forced = *prepared;
+          forced.startup = std::move(*startup);
+          EXPECT_EQ(RowText(std::move(forced), workload_->db()), expected)
+              << "alternative " << alt << " of a choose-plan node";
+          ++forced_runs;
+        }
+      }
+    }
+    EXPECT_GT(forced_runs, 0);
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -378,16 +378,15 @@ TEST_F(ReoptTest, AnalyzeAndQueryLogSurfaceCheckpoints) {
   EXPECT_NE(json.find("\"reopt_checkpoints\""), std::string::npos) << json;
   EXPECT_NE(json.find("\"triggered\": true"), std::string::npos) << json;
 
-  // Query-log record (schema v2): flat reopt_* fields round-trip.
-  obs::QueryLogRecord record = obs::BuildQueryLogRecord(
-      "chain(2)", input, obs::CollectAnalyzeRows(input), workload_->model(),
-      runtime);
+  // Query-log record: the flat reopt_* fields (schema v2) round-trip.
+  obs::QueryRecord record = obs::BuildQueryRecord(
+      input, obs::CollectAnalyzeRows(input), &workload_->model(), runtime);
   EXPECT_EQ(record.reopt_checkpoints, executed->checkpoints_evaluated);
   EXPECT_EQ(record.reopt_triggers, executed->triggers_fired);
   EXPECT_GT(record.reopt_seconds, 0.0);
   EXPECT_GT(record.reopt_cost_pre, 0.0);
-  const std::string line = obs::RenderQueryLogRecordJson(record);
-  EXPECT_NE(line.find("\"v\": 2"), std::string::npos) << line;
+  const std::string line = obs::RenderQueryRecordJson(record);
+  EXPECT_NE(line.find("\"v\": 3"), std::string::npos) << line;
   EXPECT_NE(line.find("\"reopt_triggers\""), std::string::npos) << line;
 }
 

@@ -11,8 +11,11 @@
 #include <stdlib.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cmath>
+#include <cstdlib>
 #include <memory>
 #include <mutex>
 #include <set>
@@ -234,19 +237,24 @@ TEST(TemplateCostTableTest, SeedFromQueryLog) {
   {
     obs::QueryLogWriter writer;
     ASSERT_TRUE(writer.Open(path));
-    obs::QueryLogRecord record;
+    obs::QueryRecord record;
     record.query = "SELECT * FROM R1 WHERE R1.s < 10";
     record.query_hash = 99;
     record.actual_seconds = 0.25;
     ASSERT_TRUE(writer.Append(record));
     record.actual_seconds = 0.35;
     ASSERT_TRUE(writer.Append(record));
+    // A v3 line carries the execution wall the live EWMA folds.
+    record.query_hash = 7;
+    record.exec_seconds = 0.5;
+    ASSERT_TRUE(writer.Append(record));
     writer.Close();
   }
   TemplateCostTable table;
-  EXPECT_EQ(table.SeedFromLog(path), 2);
+  EXPECT_EQ(table.SeedFromLog(path), 3);
   // 0.25, then EWMA toward 0.35: 0.25 + 0.3 * 0.1 = 0.28.
   EXPECT_NEAR(table.EstimateSeconds(99, 0.0), 0.28, 1e-9);
+  EXPECT_NEAR(table.EstimateSeconds(7, 0.0), 0.5, 1e-9);
   ::unlink(path.c_str());
 }
 
@@ -425,7 +433,7 @@ TEST(QueryLogConcurrencyTest, ParallelAppendsProduceWholeLines) {
     for (int t = 0; t < kThreads; ++t) {
       threads.emplace_back([&writer, t] {
         for (int i = 0; i < kPerThread; ++i) {
-          obs::QueryLogRecord record;
+          obs::QueryRecord record;
           record.query = "SELECT * FROM R1 WHERE R1.s < " +
                          std::to_string(t * 1000 + i);
           record.query_hash =
@@ -442,7 +450,7 @@ TEST(QueryLogConcurrencyTest, ParallelAppendsProduceWholeLines) {
     writer.Close();
   }
   int64_t skipped = 0;
-  Result<std::vector<obs::QueryLogRecord>> records =
+  Result<std::vector<obs::QueryRecord>> records =
       obs::LoadQueryLog(path, &skipped);
   ASSERT_TRUE(records.ok());
   // Every line parses (none torn or interleaved) and all records landed.
@@ -752,7 +760,7 @@ TEST(ServerIntegrationTest, SigtermDrainsMidStreamAndFlushesLog) {
   // Clean exit code and a log in which every line is whole.
   EXPECT_EQ(fixture.exit_code(), 0);
   int64_t skipped = 0;
-  Result<std::vector<obs::QueryLogRecord>> records =
+  Result<std::vector<obs::QueryRecord>> records =
       obs::LoadQueryLog(log_path, &skipped);
   ASSERT_TRUE(records.ok());
   EXPECT_EQ(skipped, 0);
@@ -931,32 +939,41 @@ TEST(MetricsExporterTest, ServesMetricsJsonSlowAndHttpErrors) {
   EXPECT_EQ(exporter.port(), 0);
 }
 
+/// A flight-recorder deposit: one record of `fingerprint` taking
+/// `seconds` end to end.
+std::shared_ptr<const obs::QueryRecord> Completed(uint64_t fingerprint,
+                                                  double seconds,
+                                                  std::string query = "") {
+  auto record = std::make_shared<obs::QueryRecord>();
+  record->query_hash = fingerprint;
+  record->total_seconds = seconds;
+  record->query = std::move(query);
+  return record;
+}
+
 TEST(FlightRecorderTest, RingEvictsOldestAndThresholdRuleFlags) {
   obs::FlightRecorderOptions options;
   options.capacity = 4;
   options.slow_query_ms = 50.0;
   obs::FlightRecorder recorder(options);
   for (int i = 0; i < 10; ++i) {
-    obs::FlightRecord record;
-    record.session_id = 1;
-    record.fingerprint = 0xabc;
-    record.query = "SELECT " + std::to_string(i);
-    record.seconds = i == 9 ? 0.100 : 0.001;  // the last breaches 50 ms
-    auto finished = recorder.Record(std::move(record));
-    ASSERT_NE(finished, nullptr);
-    EXPECT_EQ(finished->sequence, i + 1);
+    // The last query breaches 50 ms.
+    obs::FlightEntry finished = recorder.Record(Completed(
+        0xabc, i == 9 ? 0.100 : 0.001, "SELECT " + std::to_string(i)));
+    ASSERT_NE(finished.record, nullptr);
+    EXPECT_EQ(finished.sequence, i + 1);
     if (i == 9) {
-      EXPECT_TRUE(finished->slow);
-      EXPECT_EQ(finished->slow_reason, "threshold");
-      EXPECT_TRUE(finished->bundle_path.empty());  // no spool configured
+      EXPECT_TRUE(finished.slow());
+      EXPECT_EQ(finished.slow_reason, "threshold");
+      EXPECT_TRUE(finished.bundle_path.empty());  // no spool configured
     } else {
-      EXPECT_FALSE(finished->slow);
+      EXPECT_FALSE(finished.slow());
     }
   }
   auto recent = recorder.Recent(100);
   ASSERT_EQ(recent.size(), 4u);  // capped at the ring capacity
-  EXPECT_EQ(recent.front()->sequence, 10);  // newest first
-  EXPECT_EQ(recent.back()->sequence, 7);
+  EXPECT_EQ(recent.front().sequence, 10);  // newest first
+  EXPECT_EQ(recent.back().sequence, 7);
   obs::TemplateStatsView stats = recorder.StatsFor(0xabc);
   EXPECT_EQ(stats.count, 10);
   EXPECT_EQ(stats.slow_count, 1);
@@ -972,28 +989,16 @@ TEST(FlightRecorderTest, TemplateP99RuleNeedsHistory) {
 
   // The same 1-second outlier: not slow while the template has no
   // history, slow once 32+ samples establish a much faster p99.
-  obs::FlightRecord early;
-  early.fingerprint = 1;
-  early.seconds = 1.0;
-  EXPECT_FALSE(recorder.Record(std::move(early))->slow);
+  EXPECT_FALSE(recorder.Record(Completed(1, 1.0)).slow());
   for (int i = 0; i < 32; ++i) {
-    obs::FlightRecord fast;
-    fast.fingerprint = 1;
-    fast.seconds = 0.001;
-    EXPECT_FALSE(recorder.Record(std::move(fast))->slow);
+    EXPECT_FALSE(recorder.Record(Completed(1, 0.001)).slow());
   }
-  obs::FlightRecord outlier;
-  outlier.fingerprint = 1;
-  outlier.seconds = 1.0;
-  auto flagged = recorder.Record(std::move(outlier));
-  EXPECT_TRUE(flagged->slow);
-  EXPECT_EQ(flagged->slow_reason, "template-p99");
+  obs::FlightEntry flagged = recorder.Record(Completed(1, 1.0));
+  EXPECT_TRUE(flagged.slow());
+  EXPECT_EQ(flagged.slow_reason, "template-p99");
 
   // A different template with no history never trips the p99 rule.
-  obs::FlightRecord other;
-  other.fingerprint = 2;
-  other.seconds = 1.0;
-  EXPECT_FALSE(recorder.Record(std::move(other))->slow);
+  EXPECT_FALSE(recorder.Record(Completed(2, 1.0)).slow());
 }
 
 TEST(FlightRecorderTest, SlowBundleIsValidTraceAndAnalyzeJson) {
@@ -1005,42 +1010,42 @@ TEST(FlightRecorderTest, SlowBundleIsValidTraceAndAnalyzeJson) {
   options.spool_dir = dir + "/nested";  // the recorder mkdir -p's it
   obs::FlightRecorder recorder(options);
 
-  obs::FlightRecord record;
+  obs::QueryRecord record;
   record.session_id = 3;
-  record.fingerprint = 0xdeadbeef;
+  record.query_hash = 0xdeadbeef;
   record.query = "SELECT * FROM R1 WHERE R1.s < 10";
-  record.template_text = "SELECT * FROM R1 WHERE R1.s < :p0";
-  record.cache = "hit";
-  record.seconds = 0.5;
-  record.rows = 42;
-  record.bindings.emplace_back("v", "300");
-  obs::OperatorSample parent;
+  record.query_template = "SELECT * FROM R1 WHERE R1.s < :p0";
+  record.plan_cache = "hit";
+  record.total_seconds = 0.5;
+  record.result_rows = 42;
+  record.bindings.emplace_back("v", 300);
+  obs::QueryOperator parent;
   parent.op = "sort";
   parent.depth = 0;
   parent.actual_seconds = 0.4;
   parent.actual_rows = 42;
   parent.have_actual = true;
-  obs::OperatorSample child;
+  obs::QueryOperator child;
   child.op = "index-scan(R1)";
   child.depth = 1;
   child.actual_seconds = 0.3;
   child.actual_rows = 42;
   child.have_actual = true;
   record.operators = {parent, child};
-  auto finished = recorder.Record(std::move(record), [] {
-    return std::string("{\"rows\": []}");
-  });
-  ASSERT_TRUE(finished->slow);
-  ASSERT_FALSE(finished->bundle_path.empty());
+  auto finished = recorder.Record(
+      std::make_shared<obs::QueryRecord>(std::move(record)),
+      [] { return std::string("{\"rows\": []}"); });
+  ASSERT_TRUE(finished.slow());
+  ASSERT_FALSE(finished.bundle_path.empty());
 
-  const std::string text = ReadWholeFile(finished->bundle_path);
+  const std::string text = ReadWholeFile(finished.bundle_path);
   ASSERT_FALSE(text.empty());
   JsonValue bundle;
   ASSERT_TRUE(obs::ParseJson(text, &bundle));
   EXPECT_EQ(At(At(bundle, "meta"), "query").string_value,
             "SELECT * FROM R1 WHERE R1.s < 10");
   EXPECT_EQ(At(At(bundle, "meta"), "slow_reason").string_value, "threshold");
-  EXPECT_EQ(At(At(At(bundle, "meta"), "bindings"), "v").string_value, "300");
+  EXPECT_EQ(At(At(At(bundle, "meta"), "bindings"), "v").number, 300);
   EXPECT_TRUE(At(bundle, "analyze").is_object());
   const JsonValue& events = At(At(bundle, "trace"), "traceEvents");
   ASSERT_TRUE(events.is_array());
@@ -1054,39 +1059,108 @@ TEST(FlightRecorderTest, SlowBundleIsValidTraceAndAnalyzeJson) {
   RemoveTree(dir);
 }
 
+/// `a` and `b` agree within the query log's 9 significant digits.
+void ExpectLogNear(double a, double b) {
+  EXPECT_NEAR(a, b, 1e-8 * std::max(1.0, std::fabs(b)));
+}
+
 TEST(ServerIntegrationTest, QueryLogAndFlightRecordShareOneAnalyzeWalk) {
-  // With the query log on, a served query feeds both the log record and
-  // the flight record from one analyze walk.
+  // With the query log and the flight recorder on, a served query feeds
+  // both from one analyze walk, and the log line, the ring entry and the
+  // spooled bundle's meta all carry the same facts.
   const std::string log_path = ::testing::TempDir() + "/one_walk_qlog.jsonl";
   ::unlink(log_path.c_str());
+  char spool_tmpl[] = "/tmp/dqepspoolXXXXXX";
+  const std::string spool = ::mkdtemp(spool_tmpl);
   ServerOptions options;
   options.sessions = 1;
   options.query_log_path = log_path;
   options.flight_recorder_capacity = 8;
+  options.slow_query_ms = 0.000001;  // every query spools a bundle
+  options.slow_spool_dir = spool;
   ServerFixture fixture(options);
   ASSERT_TRUE(fixture.started());
   auto conn = fixture.Connect();
   ASSERT_NE(conn, nullptr);
+  ASSERT_TRUE(RoundTrip(conn.get(), "\\set v 400").ok);
   constexpr int kQueries = 3;
   const int64_t walks_before = obs::AnalyzeWalkCount();
   for (int i = 0; i < kQueries; ++i) {
     // The reply is written after the log and flight records.
     QueryResponse response = RoundTrip(
-        conn.get(), "SELECT * FROM R1 WHERE R1.s < " + std::to_string(100 + i));
+        conn.get(), "SELECT * FROM R1, R2 WHERE R1.b = R2.a AND R1.s < :v "
+                    "AND R2.s < " + std::to_string(300 + 100 * i));
     ASSERT_TRUE(response.ok) << response.error;
   }
   EXPECT_EQ(obs::AnalyzeWalkCount() - walks_before, kQueries);
   conn.reset();
   fixture.StopAndJoin();
   int64_t skipped = 0;
-  Result<std::vector<obs::QueryLogRecord>> records =
+  Result<std::vector<obs::QueryRecord>> records =
       obs::LoadQueryLog(log_path, &skipped);
   ASSERT_TRUE(records.ok());
-  EXPECT_EQ(static_cast<int>(records->size()), kQueries);
-  EXPECT_EQ(
-      static_cast<int>(fixture.server().flight_recorder()->Recent(8).size()),
-      kQueries);
+  ASSERT_EQ(static_cast<int>(records->size()), kQueries);
+  std::vector<obs::FlightEntry> ring =
+      fixture.server().flight_recorder()->Recent(8);
+  ASSERT_EQ(static_cast<int>(ring.size()), kQueries);
+  for (int i = 0; i < kQueries; ++i) {
+    SCOPED_TRACE("query " + std::to_string(i));
+    const obs::QueryRecord& logged = (*records)[static_cast<size_t>(i)];
+    const obs::FlightEntry& entry = ring[static_cast<size_t>(kQueries - 1 - i)];
+    const obs::QueryRecord& held = *entry.record;
+    EXPECT_EQ(logged.query, held.query);
+    EXPECT_NE(logged.query_hash, 0u);
+    EXPECT_EQ(logged.query_hash, held.query_hash);
+    EXPECT_FALSE(logged.query_template.empty());
+    EXPECT_EQ(logged.query_template, held.query_template);
+    EXPECT_EQ(logged.plan_cache, i == 0 ? "miss" : "hit");
+    EXPECT_EQ(logged.plan_cache, held.plan_cache);
+    EXPECT_EQ(logged.bindings, held.bindings);
+    ASSERT_EQ(logged.bindings.size(), 1u);
+    EXPECT_EQ(logged.bindings[0].second, 400);
+    EXPECT_GT(logged.decision_count, 0);
+    EXPECT_EQ(logged.decision_count, held.decision_count);
+    EXPECT_EQ(logged.result_rows, held.result_rows);
+    ASSERT_FALSE(logged.operators.empty());
+    ASSERT_EQ(logged.operators.size(), held.operators.size());
+    for (size_t k = 0; k < logged.operators.size(); ++k) {
+      ExpectLogNear(logged.operators[k].est_rows_lo,
+                    held.operators[k].est_rows_lo);
+      ExpectLogNear(logged.operators[k].est_rows_hi,
+                    held.operators[k].est_rows_hi);
+      EXPECT_EQ(logged.operators[k].actual_rows,
+                held.operators[k].actual_rows);
+    }
+
+    // The bundle's meta is the same JSON as the log line.
+    ASSERT_TRUE(entry.slow());
+    ASSERT_FALSE(entry.bundle_path.empty());
+    JsonValue bundle;
+    ASSERT_TRUE(obs::ParseJson(ReadWholeFile(entry.bundle_path), &bundle));
+    const JsonValue& meta = At(bundle, "meta");
+    EXPECT_EQ(At(meta, "sequence").number, entry.sequence);
+    EXPECT_EQ(At(meta, "slow_reason").string_value, "threshold");
+    EXPECT_EQ(std::strtoull(At(meta, "query_hash").string_value.c_str(),
+                            nullptr, 16),
+              logged.query_hash);
+    EXPECT_EQ(At(meta, "query_template").string_value, logged.query_template);
+    EXPECT_EQ(At(meta, "plan_cache").string_value, logged.plan_cache);
+    EXPECT_EQ(At(At(meta, "bindings"), "v").number, 400);
+    EXPECT_EQ(At(meta, "decision_count").number, logged.decision_count);
+    EXPECT_EQ(At(meta, "result_rows").number, logged.result_rows);
+    const JsonValue& ops = At(meta, "operators");
+    ASSERT_EQ(ops.items.size(), logged.operators.size());
+    for (size_t k = 0; k < ops.items.size(); ++k) {
+      EXPECT_EQ(At(ops.items[k], "est_rows_lo").number,
+                logged.operators[k].est_rows_lo);
+      EXPECT_EQ(At(ops.items[k], "est_rows_hi").number,
+                logged.operators[k].est_rows_hi);
+      EXPECT_EQ(At(ops.items[k], "actual_rows").number,
+                logged.operators[k].actual_rows);
+    }
+  }
   ::unlink(log_path.c_str());
+  RemoveTree(spool);
 }
 
 TEST(ServerIntegrationTest, TelemetryEndpointIntrospectionAndSlowBundle) {
@@ -1286,7 +1360,7 @@ TEST(TelemetryConcurrencyTest, QueriesRaceScrapesRecorderAndLog) {
 
   // The torn-tail regression: every concurrently-appended line parses.
   int64_t skipped = 0;
-  Result<std::vector<obs::QueryLogRecord>> records =
+  Result<std::vector<obs::QueryRecord>> records =
       obs::LoadQueryLog(log_path, &skipped);
   ASSERT_TRUE(records.ok());
   EXPECT_EQ(skipped, 0);

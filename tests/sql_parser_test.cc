@@ -3,6 +3,8 @@
 
 #include "sql/parser.h"
 
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "optimizer/optimizer.h"
@@ -177,6 +179,16 @@ TEST_F(SqlParserTest, ParsedQueryOptimizesLikeHandBuilt) {
       catalog());
   ASSERT_TRUE(parsed.ok());
   Query manual = workload_->ChainQuery(2);
+  // '*' over a join lists every FROM relation's columns in FROM order.
+  std::vector<AttrRef> star;
+  for (const RelationTerm& term : manual.terms()) {
+    for (int32_t c = 0; c < catalog().relation(term.relation).num_columns();
+         ++c) {
+      star.push_back(AttrRef{term.relation, c});
+    }
+  }
+  manual.SetProjection(star);
+  EXPECT_EQ(parsed->query.projection(), star);
 
   Optimizer optimizer(&workload_->model(), OptimizerOptions::Dynamic());
   ParamEnv env = workload_->CompileTimeEnv(false);

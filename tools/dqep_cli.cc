@@ -434,7 +434,8 @@ class Shell {
                   obs::RenderAnalyze(rows, input, stats_format_).c_str());
     }
     if (query_log_.is_open()) {
-      obs::QueryLogRecord record = obs::BuildQueryLogRecord(run, input, rows);
+      obs::QueryRecord record =
+          obs::BuildQueryRecord(run, input, rows, /*with_terms=*/true);
       record.pool_hits = PoolCounter("storage.bufferpool.hits") -
                          pool_hits_before;
       record.pool_misses = PoolCounter("storage.bufferpool.misses") -
@@ -864,7 +865,7 @@ int main(int argc, char** argv) {
     // --cost-profile), so iterating calibration against a recalibrated
     // log is well defined.
     int64_t skipped = 0;
-    dqep::Result<std::vector<dqep::obs::QueryLogRecord>> records =
+    dqep::Result<std::vector<dqep::obs::QueryRecord>> records =
         dqep::obs::LoadQueryLog(calibrate_log, &skipped);
     if (!records.ok()) {
       std::fprintf(stderr, "%s\n", records.status().ToString().c_str());

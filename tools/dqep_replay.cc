@@ -179,7 +179,7 @@ struct DecisionScore {
 
 /// One replayed record.
 struct RecordScore {
-  const obs::QueryLogRecord* logged = nullptr;
+  const obs::QueryRecord* logged = nullptr;
   bool replayed = false;
   std::string skip_reason;
   int64_t replay_rows = 0;
@@ -208,8 +208,8 @@ struct TemplateScore {
   int64_t operators_measured = 0;
 };
 
-void ScoreCoverage(const obs::QueryLogRecord& logged, RecordScore* score) {
-  for (const obs::QueryLogOperator& op : logged.operators) {
+void ScoreCoverage(const obs::QueryRecord& logged, RecordScore* score) {
+  for (const obs::QueryOperator& op : logged.operators) {
     if (!op.have_actual) {
       continue;
     }
@@ -220,7 +220,7 @@ void ScoreCoverage(const obs::QueryLogRecord& logged, RecordScore* score) {
     }
   }
   if (!logged.operators.empty() && logged.operators.front().have_actual) {
-    const obs::QueryLogOperator& root = logged.operators.front();
+    const obs::QueryOperator& root = logged.operators.front();
     score->root_in_interval = root.actual_seconds >= root.est_cost_lo &&
                               root.actual_seconds <= root.est_cost_hi;
   }
@@ -346,14 +346,14 @@ int RunReplay(const std::string& log_path, const std::string& out_path,
               int repeat, int64_t limit,
               const std::string& cost_profile_path, uint64_t seed) {
   int64_t skipped_lines = 0;
-  Result<std::vector<obs::QueryLogRecord>> loaded =
+  Result<std::vector<obs::QueryRecord>> loaded =
       obs::LoadQueryLog(log_path, &skipped_lines);
   if (!loaded.ok()) {
     std::fprintf(stderr, "dqep_replay: %s\n",
                  loaded.status().ToString().c_str());
     return 1;
   }
-  std::vector<obs::QueryLogRecord> log = std::move(*loaded);
+  std::vector<obs::QueryRecord> log = std::move(*loaded);
   if (limit > 0 && static_cast<int64_t>(log.size()) > limit) {
     log.resize(static_cast<size_t>(limit));
   }
@@ -390,7 +390,7 @@ int RunReplay(const std::string& log_path, const std::string& out_path,
   records.reserve(log.size());
   std::map<uint64_t, TemplateScore> templates;
 
-  for (const obs::QueryLogRecord& logged : log) {
+  for (const obs::QueryRecord& logged : log) {
     records.emplace_back();
     RecordScore& score = records.back();
     score.logged = &logged;
@@ -489,7 +489,7 @@ int RunReplay(const std::string& log_path, const std::string& out_path,
       // live system reported (index-wise: the replay resolves the same
       // template under the same bindings, so the walk order matches).
       if (i < logged.decisions.size()) {
-        const obs::QueryLogDecision& ld = logged.decisions[i];
+        const obs::QueryDecision& ld = logged.decisions[i];
         if (ld.have_actual && std::isfinite(ld.best_other_est)) {
           decision.estimated_regret = ld.actual_seconds - ld.best_other_est;
           decision.have_estimated = true;

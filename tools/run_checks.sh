@@ -119,8 +119,10 @@ EOF
       # buckets, _count == +Inf, required families).  A near-zero slow
       # threshold makes every query spool a flight-recorder bundle, so
       # the step also proves /slow, /metrics.json, and the bundles are
-      # valid JSON.  Re-validates the checked-in bench baselines too —
-      # the telemetry tables in EXPERIMENTS.md are built from them.
+      # valid JSON, and that each bundle's meta agrees with the query-log
+      # line of the same query (two renderings of one per-query record).
+      # Re-validates the checked-in bench baselines too — the telemetry
+      # tables in EXPERIMENTS.md are built from them.
       echo "== telemetry: live exposition scrape gate =="
       cmake -B build -S . >/dev/null
       cmake --build build -j --target dqep_server_bin dqep_cli
@@ -129,7 +131,8 @@ EOF
       build/tools/dqep_server --socket="$tele_dir/s" --metrics-port=0 \
         --pool-pages=256 --slow-query-ms=0.001 \
         --slow-spool="$tele_dir/spool" --slow-spool-max=4 \
-        --slo-ms=50 --slo-target=0.99 > "$tele_dir/server.log" &
+        --slo-ms=50 --slo-target=0.99 --query-log="$tele_dir/log.jsonl" \
+        > "$tele_dir/server.log" &
       tele_pid=$!
       trap 'kill "$tele_pid" 2>/dev/null || true' EXIT
       for _ in $(seq 1 100); do
@@ -156,13 +159,13 @@ sys.stdout.write(urllib.request.urlopen(
         --require dqep_slo_burn_rate \
         --require dqep_template_drift_ratio \
         --require dqep_calibration_age_queries
-      python3 - "$tele_port" "$tele_dir/spool" <<'EOF'
+      python3 - "$tele_port" "$tele_dir/spool" "$tele_dir/log.jsonl" <<'EOF'
 import glob
 import json
 import sys
 import urllib.request
 
-port, spool = sys.argv[1], sys.argv[2]
+port, spool, log = sys.argv[1], sys.argv[2], sys.argv[3]
 slow = json.load(urllib.request.urlopen(
     f"http://127.0.0.1:{port}/slow", timeout=10))
 assert isinstance(slow, list) and slow, "no flight-recorder entries"
@@ -172,11 +175,23 @@ bundles = glob.glob(spool + "/slow-*.json")
 assert bundles, "no slow-query bundles spooled"
 assert len(bundles) <= 4, \
     f"--slow-spool-max=4 rotation kept {len(bundles)} bundles"
-doc = json.load(open(bundles[0]))
-assert "meta" in doc and "trace" in doc and doc["trace"]["traceEvents"], \
-    "incomplete bundle"
+logged = {}
+for line in open(log):
+    record = json.loads(line)
+    logged[record["query"]] = record
+for path in bundles:
+    doc = json.load(open(path))
+    assert "meta" in doc and "trace" in doc and doc["trace"]["traceEvents"], \
+        f"incomplete bundle {path}"
+    meta = doc["meta"]
+    line = logged.get(meta["query"])
+    assert line is not None, f"no log line for bundle {path}"
+    for key in ("query_hash", "result_rows", "plan_cache", "decision_count",
+                "decisions"):
+        assert meta.get(key) == line.get(key), \
+            f"{path}: meta {key}={meta.get(key)!r} != log {line.get(key)!r}"
 print(f"telemetry: {len(slow)} recorder entries, "
-      f"{len(bundles)} spooled bundles ok")
+      f"{len(bundles)} spooled bundles ok, each matching its log line")
 EOF
       kill "$tele_pid"
       wait "$tele_pid"
