@@ -1,16 +1,21 @@
 // Micro-benchmarks (google-benchmark) for the primitives whose speed the
 // paper's argument depends on: interval cost comparison, cost-function
 // evaluation over plan DAGs, start-up resolution, optimization in both
-// modes, access-module (de)serialization, and tuple- vs. batch-mode
-// execution of scan, scan+filter, and hash-join pipelines.
+// modes, access-module (de)serialization, batch execution of scan,
+// scan+filter, and hash-join pipelines, and the storage layer under them:
+// a grace-join spill round trip and buffer-pool fetches.
 //
 // `--json` emits the unified bench schema (see bench/unified_report.h).
 
 #include <benchmark/benchmark.h>
 
+#include <memory>
+#include <vector>
+
 #include "bench/bench_common.h"
 #include "bench/unified_report.h"
 #include "exec/executor.h"
+#include "exec/spill.h"
 #include "optimizer/optimizer.h"
 #include "physical/access_module.h"
 #include "physical/costing.h"
@@ -251,6 +256,107 @@ void BM_ExecHashJoin(benchmark::State& state) {
   RunExecBenchmark(state, plan);
 }
 BENCHMARK(BM_ExecHashJoin);
+
+// --- Storage: spill round trip and pool fetches ------------------------------
+
+/// The R2 ⋈ R3 (R2.b = R3.a) result rows, computed once.
+const std::vector<Tuple>& JoinRowsR2R3() {
+  static const std::vector<Tuple>* rows = [] {
+    PaperWorkload& workload = PopulatedWorkload();
+    JoinPredicate join;
+    join.left = AttrRef{1, ExperimentColumns::kJoinNext};
+    join.right = AttrRef{2, ExperimentColumns::kJoinPrev};
+    PhysNodePtr plan = PhysNode::HashJoin(
+        {join}, PhysNode::FileScan(workload.catalog(), /*relation=*/1),
+        PhysNode::FileScan(workload.catalog(), /*relation=*/2));
+    auto iter = BuildBatchExecutor(plan, workload.db(), ParamEnv());
+    DQEP_CHECK(iter.ok());
+    auto* out = new std::vector<Tuple>();
+    TupleBatch batch;
+    (*iter)->Open();
+    while ((*iter)->Next(&batch)) {
+      for (int32_t i = 0; i < batch.num_rows(); ++i) {
+        out->push_back(batch.row(i));
+      }
+    }
+    (*iter)->Close();
+    return out;
+  }();
+  return *rows;
+}
+
+/// One grace-join spill per iteration: every R2 ⋈ R3 row goes to one of
+/// 16 partition files by its R2.b key, then each file is read back.
+/// Counters are per iteration: physical page writes and reads, pool
+/// hits and misses.
+void BM_SpillRoundTrip(benchmark::State& state) {
+  constexpr size_t kFanout = 16;
+  PaperWorkload& workload = PopulatedWorkload();
+  const std::vector<Tuple>& rows = JoinRowsR2R3();
+  // R2.b: R2's columns come first in the join row.
+  const int32_t key_slot = ExperimentColumns::kJoinNext;
+  workload.db().buffer_pool().ResetStats();
+  IoStats io_before = workload.db().page_store().stats();
+  exec_internal::SpillCounters counters;
+  exec_internal::JoinKey key(1);
+  int64_t tuples = 0;
+  for (auto _ : state) {
+    std::vector<std::unique_ptr<exec_internal::SpillFile>> parts;
+    for (size_t i = 0; i < kFanout; ++i) {
+      parts.push_back(std::make_unique<exec_internal::SpillFile>(
+          &workload.db(), /*ctx=*/nullptr, &counters));
+    }
+    for (const Tuple& row : rows) {
+      key[0] = row.value(key_slot).AsInt64();
+      parts[exec_internal::SpillPartitionOf(key, 0, kFanout)]->Append(row);
+    }
+    Tuple tuple;
+    for (const auto& part : parts) {
+      exec_internal::SpillFile::Scanner scan = part->CreateScanner();
+      while (scan.Next(&tuple)) {
+        ++tuples;
+      }
+    }
+  }
+  IoStats io = workload.db().page_store().stats() - io_before;
+  state.counters["page_writes"] = benchmark::Counter(
+      static_cast<double>(io.page_writes), benchmark::Counter::kAvgIterations);
+  state.counters["page_reads"] = benchmark::Counter(
+      static_cast<double>(io.page_reads), benchmark::Counter::kAvgIterations);
+  ExportPoolCounters(state, workload.db().buffer_pool());
+  state.SetItemsProcessed(tuples);
+}
+BENCHMARK(BM_SpillRoundTrip);
+
+/// Fetch-and-release over a 256-frame pool.  miss:0 cycles over 128
+/// pages (every fetch after the first lap hits); miss:1 cycles over 1024
+/// (every fetch misses).  At 4 threads all threads share the pool.
+void BM_PoolFetch(benchmark::State& state) {
+  static PageStore* store = [] {
+    auto* s = new PageStore();
+    for (int i = 0; i < 1024; ++i) {
+      s->Allocate();
+    }
+    return s;
+  }();
+  static BufferPool* pool = new BufferPool(store, 256);
+  const int64_t span = state.range(0) == 0 ? 128 : 1024;
+  int64_t next = state.thread_index() * 37;
+  int64_t sum = 0;
+  for (auto _ : state) {
+    PageGuard guard = pool->Fetch(next % span);
+    sum += guard.data().bytes[0];
+    ++next;
+  }
+  benchmark::DoNotOptimize(sum);
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_PoolFetch)
+    ->ArgName("miss")
+    ->Arg(0)
+    ->Arg(1)
+    ->Threads(1)
+    ->Threads(4);
 
 }  // namespace
 }  // namespace dqep::bench

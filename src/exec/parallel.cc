@@ -21,6 +21,10 @@ namespace dqep {
 namespace exec_internal {
 namespace {
 
+obs::SharedCounterRef g_batches_metric("exec.exchange.batches");
+obs::SharedCounterRef g_workers_metric("exec.exchange.workers");
+obs::SharedCounterRef g_morsels_metric("exec.exchange.morsels");
+
 void Accumulate(const OperatorCounters& src, OperatorCounters* dst) {
   dst->next_calls += src.next_calls;
   dst->tuples += src.tuples;
@@ -307,11 +311,9 @@ class ExchangeIter : public BatchIterator {
       // (delta against the accumulating profile skeleton, so re-opened
       // exchanges don't double-publish).
       int64_t batches = profile_chain_.back()->counters().batches;
-      auto& registry = obs::MetricsRegistry::Instance();
-      registry.SharedCounter("exec.exchange.batches")
-          ->Add(batches - published_batches_);
+      g_batches_metric.Add(batches - published_batches_);
       published_batches_ = batches;
-      registry.SharedCounter("exec.exchange.workers")->Add(num_workers_);
+      g_workers_metric.Add(num_workers_);
     }
     queue_.reset();
     latch_.reset();
@@ -440,9 +442,7 @@ class ExchangeIter : public BatchIterator {
         break;  // cancelled: consumer closed early
       }
     }
-    obs::MetricsRegistry::Instance()
-        .SharedCounter("exec.exchange.morsels")
-        ->Add(morsels_run);
+    g_morsels_metric.Add(morsels_run);
     std::lock_guard<std::mutex> lock(state_mutex_);
     for (size_t i = 0; i < profile_chain_.size(); ++i) {
       profile_chain_[i]->Add(local[i]);

@@ -3,10 +3,7 @@
 #include "obs/trace.h"
 
 #include <algorithm>
-#include <string_view>
 #include <utility>
-
-#include "storage/record_codec.h"
 
 namespace dqep {
 namespace exec_internal {
@@ -45,15 +42,6 @@ SpillFile::SpillFile(const Database* db, ExecContext* ctx,
   DQEP_CHECK(counters != nullptr);
 }
 
-namespace {
-
-/// Payload bytes per chunk record: comfortably under the page payload
-/// once the chunk wrapper ([is_last int64, piece string] plus the record
-/// and slot headers) is added.
-constexpr size_t kChunkPayloadBytes = static_cast<size_t>(kPageSize) - 64;
-
-}  // namespace
-
 void SpillFile::Append(const Tuple& tuple) {
   if (num_tuples_ == 0) {
     ++counters_->files;
@@ -61,21 +49,7 @@ void SpillFile::Append(const Tuple& tuple) {
       ctx_->RecordTempFile();
     }
   }
-  // Chunk the encoded record: intermediate join tuples concatenate every
-  // input relation's columns and routinely exceed one page.
-  record_ = EncodeTuple(tuple);
-  chunk_.Resize(2);
-  size_t offset = 0;
-  do {
-    size_t len = std::min(kChunkPayloadBytes, record_.size() - offset);
-    bool last = offset + len == record_.size();
-    chunk_.mutable_value(0)->SetInt64(last ? 1 : 0);
-    chunk_.mutable_value(1)->SetString(
-        std::string_view(record_).substr(offset, len));
-    Result<RowId> rid = heap_->heap().Append(chunk_);
-    DQEP_CHECK(rid.ok());
-    offset += len;
-  } while (offset < record_.size());
+  heap_->Append(tuple);
   ++num_tuples_;
   int64_t bytes = TrackedTupleBytes(tuple);
   tracked_bytes_ += bytes;
@@ -84,29 +58,6 @@ void SpillFile::Append(const Tuple& tuple) {
   if (ctx_ != nullptr) {
     ctx_->RecordSpill(1, bytes);
   }
-}
-
-bool SpillFile::Scanner::Next(Tuple* out) {
-  if (!scanner_.Next(&chunk_)) {
-    return false;
-  }
-  if (chunk_.value(0).AsInt64() != 0) {
-    // Single-chunk tuple: decode straight from the piece.
-    Status decoded = DecodeTupleInto(chunk_.value(1).AsString(), out);
-    DQEP_CHECK(decoded.ok());
-    return true;
-  }
-  record_.assign(chunk_.value(1).AsString());
-  for (;;) {
-    DQEP_CHECK(scanner_.Next(&chunk_));  // a tuple's chunks are contiguous
-    record_.append(chunk_.value(1).AsString());
-    if (chunk_.value(0).AsInt64() != 0) {
-      break;
-    }
-  }
-  Status decoded = DecodeTupleInto(record_, out);
-  DQEP_CHECK(decoded.ok());
-  return true;
 }
 
 // --- HashJoinState -----------------------------------------------------------
@@ -416,7 +367,7 @@ bool HashJoinState::StartNextJob() {
 }
 
 void HashJoinState::CloseJob() {
-  probe_scanner_.reset();  // drop the guards before freeing pages
+  probe_scanner_.reset();  // scanners go before the files they read
   build_scanner_.reset();
   block_mode_ = false;
   have_pending_build_ = false;
@@ -649,7 +600,7 @@ void ExternalSorter::MergePrefix(size_t count) {
     merged.file->Append(cursor.head);
     cursor.valid = cursor.scanner->Next(&cursor.head);
   }
-  cursors.clear();  // drop guards before the inputs free their pages
+  cursors.clear();  // scanners go before the inputs free their pages
   runs_.erase(runs_.begin(), runs_.begin() + static_cast<int64_t>(count));
   runs_.insert(runs_.begin(), std::move(merged));
   if (ctx_ != nullptr) {
@@ -705,7 +656,7 @@ bool ExternalSorter::Next(Tuple* out) {
 }
 
 void ExternalSorter::Reset() {
-  cursors_.clear();  // drop guards before the runs free their pages
+  cursors_.clear();  // scanners go before the runs free their pages
   runs_.clear();
   if (ctx_ != nullptr) {
     ctx_->tracker().Release(rows_bytes_ + heads_bytes_);

@@ -67,39 +67,23 @@ struct SpillCounters {
 /// One temp heap file plus the accounting the spill operators need: the
 /// tracked byte total and row count of what was appended, reported to the
 /// ExecContext and the owning operator's SpillCounters as it is written.
-///
-/// Spilled tuples can be wider than a page (an intermediate join row
-/// concatenates every input relation's columns), so each logical tuple is
-/// stored as one or more chunk records — [is_last, payload-piece] — that
-/// the scanner reassembles.  Chunks of one tuple are contiguous because a
-/// spill file is appended by a single operator phase.
+/// The file stores tuples of any width (storage/temp_heap.h) and writes
+/// them with no buffer-pool lock per tuple; a scanner reads it back
+/// through the pool, one fetch per page.
 class SpillFile {
  public:
   SpillFile(const Database* db, ExecContext* ctx, SpillCounters* counters);
 
   void Append(const Tuple& tuple);
 
-  /// Logical tuples appended (not chunk records).
+  /// Logical tuples appended.
   int64_t num_tuples() const { return num_tuples_; }
   int64_t tracked_bytes() const { return tracked_bytes_; }
   int64_t max_tuple_bytes() const { return max_tuple_bytes_; }
 
-  /// Sequential cursor over the logical tuples, reassembling chunks.
-  class Scanner {
-   public:
-    explicit Scanner(const SpillFile* file)
-        : scanner_(file->heap_->heap().CreateScanner()) {}
+  using Scanner = TempHeap::Scanner;
 
-    /// Produces the next logical tuple; false at end of file.
-    bool Next(Tuple* out);
-
-   private:
-    HeapFile::Scanner scanner_;
-    Tuple chunk_;          // reused decode target for chunk records
-    std::string record_;   // reassembly buffer for multi-chunk tuples
-  };
-
-  Scanner CreateScanner() const { return Scanner(this); }
+  Scanner CreateScanner() const { return heap_->CreateScanner(); }
 
  private:
   std::unique_ptr<TempHeap> heap_;
@@ -108,8 +92,6 @@ class SpillFile {
   int64_t num_tuples_ = 0;
   int64_t tracked_bytes_ = 0;
   int64_t max_tuple_bytes_ = 0;
-  Tuple chunk_;          // reused chunk record for Append
-  std::string record_;   // reused encode buffer for Append
 };
 
 /// Hash-join build/probe state with a grace-style spill path.

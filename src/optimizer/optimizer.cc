@@ -23,6 +23,13 @@ std::string SearchStats::ToString() const {
 
 namespace {
 
+obs::SharedCounterRef g_goals_metric("optimizer.goals");
+obs::SharedCounterRef g_considered_metric("optimizer.plans_considered");
+obs::SharedCounterRef g_pruned_metric("optimizer.plans_pruned");
+obs::SharedCounterRef g_dominated_metric("optimizer.plans_dominated");
+obs::SharedCounterRef g_frontier_metric("optimizer.frontier_plans");
+obs::SharedCounterRef g_alternatives_metric("optimizer.logical_alternatives");
+
 /// One optimization goal: a relation set plus a required sort order.
 struct GoalKey {
   RelSet set;
@@ -105,18 +112,14 @@ class SearchContext {
   /// "optimizer.*" registry metrics (counters accumulate across
   /// optimizations; the histogram buckets per-call latency).
   static void PublishStats(const SearchStats& stats) {
-    auto& registry = obs::MetricsRegistry::Instance();
-    registry.SharedCounter("optimizer.goals")->Add(stats.goals);
-    registry.SharedCounter("optimizer.plans_considered")
-        ->Add(stats.plans_considered);
-    registry.SharedCounter("optimizer.plans_pruned")->Add(stats.plans_pruned);
-    registry.SharedCounter("optimizer.plans_dominated")
-        ->Add(stats.plans_dominated);
-    registry.SharedCounter("optimizer.frontier_plans")
-        ->Add(stats.frontier_plans);
-    registry.SharedCounter("optimizer.logical_alternatives")
-        ->Add(stats.logical_alternatives);
-    registry.SharedHistogram("optimizer.optimize_us")
+    g_goals_metric.Add(stats.goals);
+    g_considered_metric.Add(stats.plans_considered);
+    g_pruned_metric.Add(stats.plans_pruned);
+    g_dominated_metric.Add(stats.plans_dominated);
+    g_frontier_metric.Add(stats.frontier_plans);
+    g_alternatives_metric.Add(stats.logical_alternatives);
+    obs::MetricsRegistry::Instance()
+        .SharedHistogram("optimizer.optimize_us")
         ->Record(static_cast<int64_t>(stats.optimize_seconds * 1e6));
   }
 

@@ -14,6 +14,10 @@ namespace dqep {
 
 namespace {
 
+obs::SharedCounterRef g_checkpoints_metric("runtime.reopt.checkpoints");
+obs::SharedCounterRef g_triggers_metric("runtime.reopt.triggers");
+obs::SharedCounterRef g_adoptions_metric("runtime.reopt.adoptions");
+
 /// Materialized leaves of `root` outside the `replaced` subtree: earlier
 /// captures that must keep their own terms in the suffix query.
 void CollectOtherMaterialized(const PhysNode* node, const PhysNode* replaced,
@@ -196,15 +200,13 @@ Result<ReoptExecution> ExecuteWithReopt(const Query& query,
   out.checkpoints_evaluated = controller.checkpoints_evaluated();
   out.triggers_fired = controller.triggers_fired();
   {
-    auto& registry = obs::MetricsRegistry::Instance();
-    registry.SharedCounter("runtime.reopt.checkpoints")
-        ->Add(out.checkpoints_evaluated);
-    registry.SharedCounter("runtime.reopt.triggers")->Add(out.triggers_fired);
+    g_checkpoints_metric.Add(out.checkpoints_evaluated);
+    g_triggers_metric.Add(out.triggers_fired);
     int64_t adoptions = 0;
     for (const ReoptCheckpoint& cp : out.checkpoints) {
       adoptions += cp.adopted ? 1 : 0;
     }
-    registry.SharedCounter("runtime.reopt.adoptions")->Add(adoptions);
+    g_adoptions_metric.Add(adoptions);
   }
   cleanup();
   return out;

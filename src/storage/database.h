@@ -52,6 +52,7 @@ class Database {
   PageStore& page_store() { return *store_; }
   const PageStore& page_store() const { return *store_; }
   BufferPool& buffer_pool() { return *pool_; }
+  const BufferPool& buffer_pool() const { return *pool_; }
 
   /// Creates a scratch heap file for spilling operators.  Const because
   /// temp pages are invisible to the catalog and allocation is

@@ -14,47 +14,44 @@ HeapFile::HeapFile(PageStore* store, BufferPool* pool)
 }
 
 Result<RowId> HeapFile::Append(const Tuple& tuple) {
-  std::string record = EncodeTuple(tuple);
-  // Page payload minus the page header and one slot entry.
-  constexpr size_t kMaxRecordBytes = kPageSize - 8;
+  record_.clear();
+  EncodeTupleTo(tuple, &record_);
+  return AppendRecord(record_);
+}
+
+Result<RowId> HeapFile::AppendRecord(std::string_view record) {
   if (record.size() > kMaxRecordBytes) {
     return Status::InvalidArgument(
         "record of " + std::to_string(record.size()) +
         " bytes exceeds the page payload");
   }
-  if (!pages_.empty()) {
-    PageGuard guard = pool_->Fetch(pages_.back());
-    if (slotted_page::RecordCount(guard.data()) < kMaxSlots) {
-      std::optional<SlotId> slot =
-          slotted_page::Insert(&guard.MutableData(), record);
-      if (slot.has_value()) {
-        ++num_tuples_;
-        return MakeRowId(static_cast<int64_t>(pages_.size()) - 1, *slot);
-      }
-    }
+  std::optional<SlotId> slot;
+  if (tail_ != nullptr && slotted_page::RecordCount(*tail_) < kMaxSlots) {
+    slot = slotted_page::Insert(tail_, record);
   }
-  // Start a fresh page.
-  PageId page = store_->Allocate();
-  PageGuard guard = pool_->Fetch(page);
-  slotted_page::Initialize(&guard.MutableData());
-  std::optional<SlotId> slot =
-      slotted_page::Insert(&guard.MutableData(), record);
   if (!slot.has_value()) {
-    return Status::InvalidArgument(
-        "record of " + std::to_string(record.size()) +
-        " bytes does not fit a page");
+    StartPage();
+    slot = slotted_page::Insert(tail_, record);
+    DQEP_CHECK(slot.has_value());  // a fresh page holds kMaxRecordBytes
   }
-  pages_.push_back(page);
   ++num_tuples_;
-  return MakeRowId(static_cast<int64_t>(pages_.size()) - 1, *slot);
+  return MakeRowId(NumPages() - 1, *slot);
+}
+
+void HeapFile::StartPage() {
+  PageId page = store_->Allocate(&tail_);
+  slotted_page::Initialize(tail_);
+  // The page is written once, in place, from here until the next page
+  // starts; that one physical write is counted now.
+  store_->Write(page);
+  pages_.push_back(page);
 }
 
 void HeapFile::FreePages() {
-  for (PageId page : pages_) {
-    pool_->Discard(page);
-    store_->Free(page);
-  }
+  pool_->Discard(pages_);
+  store_->Free(pages_);
   pages_.clear();
+  tail_ = nullptr;
   num_tuples_ = 0;
 }
 
@@ -83,66 +80,66 @@ size_t HeapFile::Scanner::PageLimit() const {
   return std::min(static_cast<size_t>(end_page_), live_end);
 }
 
-bool HeapFile::Scanner::Next(Tuple* out) {
-  DQEP_CHECK(out != nullptr);
-  while (true) {
-    if (!guard_open_) {
+bool HeapFile::Scanner::OnRecord() {
+  for (;;) {
+    if (page_ == nullptr) {
       if (page_index_ >= PageLimit()) {
         return false;
       }
-      guard_ = file_->pool_->Fetch(file_->pages_[page_index_]);
-      guard_open_ = true;
+      // The pin ends with this scope (see the class comment).
+      PageGuard guard = file_->pool_->Fetch(file_->pages_[page_index_]);
+      page_ = &guard.data();
       slot_ = 0;
     }
-    if (slot_ < slotted_page::RecordCount(guard_.data())) {
-      Result<Tuple> decoded =
-          DecodeTuple(slotted_page::Read(guard_.data(), slot_));
-      DQEP_CHECK(decoded.ok());
-      *out = std::move(*decoded);
-      last_row_id_ =
-          MakeRowId(static_cast<int64_t>(page_index_), slot_);
-      ++slot_;
+    if (slot_ < slotted_page::RecordCount(*page_)) {
       return true;
     }
-    guard_.Release();
-    guard_open_ = false;
+    page_ = nullptr;
     ++page_index_;
   }
+}
+
+bool HeapFile::Scanner::NextRecord(std::string_view* out) {
+  DQEP_CHECK(out != nullptr);
+  if (!OnRecord()) {
+    return false;
+  }
+  *out = slotted_page::Read(*page_, slot_);
+  last_row_id_ = MakeRowId(static_cast<int64_t>(page_index_), slot_);
+  ++slot_;
+  return true;
+}
+
+bool HeapFile::Scanner::Next(Tuple* out) {
+  DQEP_CHECK(out != nullptr);
+  std::string_view record;
+  if (!NextRecord(&record)) {
+    return false;
+  }
+  Status decoded = DecodeTupleInto(record, out);
+  DQEP_CHECK(decoded.ok());
+  return true;
 }
 
 int32_t HeapFile::Scanner::NextBatch(TupleBatch* out) {
   DQEP_CHECK(out != nullptr);
   int32_t added = 0;
-  while (!out->full()) {
-    if (!guard_open_) {
-      if (page_index_ >= PageLimit()) {
-        break;
-      }
-      guard_ = file_->pool_->Fetch(file_->pages_[page_index_]);
-      guard_open_ = true;
-      slot_ = 0;
-    }
-    int32_t records = slotted_page::RecordCount(guard_.data());
+  while (!out->full() && OnRecord()) {
+    int32_t records = slotted_page::RecordCount(*page_);
     while (slot_ < records && !out->full()) {
-      Status decoded = DecodeTupleInto(
-          slotted_page::Read(guard_.data(), slot_), &out->AppendRow());
+      Status decoded = DecodeTupleInto(slotted_page::Read(*page_, slot_),
+                                       &out->AppendRow());
       DQEP_CHECK(decoded.ok());
       last_row_id_ = MakeRowId(static_cast<int64_t>(page_index_), slot_);
       ++slot_;
       ++added;
-    }
-    if (slot_ >= records) {
-      guard_.Release();
-      guard_open_ = false;
-      ++page_index_;
     }
   }
   return added;
 }
 
 void HeapFile::Scanner::Reset() {
-  guard_.Release();
-  guard_open_ = false;
+  page_ = nullptr;
   page_index_ = static_cast<size_t>(begin_page_);
   slot_ = 0;
   last_row_id_ = -1;

@@ -1,21 +1,12 @@
 #include "storage/materialized.h"
 
 #include <algorithm>
-#include <string_view>
 #include <utility>
 
 #include "storage/database.h"
 #include "storage/record_codec.h"
 
 namespace dqep {
-
-namespace {
-
-/// Payload bytes per chunk record, mirroring exec/spill.h: comfortably
-/// under the page payload once the [is_last, piece] wrapper is added.
-constexpr size_t kChunkPayloadBytes = static_cast<size_t>(kPageSize) - 64;
-
-}  // namespace
 
 int64_t MaterializedTupleBytes(const Tuple& tuple) {
   int64_t bytes = static_cast<int64_t>(sizeof(Tuple)) +
@@ -55,9 +46,9 @@ double MaterializedTable::width_bytes() const {
 
 int64_t MaterializedTable::Append(const Tuple& row) {
   ++num_rows_;
-  total_encoded_bytes_ += static_cast<double>(EncodeTuple(row).size());
+  total_encoded_bytes_ += static_cast<double>(EncodedTupleBytes(row));
   if (heap_ != nullptr) {
-    AppendToHeap(row);
+    heap_->Append(row);
     return 0;
   }
   int64_t bytes = MaterializedTupleBytes(row);
@@ -72,7 +63,7 @@ int64_t MaterializedTable::Spill(const Database& db) {
   }
   heap_ = db.CreateTempHeap();
   for (const Tuple& row : rows_) {
-    AppendToHeap(row);
+    heap_->Append(row);
   }
   int64_t released = rows_bytes_;
   rows_.clear();
@@ -81,29 +72,10 @@ int64_t MaterializedTable::Spill(const Database& db) {
   return released;
 }
 
-void MaterializedTable::AppendToHeap(const Tuple& row) {
-  // Chunk the encoded record exactly like exec/spill.h: a materialized
-  // intermediate row concatenates every input relation's columns and can
-  // exceed one page.
-  record_ = EncodeTuple(row);
-  chunk_.Resize(2);
-  size_t offset = 0;
-  do {
-    size_t len = std::min(kChunkPayloadBytes, record_.size() - offset);
-    bool last = offset + len == record_.size();
-    chunk_.mutable_value(0)->SetInt64(last ? 1 : 0);
-    chunk_.mutable_value(1)->SetString(
-        std::string_view(record_).substr(offset, len));
-    Result<RowId> rid = heap_->heap().Append(chunk_);
-    DQEP_CHECK(rid.ok());
-    offset += len;
-  } while (offset < record_.size());
-}
-
 MaterializedTable::Reader::Reader(const MaterializedTable* table)
     : table_(table) {
   if (table_->spilled()) {
-    scanner_.emplace(table_->heap_->heap().CreateScanner());
+    scanner_.emplace(table_->heap_->CreateScanner());
   }
 }
 
@@ -115,25 +87,7 @@ bool MaterializedTable::Reader::Next(Tuple* out) {
     out->AssignFrom(table_->rows_[next_++]);
     return true;
   }
-  if (!scanner_->Next(&chunk_)) {
-    return false;
-  }
-  if (chunk_.value(0).AsInt64() != 0) {
-    Status decoded = DecodeTupleInto(chunk_.value(1).AsString(), out);
-    DQEP_CHECK(decoded.ok());
-    return true;
-  }
-  record_.assign(chunk_.value(1).AsString());
-  for (;;) {
-    DQEP_CHECK(scanner_->Next(&chunk_));  // a row's chunks are contiguous
-    record_.append(chunk_.value(1).AsString());
-    if (chunk_.value(0).AsInt64() != 0) {
-      break;
-    }
-  }
-  Status decoded = DecodeTupleInto(record_, out);
-  DQEP_CHECK(decoded.ok());
-  return true;
+  return scanner_->Next(out);
 }
 
 }  // namespace dqep

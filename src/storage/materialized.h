@@ -11,9 +11,7 @@
 //
 // Rows live in memory until the capturing context's budget is exhausted,
 // then move to a TempHeap from the database's own page store (the same
-// spill storage every operator uses).  Spilled rows are chunk-encoded
-// like exec/spill.h files: an intermediate join row concatenating many
-// relations' columns can exceed one page.
+// spill storage every operator uses, which holds rows of any width).
 
 #ifndef DQEP_STORAGE_MATERIALIZED_H_
 #define DQEP_STORAGE_MATERIALIZED_H_
@@ -86,17 +84,13 @@ class MaterializedTable {
    private:
     const MaterializedTable* table_;
     size_t next_ = 0;                            // in-memory cursor
-    std::optional<HeapFile::Scanner> scanner_;   // spilled cursor
-    Tuple chunk_;
-    std::string record_;
+    std::optional<TempHeap::Scanner> scanner_;   // spilled cursor
   };
 
   Reader Read() const { return Reader(this); }
 
  private:
   friend class Reader;
-
-  void AppendToHeap(const Tuple& row);
 
   std::string name_;
   TupleLayout layout_;
@@ -109,9 +103,6 @@ class MaterializedTable {
 
   int64_t num_rows_ = 0;
   double total_encoded_bytes_ = 0.0;
-
-  Tuple chunk_;          // reused chunk record for heap appends
-  std::string record_;   // reused encode buffer
 };
 
 using MaterializedTablePtr = std::shared_ptr<const MaterializedTable>;

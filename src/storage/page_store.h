@@ -4,20 +4,38 @@
 // store counts physical reads and writes, which lets experiments compare
 // the cost model's predicted I/O against the I/O a plan actually incurs.
 //
+// The pages are in memory and each has a stable address for the life of
+// the store, so nothing is ever copied in or out: a "read" hands out the
+// page's own bytes and a "write" records that bytes already in place
+// reached the disk.  Both only count.  Who may write a page's bytes, and
+// when:
+//  - The heap file that allocated a page fills it in place, one record
+//    at a time, until it starts its next page; that page is then sealed
+//    and never written again.  A file's owner serializes its appends
+//    with its scans, so a page is never read while its writer fills it.
+//  - Table pages are written only while the table is loaded, before any
+//    query reads it.
+//  - A PageGuard's MutableData() writes through the buffer pool under
+//    the same rule: the caller excludes concurrent readers of the page.
+//
 // Freed pages (spill temp heaps release theirs on close) go on a free
-// list and are recycled by later Allocate calls.  The store has its own
-// mutex because spilling operators allocate and free pages while exchange
-// workers are concurrently reading table pages; lock order is buffer-pool
-// mutex before store mutex (the pool performs store I/O under its lock),
-// and the store never calls back into the pool.
+// list and are recycled, zeroed, by later Allocate calls; the caller
+// drops any buffer-pool frame caching a page before freeing it.  The
+// store's mutex guards the page directory and the free list, because
+// spilling operators allocate and free pages while exchange workers read
+// table pages; the buffer pool calls Read under its own mutex (pool
+// before store), and the store never calls back into the pool.  The I/O
+// counters are relaxed atomics and take no lock.
 
 #ifndef DQEP_STORAGE_PAGE_STORE_H_
 #define DQEP_STORAGE_PAGE_STORE_H_
 
 #include <array>
+#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <vector>
 
 #include "common/macros.h"
@@ -57,27 +75,34 @@ class PageStore {
   PageStore& operator=(const PageStore&) = delete;
 
   /// Allocates a zeroed page — recycling a freed one if available — and
-  /// returns its id.
-  PageId Allocate() {
+  /// returns its id.  `data`, when given, receives the page's bytes.
+  PageId Allocate(PageData** data = nullptr) {
     std::lock_guard<std::mutex> lock(mutex_);
+    PageId id;
     if (!free_list_.empty()) {
-      PageId id = free_list_.back();
+      id = free_list_.back();
       free_list_.pop_back();
       pages_[static_cast<size_t>(id)]->bytes.fill(0);
-      return id;
+    } else {
+      pages_.push_back(std::make_unique<PageData>());
+      id = static_cast<PageId>(pages_.size()) - 1;
     }
-    pages_.push_back(std::make_unique<PageData>());
-    return static_cast<PageId>(pages_.size()) - 1;
+    if (data != nullptr) {
+      *data = pages_[static_cast<size_t>(id)].get();
+    }
+    return id;
   }
 
-  /// Returns `id` to the free list for reuse.  The caller must first drop
-  /// any buffer-pool frame caching it (BufferPool::Discard), or a later
-  /// reallocation would resurrect stale cached bytes.
-  void Free(PageId id) {
+  /// Returns `ids` to the free list for reuse.  The caller must first drop
+  /// any buffer-pool frame caching them (BufferPool::Discard), or a frame
+  /// would go on standing for a page that now belongs to someone else.
+  void Free(std::span<const PageId> ids) {
     std::lock_guard<std::mutex> lock(mutex_);
-    DQEP_CHECK_GE(id, 0);
-    DQEP_CHECK_LT(id, static_cast<int64_t>(pages_.size()));
-    free_list_.push_back(id);
+    for (PageId id : ids) {
+      DQEP_CHECK_GE(id, 0);
+      DQEP_CHECK_LT(id, static_cast<int64_t>(pages_.size()));
+      free_list_.push_back(id);
+    }
   }
 
   int64_t num_pages() const {
@@ -90,41 +115,45 @@ class PageStore {
     return static_cast<int64_t>(free_list_.size());
   }
 
-  /// Reads a page into `out`, counting one physical read.
-  void Read(PageId id, PageData* out) const {
-    DQEP_CHECK(out != nullptr);
+  /// The page's bytes, without counting I/O.  Stable until the store is
+  /// destroyed.
+  PageData* page(PageId id) const {
     std::lock_guard<std::mutex> lock(mutex_);
     DQEP_CHECK_GE(id, 0);
     DQEP_CHECK_LT(id, static_cast<int64_t>(pages_.size()));
-    *out = *pages_[static_cast<size_t>(id)];
-    ++stats_.page_reads;
+    return pages_[static_cast<size_t>(id)].get();
   }
 
-  /// Writes a page, counting one physical write.
-  void Write(PageId id, const PageData& data) {
-    std::lock_guard<std::mutex> lock(mutex_);
+  /// Reads a page, counting one physical read: returns its bytes.
+  PageData* Read(PageId id) const {
+    PageData* data = page(id);
+    page_reads_.fetch_add(1, std::memory_order_relaxed);
+    return data;
+  }
+
+  /// Counts one physical write of `id`, whose bytes are already in place.
+  void Write(PageId id) {
     DQEP_CHECK_GE(id, 0);
-    DQEP_CHECK_LT(id, static_cast<int64_t>(pages_.size()));
-    *pages_[static_cast<size_t>(id)] = data;
-    ++stats_.page_writes;
+    page_writes_.fetch_add(1, std::memory_order_relaxed);
   }
 
   IoStats stats() const {
-    std::lock_guard<std::mutex> lock(mutex_);
-    return stats_;
+    return IoStats{page_reads_.load(std::memory_order_relaxed),
+                   page_writes_.load(std::memory_order_relaxed)};
   }
   void ResetStats() {
-    std::lock_guard<std::mutex> lock(mutex_);
-    stats_ = IoStats();
+    page_reads_.store(0, std::memory_order_relaxed);
+    page_writes_.store(0, std::memory_order_relaxed);
   }
 
  private:
-  /// Guards pages_, free_list_, and stats_.  See the header comment for
-  /// the lock order relative to the buffer pool.
+  /// Guards pages_ and free_list_.  See the header comment for the lock
+  /// order relative to the buffer pool.
   mutable std::mutex mutex_;
   std::vector<std::unique_ptr<PageData>> pages_;
   std::vector<PageId> free_list_;
-  mutable IoStats stats_;
+  mutable std::atomic<int64_t> page_reads_{0};
+  std::atomic<int64_t> page_writes_{0};
 };
 
 }  // namespace dqep

@@ -28,20 +28,34 @@ bool GetRaw(std::string_view* in, T* out) {
 
 std::string EncodeTuple(const Tuple& tuple) {
   std::string out;
-  PutRaw<uint16_t>(&out, static_cast<uint16_t>(tuple.size()));
+  EncodeTupleTo(tuple, &out);
+  return out;
+}
+
+void EncodeTupleTo(const Tuple& tuple, std::string* out) {
+  PutRaw<uint16_t>(out, static_cast<uint16_t>(tuple.size()));
   for (int32_t i = 0; i < tuple.size(); ++i) {
     const Value& value = tuple.value(i);
     if (value.is_int64()) {
-      out.push_back(static_cast<char>(kTagInt64));
-      PutRaw<int64_t>(&out, value.AsInt64());
+      out->push_back(static_cast<char>(kTagInt64));
+      PutRaw<int64_t>(out, value.AsInt64());
     } else {
-      out.push_back(static_cast<char>(kTagString));
+      out->push_back(static_cast<char>(kTagString));
       const std::string& s = value.AsString();
-      PutRaw<uint32_t>(&out, static_cast<uint32_t>(s.size()));
-      out.append(s);
+      PutRaw<uint32_t>(out, static_cast<uint32_t>(s.size()));
+      out->append(s);
     }
   }
-  return out;
+}
+
+size_t EncodedTupleBytes(const Tuple& tuple) {
+  size_t bytes = sizeof(uint16_t);
+  for (int32_t i = 0; i < tuple.size(); ++i) {
+    const Value& value = tuple.value(i);
+    bytes += 1 + (value.is_int64() ? sizeof(int64_t)
+                                   : sizeof(uint32_t) + value.AsString().size());
+  }
+  return bytes;
 }
 
 Result<Tuple> DecodeTuple(std::string_view bytes) {

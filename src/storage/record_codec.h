@@ -15,6 +15,12 @@ namespace dqep {
 /// followed by the payload (int64: 8 bytes; string: u32 length + bytes).
 std::string EncodeTuple(const Tuple& tuple);
 
+/// Appends EncodeTuple(tuple) to `out` (reusing its capacity).
+void EncodeTupleTo(const Tuple& tuple, std::string* out);
+
+/// EncodeTuple(tuple).size(), without encoding.
+size_t EncodedTupleBytes(const Tuple& tuple);
+
 /// Decodes EncodeTuple output.
 Result<Tuple> DecodeTuple(std::string_view bytes);
 

@@ -352,7 +352,7 @@ TEST_F(ExecBatchTest, ForcedIndexJoinWithResidualsMatchesReference) {
 
 /// Cancelling after the k-th batch ends the stream of a forced merge- or
 /// index-join plan (and of the spilling hash join under budget 16); Close
-/// then leaves no tracked memory and no live temp heap.
+/// then leaves no tracked memory, no live temp heap and no pinned frame.
 TEST_F(ExecBatchTest, CancellationAtKthBatchReleasesEverything) {
   Query query = workload_->ChainQuery(3);
   PhysNodePtr dynamic = CompileDynamic(query);
@@ -388,6 +388,7 @@ TEST_F(ExecBatchTest, CancellationAtKthBatchReleasesEverything) {
           (*iter)->Close();
           EXPECT_EQ(ctx->tracker().used_bytes(), 0);
           EXPECT_EQ(workload_->db().live_temp_heaps(), 0);
+          EXPECT_EQ(workload_->db().buffer_pool().pinned(), 0);
         }
       }
     }

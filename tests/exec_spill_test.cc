@@ -281,7 +281,9 @@ SpillingPlan MakeSpillingJoinPlan(PaperWorkload* workload) {
 }
 
 /// Temp heap files live while a spilled operator streams and are all
-/// reclaimed when the iterator tree is closed early, mid-stream.
+/// reclaimed when the iterator tree is closed early, mid-stream.  No
+/// buffer-pool frame stays pinned between operator calls, even while the
+/// spilled join streams.
 TEST_F(ExecSpillTest, EarlyCloseReclaimsTempHeaps) {
   SpillingPlan spilling = MakeSpillingJoinPlan(workload_);
   std::unique_ptr<ExecContext> ctx =
@@ -297,8 +299,10 @@ TEST_F(ExecSpillTest, EarlyCloseReclaimsTempHeaps) {
   // The spilled join holds partition files while streaming.
   EXPECT_GT(ctx->temp_files_created(), 0);
   EXPECT_GT(workload_->db().live_temp_heaps(), 0);
+  EXPECT_EQ(workload_->db().buffer_pool().pinned(), 0);
   (*iter)->Close();
   EXPECT_EQ(workload_->db().live_temp_heaps(), 0);
+  EXPECT_EQ(workload_->db().buffer_pool().pinned(), 0);
   EXPECT_EQ(ctx->tracker().used_bytes(), 0);
 }
 

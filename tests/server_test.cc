@@ -463,11 +463,13 @@ TEST(QueryLogConcurrencyTest, ParallelAppendsProduceWholeLines) {
 // ---------------------------------------------------------------------------
 // Socket-level integration
 
-/// No memory grant is held and no spill heap is live (registry gauges).
+/// No memory grant is held, no spill heap is live and no buffer-pool
+/// frame is pinned (registry gauges).
 void ExpectNothingHeld() {
   const auto snapshot = obs::MetricsRegistry::Instance().Snapshot();
   for (const char* gauge : {"server.pool.pages_in_use",
-                            "storage.tempheap.live"}) {
+                            "storage.tempheap.live",
+                            "storage.bufferpool.pinned"}) {
     auto it = snapshot.find(gauge);
     EXPECT_EQ(it == snapshot.end() ? 0 : it->second.value, 0) << gauge;
   }

@@ -5,8 +5,8 @@
 # gate, the oracle-replay gate, a served-query benchmark smoke run, then
 # the ThreadSanitizer and
 # AddressSanitizer trees over the labeled suites (exec, parallel, spill,
-# obs, cache, server, reopt, startup — the obs label includes the
-# calibration feedback tests).  One command for the checks
+# obs, cache, server, reopt, startup, storage — the obs label includes
+# the calibration feedback tests).  One command for the checks
 # the verify skill lists individually:
 #
 #   tools/run_checks.sh                  # everything
@@ -27,7 +27,7 @@ set -eu
 cd "$(dirname "$0")/.."
 
 steps="${*:-bench plain cachebench serverbench reoptbench telemetry replay perfbench tsan asan}"
-labels='exec|parallel|spill|obs|cache|server|reopt|startup'
+labels='exec|parallel|spill|obs|cache|server|reopt|startup|storage'
 
 for step in $steps; do
   case "$step" in
@@ -321,7 +321,7 @@ GATE
       cmake --build build-tsan -j --target \
         exec_batch_test executor_test exec_parallel_test exec_spill_test \
         obs_test obs_feedback_test obs_alerts_test plan_cache_test \
-        server_test reopt_test startup_test startup_diff_test
+        server_test reopt_test startup_test startup_diff_test pager_test
       ctest --test-dir build-tsan -L "$labels" --output-on-failure
       ;;
     asan)
@@ -330,7 +330,7 @@ GATE
       cmake --build build-asan -j --target \
         exec_batch_test executor_test exec_parallel_test exec_spill_test \
         obs_test obs_feedback_test obs_alerts_test plan_cache_test \
-        server_test reopt_test startup_test startup_diff_test
+        server_test reopt_test startup_test startup_diff_test pager_test
       ctest --test-dir build-asan -L "$labels" --output-on-failure
       ;;
     *)
