@@ -3,6 +3,7 @@
 #include <chrono>
 #include <cinttypes>
 #include <cstdio>
+#include <tuple>
 #include <utility>
 
 namespace dqep {
@@ -14,13 +15,24 @@ std::string SloTemplateScope(uint64_t fingerprint) {
   return buf;
 }
 
-SloBurnTracker::SloBurnTracker(SloBurnOptions options)
-    : options_(std::move(options)) {}
+namespace {
 
-void SloBurnTracker::SetAlertHook(AlertHook hook) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  hook_ = std::move(hook);
+void Prune(SloWindow* w, double horizon) {
+  while (!w->events.empty() && w->events.front().first < horizon) {
+    if (w->events.front().second) {
+      --w->bad;
+    }
+    w->events.pop_front();
+  }
 }
+
+}  // namespace
+
+SloBurnTracker::SloBurnTracker(SloBurnOptions options,
+                               TemplateTable* templates, AlertHook hook)
+    : options_(std::move(options)),
+      templates_(templates),
+      hook_(std::move(hook)) {}
 
 double SloBurnTracker::Now() const {
   if (options_.clock) {
@@ -31,29 +43,12 @@ double SloBurnTracker::Now() const {
       .count();
 }
 
-void SloBurnTracker::Window::Add(double now, bool is_bad) {
-  events.emplace_back(now, is_bad);
-  if (is_bad) {
-    ++bad;
-  }
-}
-
-void SloBurnTracker::Window::Prune(double horizon) {
-  while (!events.empty() && events.front().first < horizon) {
-    if (events.front().second) {
-      --bad;
-    }
-    events.pop_front();
-  }
-}
-
-double SloBurnTracker::BurnOf(const Window& w) const {
-  int64_t total = w.total();
-  if (total == 0) {
+double SloBurnTracker::BurnOf(const SloWindow& w) const {
+  if (w.events.empty()) {
     return 0.0;
   }
-  double error_rate =
-      static_cast<double>(w.bad) / static_cast<double>(total);
+  double error_rate = static_cast<double>(w.bad) /
+                      static_cast<double>(w.events.size());
   double budget = 1.0 - options_.slo_target;
   if (budget <= 0.0) {
     return error_rate > 0.0 ? 1e9 : 0.0;
@@ -61,70 +56,69 @@ double SloBurnTracker::BurnOf(const Window& w) const {
   return error_rate / budget;
 }
 
-void SloBurnTracker::FoldLocked(Scope* scope, const std::string& scope_name,
-                                double now, bool bad,
-                                std::vector<SloAlertEvent>* events) {
-  scope->fast.Add(now, bad);
-  scope->slow.Add(now, bad);
-  scope->fast.Prune(now - options_.fast_window_seconds);
-  scope->slow.Prune(now - options_.slow_window_seconds);
-  double fast = BurnOf(scope->fast);
-  double slow = BurnOf(scope->slow);
+bool SloBurnTracker::FoldScope(SloScope* scope, double now, bool bad) {
+  const std::pair<SloWindow*, double> windows[] = {
+      {&scope->fast, options_.fast_window_seconds},
+      {&scope->slow, options_.slow_window_seconds}};
+  for (auto [w, span] : windows) {
+    w->events.emplace_back(now, bad);
+    w->bad += bad ? 1 : 0;
+    Prune(w, now - span);
+  }
+  const double fast = BurnOf(scope->fast);
   if (!scope->firing) {
-    if (scope->fast.total() >= options_.min_window_samples &&
-        fast >= options_.fire_burn_rate && slow >= options_.fire_burn_rate) {
+    if (static_cast<int64_t>(scope->fast.events.size()) >=
+            options_.min_window_samples &&
+        fast >= options_.fire_burn_rate &&
+        BurnOf(scope->slow) >= options_.fire_burn_rate) {
       scope->firing = true;
       ++fired_;
-      events->push_back(SloAlertEvent{scope_name, true, fast, slow});
+      return true;
     }
   } else if (fast <= options_.resolve_burn_rate) {
     scope->firing = false;
     ++resolved_;
-    events->push_back(SloAlertEvent{scope_name, false, fast, slow});
+    return true;
   }
+  return false;
 }
 
-void SloBurnTracker::Record(uint64_t fingerprint, double seconds) {
+void SloBurnTracker::Fold(uint64_t fingerprint, TemplateFacts* facts,
+                          double seconds,
+                          std::vector<SloAlertEvent>* events) {
   if (!enabled()) {
     return;
   }
-  double now = Now();
-  bool bad = seconds > options_.slo_seconds;
-  std::vector<SloAlertEvent> events;
-  AlertHook hook;
+  const double now = Now();
+  const bool bad = seconds > options_.slo_seconds;
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    FoldLocked(&server_, "server", now, bad, &events);
-    FoldLocked(&templates_[fingerprint], SloTemplateScope(fingerprint), now,
-               bad, &events);
-    hook = hook_;
-  }
-  if (hook) {
-    for (const SloAlertEvent& event : events) {
-      hook(event);
+    if (FoldScope(&server_, now, bad)) {
+      events->push_back(ViewOf("server", server_, now));
     }
+  }
+  if (facts->slo == nullptr) {
+    facts->slo = std::make_unique<SloScope>();
+  }
+  if (FoldScope(facts->slo.get(), now, bad)) {
+    // The scope is named only for a transition, never per query.
+    events->push_back(
+        ViewOf(SloTemplateScope(fingerprint), *facts->slo, now));
   }
 }
 
-SloScopeView SloBurnTracker::ViewOfLocked(const std::string& name,
-                                          const Scope& scope,
-                                          double now) const {
+SloScopeView SloBurnTracker::ViewOf(std::string name, const SloScope& scope,
+                                    double now) const {
   // Snapshot must not mutate (const); view a pruned copy of the windows
-  // so burn rates reflect "now", not the last Record.
-  Window fast = scope.fast;
-  Window slow = scope.slow;
-  fast.Prune(now - options_.fast_window_seconds);
-  slow.Prune(now - options_.slow_window_seconds);
-  SloScopeView view;
-  view.scope = name;
-  view.fast_burn = BurnOf(fast);
-  view.slow_burn = BurnOf(slow);
-  view.firing = scope.firing;
-  view.fast_total = fast.total();
-  view.fast_bad = fast.bad;
-  view.slow_total = slow.total();
-  view.slow_bad = slow.bad;
-  return view;
+  // so burn rates reflect "now", not the last fold.
+  SloWindow fast = scope.fast;
+  SloWindow slow = scope.slow;
+  Prune(&fast, now - options_.fast_window_seconds);
+  Prune(&slow, now - options_.slow_window_seconds);
+  return SloScopeView{std::move(name), BurnOf(fast), BurnOf(slow),
+                      scope.firing, static_cast<int64_t>(fast.events.size()),
+                      fast.bad, static_cast<int64_t>(slow.events.size()),
+                      slow.bad};
 }
 
 std::vector<SloScopeView> SloBurnTracker::Snapshot() const {
@@ -132,13 +126,16 @@ std::vector<SloScopeView> SloBurnTracker::Snapshot() const {
   if (!enabled()) {
     return out;
   }
-  double now = Now();
-  std::lock_guard<std::mutex> lock(mutex_);
-  out.reserve(1 + templates_.size());
-  out.push_back(ViewOfLocked("server", server_, now));
-  for (const auto& [fp, scope] : templates_) {
-    out.push_back(ViewOfLocked(SloTemplateScope(fp), scope, now));
+  const double now = Now();
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    out.push_back(ViewOf("server", server_, now));
   }
+  templates_->ForEach([&](uint64_t fp, const TemplateFacts& facts) {
+    if (facts.slo != nullptr) {
+      out.push_back(ViewOf(SloTemplateScope(fp), *facts.slo, now));
+    }
+  });
   return out;
 }
 
@@ -183,12 +180,9 @@ std::string SloBurnTracker::RenderPrometheus() const {
   out += "# TYPE dqep_slo_burn_rate gauge\n";
   for (const SloScopeView& v : all) {
     std::snprintf(line, sizeof(line),
-                  "dqep_slo_burn_rate{scope=\"%s\",window=\"fast\"} %.9g\n",
-                  v.scope.c_str(), v.fast_burn);
-    out += line;
-    std::snprintf(line, sizeof(line),
+                  "dqep_slo_burn_rate{scope=\"%s\",window=\"fast\"} %.9g\n"
                   "dqep_slo_burn_rate{scope=\"%s\",window=\"slow\"} %.9g\n",
-                  v.scope.c_str(), v.slow_burn);
+                  v.scope.c_str(), v.fast_burn, v.scope.c_str(), v.slow_burn);
     out += line;
   }
   out += "# HELP dqep_slo_alert_firing Whether the scope's burn-rate alert "
@@ -200,30 +194,17 @@ std::string SloBurnTracker::RenderPrometheus() const {
                   v.firing ? 1 : 0);
     out += line;
   }
-  out += "# HELP dqep_slo_alerts_fired_total Burn-rate alerts fired.\n";
-  out += "# TYPE dqep_slo_alerts_fired_total counter\n";
-  std::snprintf(line, sizeof(line), "dqep_slo_alerts_fired_total %" PRId64
-                "\n",
-                alerts_fired());
-  out += line;
-  out += "# HELP dqep_slo_alerts_resolved_total Burn-rate alerts "
-         "resolved.\n";
-  out += "# TYPE dqep_slo_alerts_resolved_total counter\n";
-  std::snprintf(line, sizeof(line),
-                "dqep_slo_alerts_resolved_total %" PRId64 "\n",
-                alerts_resolved());
-  out += line;
+  for (auto [name, verb, value] :
+       {std::tuple{"dqep_slo_alerts_fired_total", "fired", alerts_fired()},
+        std::tuple{"dqep_slo_alerts_resolved_total", "resolved",
+                   alerts_resolved()}}) {
+    std::snprintf(line, sizeof(line),
+                  "# HELP %s Burn-rate alerts %s.\n# TYPE %s counter\n"
+                  "%s %" PRId64 "\n",
+                  name, verb, name, name, value);
+    out += line;
+  }
   return out;
-}
-
-int64_t SloBurnTracker::alerts_fired() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return fired_;
-}
-
-int64_t SloBurnTracker::alerts_resolved() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return resolved_;
 }
 
 }  // namespace obs

@@ -19,36 +19,38 @@
 // a burn rate hovering at the boundary).
 //
 // Alerts are tracked for the server as a whole (scope "server") and for
-// each template fingerprint (scope "template:0x<fp>").  Transitions are
-// delivered through an optional hook — the server forwards them to the
-// flight recorder — and the current state is exported as
+// each template fingerprint the server's template table still holds
+// (scope "template:0x<fp>").  Transitions are delivered through an
+// optional hook — the server forwards them to the flight recorder — and
+// the current state is exported as
 // `dqep_slo_burn_rate{scope=...,window=...}` gauges plus
 // `dqep_slo_alert_firing{scope=...}`.
 //
 // Determinism: the clock is injected (steady_clock by default), so
 // tests drive window expiry explicitly.
 //
-// Thread-safety: one mutex guards all state; the hook is invoked
-// OUTSIDE the lock (it may itself take locks, e.g. the flight
-// recorder's).
+// Thread-safety: template scopes live under the lock of the server's
+// obs::TemplateTable; one mutex, taken inside that lock and never around
+// it, guards the server scope.  The hook is invoked OUTSIDE every lock
+// (it may itself take locks, e.g. the flight recorder's).
 
 #ifndef DQEP_OBS_ALERTS_H_
 #define DQEP_OBS_ALERTS_H_
 
+#include <atomic>
 #include <cstdint>
-#include <deque>
 #include <functional>
-#include <map>
 #include <mutex>
 #include <string>
-#include <utility>
 #include <vector>
+
+#include "obs/template_table.h"
 
 namespace dqep {
 namespace obs {
 
 struct SloBurnOptions {
-  /// Latency objective in seconds; <= 0 disables the tracker (Record
+  /// Latency objective in seconds; <= 0 disables the tracker (Fold
   /// becomes a no-op).
   double slo_seconds = 0.0;
 
@@ -75,17 +77,10 @@ struct SloBurnOptions {
   std::function<double()> clock;
 };
 
-/// A fired-or-resolved transition, delivered to the alert hook.
-struct SloAlertEvent {
-  std::string scope;  ///< "server" or "template:0x<fp>"
-  bool firing = false;
-  double fast_burn = 0.0;
-  double slow_burn = 0.0;
-};
-
-/// Current state of one scope, as returned by snapshots.
+/// Current state of one scope, as returned by snapshots and delivered
+/// to the alert hook on a fire/resolve transition.
 struct SloScopeView {
-  std::string scope;
+  std::string scope;  ///< "server" or "template:0x<fp>"
   double fast_burn = 0.0;
   double slow_burn = 0.0;
   bool firing = false;
@@ -94,25 +89,35 @@ struct SloScopeView {
   int64_t slow_total = 0;
   int64_t slow_bad = 0;
 };
+using SloAlertEvent = SloScopeView;
 
 class SloBurnTracker {
  public:
   using AlertHook = std::function<void(const SloAlertEvent&)>;
 
-  explicit SloBurnTracker(SloBurnOptions options);
+  /// Template scopes live in `templates`, the server scope here.  `hook`
+  /// (nullable) is invoked on each fire/resolve transition.
+  SloBurnTracker(SloBurnOptions options, TemplateTable* templates,
+                 AlertHook hook = nullptr);
 
   SloBurnTracker(const SloBurnTracker&) = delete;
   SloBurnTracker& operator=(const SloBurnTracker&) = delete;
 
-  /// Invoked (outside the lock) on every fire/resolve transition.
-  void SetAlertHook(AlertHook hook);
-
   bool enabled() const { return options_.slo_seconds > 0.0; }
-  const SloBurnOptions& options() const { return options_; }
 
   /// Folds one completed query (total wall seconds) into the server
-  /// scope and the template scope.
-  void Record(uint64_t fingerprint, double seconds);
+  /// scope and its template's scope in `facts`, appending any transition
+  /// to `events`.  Caller holds the table's lock (TemplateTable::Touch).
+  void Fold(uint64_t fingerprint, TemplateFacts* facts, double seconds,
+            std::vector<SloAlertEvent>* events);
+  /// Hands Fold's `events` to the hook; call outside every lock.
+  void Deliver(const std::vector<SloAlertEvent>& events) const {
+    for (const SloAlertEvent& event : events) {
+      if (hook_) {
+        hook_(event);
+      }
+    }
+  }
 
   /// Every scope's current state (windows pruned to now), server first
   /// then templates by fingerprint.
@@ -128,41 +133,24 @@ class SloBurnTracker {
   /// counters.
   std::string RenderPrometheus() const;
 
-  int64_t alerts_fired() const;
-  int64_t alerts_resolved() const;
+  int64_t alerts_fired() const { return fired_.load(); }
+  int64_t alerts_resolved() const { return resolved_.load(); }
 
  private:
-  struct Window {
-    std::deque<std::pair<double, bool>> events;  ///< (when, bad)
-    int64_t bad = 0;
-
-    void Add(double now, bool is_bad);
-    void Prune(double horizon);
-    int64_t total() const { return static_cast<int64_t>(events.size()); }
-  };
-
-  struct Scope {
-    Window fast;
-    Window slow;
-    bool firing = false;
-  };
-
   double Now() const;
-  double BurnOf(const Window& w) const;
-  /// Prunes, recomputes, and appends any transition to `events`.
-  /// Caller holds the lock.
-  void FoldLocked(Scope* scope, const std::string& scope_name, double now,
-                  bool bad, std::vector<SloAlertEvent>* events);
-  SloScopeView ViewOfLocked(const std::string& name, const Scope& scope,
-                            double now) const;
+  double BurnOf(const SloWindow& window) const;
+  /// Folds one sample into `scope`; true on a fire/resolve transition.
+  bool FoldScope(SloScope* scope, double now, bool bad);
+  SloScopeView ViewOf(std::string name, const SloScope& scope,
+                      double now) const;
 
   const SloBurnOptions options_;
-  AlertHook hook_;
-  mutable std::mutex mutex_;
-  Scope server_;
-  std::map<uint64_t, Scope> templates_;
-  int64_t fired_ = 0;
-  int64_t resolved_ = 0;
+  TemplateTable* const templates_;
+  const AlertHook hook_;
+  mutable std::mutex mutex_;  ///< guards server_
+  SloScope server_;
+  std::atomic<int64_t> fired_{0};
+  std::atomic<int64_t> resolved_{0};
 };
 
 /// Formats a template scope name ("template:0x<16-hex-fp>").

@@ -3,79 +3,53 @@
 #include <cinttypes>
 #include <cstdio>
 #include <utility>
+#include <vector>
 
 namespace dqep {
 namespace obs {
 
-CalibrationDriftMonitor::CalibrationDriftMonitor(DriftOptions options)
-    : options_(std::move(options)) {}
-
-void CalibrationDriftMonitor::Record(uint64_t fingerprint,
-                                     double predicted_seconds,
-                                     double actual_seconds) {
-  std::lock_guard<std::mutex> lock(mutex_);
+void CalibrationDriftMonitor::Fold(TemplateDrift* drift,
+                                   double predicted_seconds,
+                                   double actual_seconds) {
   ++age_queries_;
   if (predicted_seconds <= 0.0 || actual_seconds <= 0.0) {
     return;
   }
   double ratio = actual_seconds / predicted_seconds;
-  Entry& entry = templates_[fingerprint];
-  entry.last = ratio;
-  if (entry.samples == 0) {
-    entry.ewma = ratio;  // seed with the first observation, not 0
+  drift->last_ratio = ratio;
+  if (drift->samples == 0) {
+    drift->drift_ratio = ratio;  // seed with the first observation
   } else {
-    entry.ewma += options_.alpha * (ratio - entry.ewma);
+    drift->drift_ratio += kAlpha * (ratio - drift->drift_ratio);
   }
-  entry.samples += 1;
-}
-
-void CalibrationDriftMonitor::NoteCalibrationLoaded() {
-  std::lock_guard<std::mutex> lock(mutex_);
-  age_queries_ = 0;
-}
-
-int64_t CalibrationDriftMonitor::CalibrationAgeQueries() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return age_queries_;
-}
-
-std::vector<TemplateDriftView> CalibrationDriftMonitor::Snapshot() const {
-  std::vector<TemplateDriftView> out;
-  std::lock_guard<std::mutex> lock(mutex_);
-  out.reserve(templates_.size());
-  for (const auto& [fp, entry] : templates_) {
-    TemplateDriftView view;
-    view.fingerprint = fp;
-    view.drift_ratio = entry.ewma;
-    view.last_ratio = entry.last;
-    view.samples = entry.samples;
-    out.push_back(view);
-  }
-  return out;
+  drift->samples += 1;
 }
 
 std::string CalibrationDriftMonitor::RenderPrometheus() const {
-  auto all = Snapshot();
-  int64_t age = CalibrationAgeQueries();
+  // Copy under the table's lock, format outside it.
+  std::vector<std::pair<uint64_t, double>> ratios;
+  templates_->ForEach([&](uint64_t fp, const TemplateFacts& facts) {
+    if (facts.drift.samples > 0) {
+      ratios.emplace_back(fp, facts.drift.drift_ratio);
+    }
+  });
   std::string out;
   char line[192];
   out += "# HELP dqep_template_drift_ratio EWMA of actual/predicted root "
          "cost per template (1.0 == calibrated).\n";
   out += "# TYPE dqep_template_drift_ratio gauge\n";
-  for (const auto& t : all) {
+  for (const auto& [fp, ratio] : ratios) {
     std::snprintf(line, sizeof(line),
                   "dqep_template_drift_ratio{template=\"0x%016" PRIx64
                   "\"} %.9g\n",
-                  t.fingerprint, t.drift_ratio);
+                  fp, ratio);
     out += line;
   }
-  out += "# HELP dqep_calibration_age_queries Queries completed since a "
-         "calibration profile was last loaded.\n";
-  out += "# TYPE dqep_calibration_age_queries gauge\n";
-  std::snprintf(line, sizeof(line), "dqep_calibration_age_queries %" PRId64
-                "\n",
-                age);
-  out += line;
+  out += "# HELP dqep_calibration_age_queries Queries completed since the "
+         "server started (the age of the cost model's fit).\n"
+         "# TYPE dqep_calibration_age_queries gauge\n"
+         "dqep_calibration_age_queries " +
+         std::to_string(CalibrationAgeQueries()) + "\n";
   return out;
 }
 

@@ -6,77 +6,52 @@
 // workload once; afterwards nothing tells an operator when the fit has
 // gone stale — data grew, the machine changed, a new template arrived.
 // This monitor closes that gap: each completed query folds the ratio
-// actual_seconds / predicted_seconds into a per-template EWMA, exported
-// as `dqep_template_drift_ratio` gauges, plus a global
-// `dqep_calibration_age_queries` counter of queries completed since a
-// calibration profile was last loaded.  A drift ratio parked far from
-// 1.0 (or a large age with drifting templates) is the scraper-visible
-// signal that `--calibrate` should be re-run.
+// actual_seconds / predicted_seconds into its template's EWMA (in the
+// server's obs::TemplateTable), exported as `dqep_template_drift_ratio`
+// gauges, plus a global `dqep_calibration_age_queries` gauge of queries
+// completed since the server started (it loads no cost profile, so that
+// is the fit's age).  A drift ratio parked far from 1.0 (or a large age
+// with drifting templates) is the scraper-visible signal that
+// `--calibrate` should be re-run.
 //
 // The ratio, not the difference, is tracked: the model predicts in
 // modeled seconds whose scale is exactly what calibration corrects, so
 // a scale error shows up as a stable ratio != 1 regardless of query
 // size.  Non-positive predictions or actuals are skipped (no signal).
 //
-// Thread-safety: one mutex guards the template table; Record is a map
-// lookup plus a handful of float ops, safe on the session hot path.
+// Thread-safety: template state lives under the table's lock; the age
+// gauge is an atomic.
 
 #ifndef DQEP_OBS_DRIFT_H_
 #define DQEP_OBS_DRIFT_H_
 
+#include <atomic>
 #include <cstdint>
-#include <map>
-#include <mutex>
 #include <string>
-#include <vector>
+
+#include "obs/template_table.h"
 
 namespace dqep {
 namespace obs {
 
-struct DriftOptions {
-  /// EWMA smoothing factor for the per-template drift ratio: each new
-  /// sample contributes `alpha`, history keeps `1 - alpha`.  0.1 makes
-  /// the gauge converge to a regime shift in a few dozen queries while
-  /// shrugging off single outliers.
-  double alpha = 0.1;
-};
-
-/// One template's drift state, as returned by snapshots.
-struct TemplateDriftView {
-  uint64_t fingerprint = 0;
-  /// EWMA of actual_seconds / predicted_seconds.  1.0 == calibrated.
-  double drift_ratio = 1.0;
-  /// Samples folded in (skipped samples not counted).
-  int64_t samples = 0;
-  /// Last raw (unsmoothed) ratio observed.
-  double last_ratio = 1.0;
-};
-
 class CalibrationDriftMonitor {
  public:
-  explicit CalibrationDriftMonitor(DriftOptions options = {});
+  explicit CalibrationDriftMonitor(TemplateTable* templates)
+      : templates_(templates) {}
 
   CalibrationDriftMonitor(const CalibrationDriftMonitor&) = delete;
   CalibrationDriftMonitor& operator=(const CalibrationDriftMonitor&) = delete;
 
-  /// Folds one completed query: `predicted_seconds` is the start-up
-  /// resolution's execution-cost estimate for the chosen plan,
-  /// `actual_seconds` the measured execution wall time.  Non-positive
-  /// values are skipped.
-  void Record(uint64_t fingerprint, double predicted_seconds,
-              double actual_seconds);
+  /// Folds one completed query into its template's `drift`:
+  /// `predicted_seconds` is the start-up resolution's execution-cost
+  /// estimate for the chosen plan, `actual_seconds` the measured
+  /// execution wall time.  Non-positive values are skipped.  Caller holds
+  /// the table's lock (TemplateTable::Touch).
+  void Fold(TemplateDrift* drift, double predicted_seconds,
+            double actual_seconds);
 
-  /// Resets the calibration-age counter — call when a calibration
-  /// profile is (re)loaded, so the age gauge counts queries since the
-  /// model was last fit.
-  void NoteCalibrationLoaded();
-
-  /// Queries recorded since construction or the last
-  /// NoteCalibrationLoaded(), whichever is later.
-  int64_t CalibrationAgeQueries() const;
-
-  /// Every template's drift state, sorted by fingerprint.
-  std::vector<TemplateDriftView> Snapshot() const;
+  /// Queries recorded since construction.
+  int64_t CalibrationAgeQueries() const { return age_queries_.load(); }
 
   /// Prometheus text-format families: `dqep_template_drift_ratio`
   /// gauges labelled template="0x<fp>" and the unlabelled
@@ -84,16 +59,13 @@ class CalibrationDriftMonitor {
   std::string RenderPrometheus() const;
 
  private:
-  struct Entry {
-    double ewma = 0.0;
-    double last = 0.0;
-    int64_t samples = 0;
-  };
+  /// EWMA smoothing factor: each new sample contributes kAlpha, history
+  /// keeps 1 - kAlpha.  0.1 converges to a regime shift in a few dozen
+  /// queries while shrugging off single outliers.
+  static constexpr double kAlpha = 0.1;
 
-  const DriftOptions options_;
-  mutable std::mutex mutex_;
-  std::map<uint64_t, Entry> templates_;
-  int64_t age_queries_ = 0;
+  TemplateTable* const templates_;
+  std::atomic<int64_t> age_queries_{0};
 };
 
 }  // namespace obs

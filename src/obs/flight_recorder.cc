@@ -63,8 +63,9 @@ int64_t MicrosOf(double seconds) {
 
 }  // namespace
 
-FlightRecorder::FlightRecorder(FlightRecorderOptions options)
-    : options_(std::move(options)) {
+FlightRecorder::FlightRecorder(FlightRecorderOptions options,
+                               TemplateTable* templates)
+    : options_(std::move(options)), templates_(templates) {
   auto& registry = MetricsRegistry::Instance();
   recorded_ = registry.SharedCounter("obs.flight.recorded");
   slow_ = registry.SharedCounter("obs.flight.slow");
@@ -102,69 +103,71 @@ FlightRecorder::FlightRecorder(FlightRecorderOptions options)
   }
 }
 
-FlightEntry FlightRecorder::Record(
-    std::shared_ptr<const QueryRecord> record,
-    const std::function<std::string()>& render_analyze) {
-  const QueryRecord& r = *record;
+std::string FlightRecorder::Fold(TemplateLatency* stats,
+                                 const QueryRecord& r) const {
   const int64_t latency_us = MicrosOf(r.total_seconds);
-  FlightEntry finished;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    finished.sequence = next_sequence_++;
-    TemplateEntry& entry = templates_[r.query_hash];
-    if (entry.text.empty() && !r.query_template.empty()) {
-      entry.text = r.query_template;
-    }
+  if (stats->template_text.empty() && !r.query_template.empty()) {
+    stats->template_text = r.query_template;
+  }
 
-    // Slow verdict comes BEFORE folding the new sample, so the sample
-    // is judged against the history it arrived into.
-    if (options_.slow_query_ms > 0.0 &&
-        r.total_seconds * 1e3 >= options_.slow_query_ms) {
-      finished.slow_reason = "threshold";
-    } else if (entry.count >= options_.min_template_samples) {
-      double p99_us = Log2BucketPercentile(entry.buckets, entry.count, 0.99);
-      if (static_cast<double>(latency_us) > p99_us) {
-        finished.slow_reason = "template-p99";
-      }
-    }
-
-    entry.count += 1;
-    entry.sum_us += latency_us;
-    const int32_t bucket = HistogramCell::BucketOf(latency_us);
-    auto it = std::lower_bound(
-        entry.buckets.begin(), entry.buckets.end(), bucket,
-        [](const std::pair<int32_t, int64_t>& b, int32_t v) {
-          return b.first < v;
-        });
-    if (it == entry.buckets.end() || it->first != bucket) {
-      it = entry.buckets.emplace(it, bucket, 0);
-    }
-    it->second += 1;
-    entry.decisions += r.decision_count;
-    entry.regret_seconds += r.RegretSeconds();
-    entry.reopt_triggers += r.reopt_triggers;
-    entry.reopt_adoptions += r.reopt_adoptions;
-    if (finished.slow()) {
-      entry.slow_count += 1;
-    }
-    if (++entry.decay_credit >= options_.decay_every) {
-      entry.decay_credit = 0;
-      int64_t kept = 0;
-      for (auto& b : entry.buckets) {
-        b.second /= 2;
-        kept += b.second;
-      }
-      std::erase_if(entry.buckets,
-                    [](const auto& b) { return b.second == 0; });
-      // Keep sum/count consistent with the halved buckets so the mean
-      // stays meaningful; regret and the monotone counters are not
-      // decayed (they are lifetime totals).
-      entry.sum_us = entry.count == 0 ? 0 : entry.sum_us * kept / entry.count;
-      entry.count = kept;
+  // Slow verdict comes BEFORE folding the new sample, so the sample
+  // is judged against the history it arrived into.
+  std::string slow_reason;
+  if (options_.slow_query_ms > 0.0 &&
+      r.total_seconds * 1e3 >= options_.slow_query_ms) {
+    slow_reason = "threshold";
+  } else if (stats->count >= options_.min_template_samples) {
+    double p99_us = Log2BucketPercentile(stats->buckets, stats->count, 0.99);
+    if (static_cast<double>(latency_us) > p99_us) {
+      slow_reason = "template-p99";
     }
   }
 
+  stats->count += 1;
+  stats->sum_us += latency_us;
+  const int32_t bucket = HistogramCell::BucketOf(latency_us);
+  auto it = std::lower_bound(
+      stats->buckets.begin(), stats->buckets.end(), bucket,
+      [](const std::pair<int32_t, int64_t>& b, int32_t v) {
+        return b.first < v;
+      });
+  if (it == stats->buckets.end() || it->first != bucket) {
+    it = stats->buckets.emplace(it, bucket, 0);
+  }
+  it->second += 1;
+  stats->decisions += r.decision_count;
+  stats->regret_seconds += r.RegretSeconds();
+  stats->reopt_triggers += r.reopt_triggers;
+  stats->reopt_adoptions += r.reopt_adoptions;
+  if (!slow_reason.empty()) {
+    stats->slow_count += 1;
+  }
+  if (++stats->decay_credit >= options_.decay_every) {
+    stats->decay_credit = 0;
+    int64_t kept = 0;
+    for (auto& b : stats->buckets) {
+      b.second /= 2;
+      kept += b.second;
+    }
+    std::erase_if(stats->buckets,
+                  [](const auto& b) { return b.second == 0; });
+    // Keep sum/count consistent with the halved buckets so the mean
+    // stays meaningful; regret and the monotone counters are not
+    // decayed (they are lifetime totals).
+    stats->sum_us =
+        stats->count == 0 ? 0 : stats->sum_us * kept / stats->count;
+    stats->count = kept;
+  }
+  return slow_reason;
+}
+
+FlightEntry FlightRecorder::Deposit(
+    std::shared_ptr<const QueryRecord> record, std::string slow_reason,
+    const std::function<std::string()>& render_analyze) {
+  FlightEntry finished;
+  finished.sequence = next_sequence_++;
   finished.record = std::move(record);
+  finished.slow_reason = std::move(slow_reason);
   recorded_->Add(1);
   if (finished.slow()) {
     slow_->Add(1);
@@ -241,41 +244,22 @@ std::vector<FlightEntry> FlightRecorder::Recent(size_t n) const {
   return out;
 }
 
-TemplateStatsView FlightRecorder::ViewOf(uint64_t fingerprint,
-                                         const TemplateEntry& entry) const {
-  TemplateStatsView view;
-  view.fingerprint = fingerprint;
-  view.template_text = entry.text;
-  view.count = entry.count;
-  view.sum_us = entry.sum_us;
-  view.buckets = entry.buckets;
-  view.decisions = entry.decisions;
-  view.regret_seconds = entry.regret_seconds;
-  view.reopt_triggers = entry.reopt_triggers;
-  view.reopt_adoptions = entry.reopt_adoptions;
-  view.slow_count = entry.slow_count;
-  return view;
-}
-
 std::vector<TemplateStatsView> FlightRecorder::TemplateStats() const {
   std::vector<TemplateStatsView> out;
-  std::lock_guard<std::mutex> lock(mutex_);
-  out.reserve(templates_.size());
-  for (const auto& [fp, entry] : templates_) {
-    out.push_back(ViewOf(fp, entry));
-  }
+  templates_->ForEach([&](uint64_t fp, const TemplateFacts& facts) {
+    if (facts.latency.count > 0) {  // not just another consumer's entry
+      out.emplace_back(fp, facts.latency);
+    }
+  });
   return out;
 }
 
 TemplateStatsView FlightRecorder::StatsFor(uint64_t fingerprint) const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  auto it = templates_.find(fingerprint);
-  if (it == templates_.end()) {
-    TemplateStatsView view;
-    view.fingerprint = fingerprint;
-    return view;
-  }
-  return ViewOf(fingerprint, it->second);
+  TemplateStatsView view(fingerprint);
+  templates_->Find(fingerprint, [&](const TemplateFacts& facts) {
+    view = TemplateStatsView(fingerprint, facts.latency);
+  });
+  return view;
 }
 
 std::string FlightRecorder::RenderRecentText(size_t n) const {
@@ -334,7 +318,7 @@ std::string FlightRecorder::RenderRecentJson(size_t n) const {
 std::string FlightRecorder::RenderTemplateStatsText(
     uint64_t fingerprint, bool sort_by_regret) const {
   std::string out;
-  char line[512];
+  char line[1024];
   if (fingerprint == 0) {
     auto all = TemplateStats();
     if (all.empty()) {
@@ -342,32 +326,22 @@ std::string FlightRecorder::RenderTemplateStatsText(
     }
     // Worst-first, so the template an operator should drill into is the
     // first line: rolling p99 by default, signed cumulative regret with
-    // `\stats regret`.  Fingerprint breaks ties deterministically.
-    std::stable_sort(all.begin(), all.end(),
-                     [&](const TemplateStatsView& a,
-                         const TemplateStatsView& b) {
-                       double ka = sort_by_regret ? a.regret_seconds
-                                                  : a.PercentileUs(0.99);
-                       double kb = sort_by_regret ? b.regret_seconds
-                                                  : b.PercentileUs(0.99);
-                       if (ka != kb) {
-                         return ka > kb;
-                       }
-                       return a.fingerprint < b.fingerprint;
-                     });
+    // `\stats regret`.  The stable sort keeps fingerprint order on ties.
+    auto key = [&](const TemplateStatsView& t) {
+      return sort_by_regret ? t.regret_seconds : t.PercentileUs(0.99);
+    };
+    std::stable_sort(all.begin(), all.end(), [&](const auto& a, const auto& b) {
+      return key(a) > key(b);
+    });
     std::snprintf(line, sizeof(line), "%zu templates, sorted by %s:\n",
                   all.size(), sort_by_regret ? "regret" : "p99");
     out += line;
     for (const auto& t : all) {
-      double mean_ms =
-          t.count == 0 ? 0.0
-                       : static_cast<double>(t.sum_us) /
-                             static_cast<double>(t.count) / 1e3;
       std::snprintf(line, sizeof(line),
                     "template 0x%016" PRIx64 " count=%" PRId64
                     " mean=%.3fms p50=%.3fms p95=%.3fms p99=%.3fms"
                     " regret=%+.6fs slow=%" PRId64 "\n",
-                    t.fingerprint, t.count, mean_ms,
+                    t.fingerprint, t.count, t.MeanMs(),
                     t.PercentileUs(0.50) / 1e3, t.PercentileUs(0.95) / 1e3,
                     t.PercentileUs(0.99) / 1e3, t.regret_seconds,
                     t.slow_count);
@@ -381,39 +355,24 @@ std::string FlightRecorder::RenderTemplateStatsText(
                   "no stats for template 0x%016" PRIx64 "\n", fingerprint);
     return line;
   }
-  double mean_ms = t.count == 0 ? 0.0
-                                : static_cast<double>(t.sum_us) /
-                                      static_cast<double>(t.count) / 1e3;
-  std::snprintf(line, sizeof(line), "template    0x%016" PRIx64 "\n",
-                t.fingerprint);
-  out += line;
-  std::snprintf(line, sizeof(line), "sql         %.300s\n",
-                t.template_text.c_str());
-  out += line;
   std::snprintf(line, sizeof(line),
+                "template    0x%016" PRIx64 "\nsql         %.300s\n"
                 "latency     count=%" PRId64 " mean=%.3fms p50=%.3fms"
-                " p95=%.3fms p99=%.3fms\n",
-                t.count, mean_ms, t.PercentileUs(0.50) / 1e3,
-                t.PercentileUs(0.95) / 1e3, t.PercentileUs(0.99) / 1e3);
-  out += line;
-  std::snprintf(line, sizeof(line),
-                "decisions   %" PRId64 " regret=%+.6fs\n", t.decisions,
-                t.regret_seconds);
-  out += line;
-  std::snprintf(line, sizeof(line),
-                "reopt       triggers=%" PRId64 " adoptions=%" PRId64 "\n",
-                t.reopt_triggers, t.reopt_adoptions);
-  out += line;
-  std::snprintf(line, sizeof(line), "slow        %" PRId64 "\n",
-                t.slow_count);
-  out += line;
-  return out;
+                " p95=%.3fms p99=%.3fms\n"
+                "decisions   %" PRId64 " regret=%+.6fs\n"
+                "reopt       triggers=%" PRId64 " adoptions=%" PRId64 "\n"
+                "slow        %" PRId64 "\n",
+                t.fingerprint, t.template_text.c_str(), t.count, t.MeanMs(),
+                t.PercentileUs(0.50) / 1e3, t.PercentileUs(0.95) / 1e3,
+                t.PercentileUs(0.99) / 1e3, t.decisions, t.regret_seconds,
+                t.reopt_triggers, t.reopt_adoptions, t.slow_count);
+  return line;
 }
 
 std::string FlightRecorder::RenderPrometheusTemplates() const {
   auto all = TemplateStats();
   std::string out;
-  char line[256];
+  char line[512];
   char label[64];
   out += "# HELP dqep_template_latency_seconds Query latency by "
          "normalized-template fingerprint.\n";
@@ -435,87 +394,55 @@ std::string FlightRecorder::RenderPrometheusTemplates() const {
     }
     std::snprintf(line, sizeof(line),
                   "dqep_template_latency_seconds_bucket%s,le=\"+Inf\"} "
-                  "%" PRId64 "\n",
-                  label, t.count);
-    out += line;
-    std::snprintf(line, sizeof(line),
-                  "dqep_template_latency_seconds_sum%s} %.9g\n", label,
-                  static_cast<double>(t.sum_us) / 1e6);
-    out += line;
-    std::snprintf(line, sizeof(line),
+                  "%" PRId64 "\ndqep_template_latency_seconds_sum%s} %.9g\n"
                   "dqep_template_latency_seconds_count%s} %" PRId64 "\n",
+                  label, t.count, label, static_cast<double>(t.sum_us) / 1e6,
                   label, t.count);
     out += line;
   }
 
-  struct CounterFamily {
-    const char* name;
-    const char* help;
-  };
-  static constexpr CounterFamily kCounters[] = {
-      {"dqep_template_queries_total", "Completed queries per template."},
-      {"dqep_template_decisions_total",
-       "Choose-plan decisions resolved per template."},
-      {"dqep_template_reopt_triggers_total",
-       "Mid-query re-optimizations triggered per template."},
-      {"dqep_template_reopt_adoptions_total",
-       "Re-optimized plans adopted per template."},
-      {"dqep_template_slow_total", "Slow-flagged queries per template."},
-  };
-  for (const auto& fam : kCounters) {
-    out += "# HELP ";
-    out += fam.name;
-    out += " ";
-    out += fam.help;
-    out += "\n# TYPE ";
-    out += fam.name;
-    out += " counter\n";
+  // One sample per template and family: `name{template="0x..."} value`.
+  auto family = [&](const char* name, const char* type, const char* help,
+                    auto value) {
+    out += std::string("# HELP ") + name + " " + help + "\n# TYPE " + name +
+           " " + type + "\n";
     for (const auto& t : all) {
-      int64_t value = 0;
-      if (fam.name == std::string("dqep_template_queries_total")) {
-        value = t.count;
-      } else if (fam.name == std::string("dqep_template_decisions_total")) {
-        value = t.decisions;
-      } else if (fam.name ==
-                 std::string("dqep_template_reopt_triggers_total")) {
-        value = t.reopt_triggers;
-      } else if (fam.name ==
-                 std::string("dqep_template_reopt_adoptions_total")) {
-        value = t.reopt_adoptions;
-      } else {
-        value = t.slow_count;
-      }
-      std::snprintf(line, sizeof(line),
-                    "%s{template=\"0x%016" PRIx64 "\"} %" PRId64 "\n",
-                    fam.name, t.fingerprint, value);
+      std::snprintf(line, sizeof(line), "%s{template=\"0x%016" PRIx64 "\"} ",
+                    name, t.fingerprint);
       out += line;
+      out += value(t);
+      out += "\n";
     }
-  }
-
+  };
+  auto real = [&line](double v) {
+    std::snprintf(line, sizeof(line), "%.9g", v);
+    return std::string(line);
+  };
+  using View = TemplateStatsView;
+  family("dqep_template_queries_total", "counter",
+         "Completed queries per template.",
+         [](const View& t) { return std::to_string(t.count); });
+  family("dqep_template_decisions_total", "counter",
+         "Choose-plan decisions resolved per template.",
+         [](const View& t) { return std::to_string(t.decisions); });
+  family("dqep_template_reopt_triggers_total", "counter",
+         "Mid-query re-optimizations triggered per template.",
+         [](const View& t) { return std::to_string(t.reopt_triggers); });
+  family("dqep_template_reopt_adoptions_total", "counter",
+         "Re-optimized plans adopted per template.",
+         [](const View& t) { return std::to_string(t.reopt_adoptions); });
+  family("dqep_template_slow_total", "counter",
+         "Slow-flagged queries per template.",
+         [](const View& t) { return std::to_string(t.slow_count); });
   // Gauge, not counter: per-query regret is signed (a choose-plan pick
   // can beat the predicted best), so the cumulative sum is not
   // monotone and must not claim counter semantics.
-  out += "# HELP dqep_template_regret_seconds Cumulative choose-plan "
-         "regret per template.\n";
-  out += "# TYPE dqep_template_regret_seconds gauge\n";
-  for (const auto& t : all) {
-    std::snprintf(line, sizeof(line),
-                  "dqep_template_regret_seconds{template=\"0x%016" PRIx64
-                  "\"} %.9g\n",
-                  t.fingerprint, t.regret_seconds);
-    out += line;
-  }
-
-  out += "# HELP dqep_template_p99_seconds Rolling p99 latency per "
-         "template (interpolated log2 buckets).\n";
-  out += "# TYPE dqep_template_p99_seconds gauge\n";
-  for (const auto& t : all) {
-    std::snprintf(line, sizeof(line),
-                  "dqep_template_p99_seconds{template=\"0x%016" PRIx64
-                  "\"} %.9g\n",
-                  t.fingerprint, t.PercentileUs(0.99) / 1e6);
-    out += line;
-  }
+  family("dqep_template_regret_seconds", "gauge",
+         "Cumulative choose-plan regret per template.",
+         [&](const View& t) { return real(t.regret_seconds); });
+  family("dqep_template_p99_seconds", "gauge",
+         "Rolling p99 latency per template (interpolated log2 buckets).",
+         [&](const View& t) { return real(t.PercentileUs(0.99) / 1e6); });
   return out;
 }
 

@@ -25,18 +25,19 @@
 // so a template whose latency regime shifts re-learns its p99 within
 // ~one decay window instead of never.
 //
-// Thread-safety: one mutex guards the ring and the template table; the
-// critical sections are pointer pushes and integer folds.  Bundle I/O
-// happens outside the lock.  Records are shared_ptr<const ...>, so
-// readers (`\slow`, the exporter) hold snapshots that outlive eviction.
+// Thread-safety: the template stats live under the lock of the server's
+// bounded obs::TemplateTable; one mutex guards the ring and the alert
+// journal.  The critical sections are pointer pushes and integer folds;
+// bundle I/O happens outside both.  Records are shared_ptr<const ...>,
+// so readers (`\slow`, the exporter) hold snapshots that outlive eviction.
 
 #ifndef DQEP_OBS_FLIGHT_RECORDER_H_
 #define DQEP_OBS_FLIGHT_RECORDER_H_
 
+#include <atomic>
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -45,6 +46,7 @@
 
 #include "obs/metrics.h"
 #include "obs/querylog.h"
+#include "obs/template_table.h"
 
 namespace dqep {
 namespace obs {
@@ -89,43 +91,46 @@ struct FlightEntry {
 };
 
 /// Rolling per-template aggregate, as returned by snapshots.
-struct TemplateStatsView {
-  uint64_t fingerprint = 0;
-  std::string template_text;
-  int64_t count = 0;
-  int64_t sum_us = 0;
-  std::vector<std::pair<int32_t, int64_t>> buckets;  ///< latency us, log2
-  int64_t decisions = 0;
-  double regret_seconds = 0.0;
-  int64_t reopt_triggers = 0;
-  int64_t reopt_adoptions = 0;
-  int64_t slow_count = 0;
+struct TemplateStatsView : TemplateLatency {
+  explicit TemplateStatsView(uint64_t fp = 0,
+                             const TemplateLatency& stats = {})
+      : TemplateLatency(stats), fingerprint(fp) {}
+
+  uint64_t fingerprint;
 
   double PercentileUs(double p) const {
     return Log2BucketPercentile(buckets, count, p);
+  }
+  double MeanMs() const {
+    return count == 0 ? 0.0 : static_cast<double>(sum_us) / count / 1e3;
   }
 };
 
 class FlightRecorder {
  public:
-  explicit FlightRecorder(FlightRecorderOptions options);
+  /// Template stats live in `templates`; the ring and spool live here.
+  FlightRecorder(FlightRecorderOptions options, TemplateTable* templates);
 
   FlightRecorder(const FlightRecorder&) = delete;
   FlightRecorder& operator=(const FlightRecorder&) = delete;
 
-  /// Folds the record into its template's stats, decides slow-ness,
-  /// spools a bundle when warranted, and appends to the ring.  Returns
-  /// the ring entry.  `render_analyze` (nullable) renders the query's
-  /// EXPLAIN ANALYZE JSON; it is called only when a bundle is written,
-  /// before Record returns.
-  FlightEntry Record(
-      std::shared_ptr<const QueryRecord> record,
+  /// Judges `record` against its template's history (the slow verdict),
+  /// then folds it into `stats`.  Returns the slow reason ("" if not
+  /// slow).  Caller holds the table's lock (TemplateTable::Touch).
+  std::string Fold(TemplateLatency* stats, const QueryRecord& record) const;
+
+  /// Spools a bundle when `slow_reason` is set and appends the record to
+  /// the ring; returns the ring entry.  `render_analyze` (nullable)
+  /// renders the query's EXPLAIN ANALYZE JSON; it is called only when a
+  /// bundle is written, before Deposit returns.
+  FlightEntry Deposit(
+      std::shared_ptr<const QueryRecord> record, std::string slow_reason,
       const std::function<std::string()>& render_analyze = nullptr);
 
   /// Newest-first snapshot of up to `n` ring entries.
   std::vector<FlightEntry> Recent(size_t n) const;
 
-  /// Every template's rolling stats, sorted by fingerprint.
+  /// Every held template's rolling stats, sorted by fingerprint.
   std::vector<TemplateStatsView> TemplateStats() const;
 
   /// One template's stats; count == 0 in the result means "unknown".
@@ -160,26 +165,7 @@ class FlightRecorder {
   /// template="0x<fingerprint>".
   std::string RenderPrometheusTemplates() const;
 
-  const FlightRecorderOptions& options() const { return options_; }
-
  private:
-  struct TemplateEntry {
-    std::string text;
-    int64_t count = 0;
-    int64_t sum_us = 0;
-    /// Non-zero log2 latency buckets, ascending: a template seen a few
-    /// times holds a few pairs, not HistogramCell::kBuckets counters.
-    std::vector<std::pair<int32_t, int64_t>> buckets;
-    int64_t decisions = 0;
-    double regret_seconds = 0.0;
-    int64_t reopt_triggers = 0;
-    int64_t reopt_adoptions = 0;
-    int64_t slow_count = 0;
-    int64_t decay_credit = 0;  ///< samples since the last halving
-  };
-
-  TemplateStatsView ViewOf(uint64_t fingerprint,
-                           const TemplateEntry& entry) const;
   std::string BundleJson(const FlightEntry& entry,
                          const std::string& analyze_json) const;
   /// Writes `entry`'s bundle and sets its path; clears it on failure.
@@ -192,10 +178,10 @@ class FlightRecorder {
   void RotateSpool(const std::string& path);
 
   const FlightRecorderOptions options_;
-  mutable std::mutex mutex_;
-  int64_t next_sequence_ = 1;
+  TemplateTable* const templates_;
+  mutable std::mutex mutex_;  ///< guards the ring and the alert journal
+  std::atomic<int64_t> next_sequence_{1};
   std::deque<FlightEntry> ring_;
-  std::map<uint64_t, TemplateEntry> templates_;
   std::deque<std::string> alerts_;  ///< bounded alert journal
 
   mutable std::mutex spool_mutex_;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cinttypes>
 #include <cstdio>
+#include <optional>
 
 #include "obs/querylog.h"
 
@@ -289,53 +290,6 @@ double CostThrottle::tokens() const {
 }
 
 // ---------------------------------------------------------------------------
-// TemplateCostTable
-
-double TemplateCostTable::EstimateSeconds(uint64_t fingerprint,
-                                          double fallback) const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  auto it = seconds_.find(fingerprint);
-  return it == seconds_.end() ? fallback : it->second;
-}
-
-void TemplateCostTable::Record(uint64_t fingerprint,
-                               double measured_seconds) {
-  if (measured_seconds < 0.0) {
-    return;
-  }
-  std::lock_guard<std::mutex> lock(mutex_);
-  auto [it, inserted] = seconds_.try_emplace(fingerprint, measured_seconds);
-  if (!inserted) {
-    it->second += kAlpha * (measured_seconds - it->second);
-  }
-}
-
-int64_t TemplateCostTable::SeedFromLog(const std::string& path) {
-  auto records = obs::LoadQueryLog(path);
-  if (!records.ok()) {
-    return 0;
-  }
-  int64_t folded = 0;
-  for (const obs::QueryRecord& record : *records) {
-    // v3 lines carry the execution wall the live EWMA folds; older ones
-    // only the root operator's.
-    const double seconds = record.exec_seconds > 0.0 ? record.exec_seconds
-                                                     : record.actual_seconds;
-    if (record.query_hash == 0 || seconds <= 0.0) {
-      continue;
-    }
-    Record(record.query_hash, seconds);
-    ++folded;
-  }
-  return folded;
-}
-
-size_t TemplateCostTable::size() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return seconds_.size();
-}
-
-// ---------------------------------------------------------------------------
 // AdmissionController
 
 AdmissionTicket& AdmissionTicket::operator=(AdmissionTicket&& other) noexcept {
@@ -406,9 +360,11 @@ AdmitResult AdmissionController::Admit(uint64_t fingerprint, int64_t pages,
     }
   }
 
-  const double cost =
-      cost_table_.EstimateSeconds(fingerprint, predicted_seconds);
-  result.outcome = throttle_.Acquire(cost, timeout);
+  // Only an enabled throttle (off by default) needs the template's cost.
+  if (throttle_.enabled()) {
+    result.outcome = throttle_.Acquire(
+        EstimateSeconds(fingerprint, predicted_seconds), timeout);
+  }
   if (result.outcome != AdmitOutcome::kAdmitted) {
     if (pool_ != nullptr) {
       pool_->Release(pages);
@@ -430,8 +386,52 @@ AdmitResult AdmissionController::Admit(uint64_t fingerprint, int64_t pages,
 
 void AdmissionController::RecordExecution(uint64_t fingerprint,
                                           double measured_seconds) {
-  cost_table_.Record(fingerprint, measured_seconds);
+  templates_.Touch(fingerprint, [&](obs::TemplateFacts& facts) {
+    FoldCost(&facts, measured_seconds);
+  });
   throttle_.RecordCompletion(measured_seconds);
+}
+
+void AdmissionController::FoldCost(obs::TemplateFacts* facts,
+                                   double measured_seconds) {
+  static constexpr double kAlpha = 0.3;  // EWMA smoothing factor
+  if (measured_seconds < 0.0) {
+    return;
+  }
+  std::optional<double>& cost = facts->cost_seconds;
+  cost = cost ? *cost + kAlpha * (measured_seconds - *cost)
+              : measured_seconds;
+}
+
+double AdmissionController::EstimateSeconds(uint64_t fingerprint,
+                                            double fallback) const {
+  double estimate = fallback;
+  templates_.Find(fingerprint, [&](const obs::TemplateFacts& facts) {
+    estimate = facts.cost_seconds.value_or(fallback);
+  });
+  return estimate;
+}
+
+int64_t AdmissionController::SeedFromLog(const std::string& path) {
+  auto records = obs::LoadQueryLog(path);
+  if (!records.ok()) {
+    return 0;
+  }
+  int64_t folded = 0;
+  for (const obs::QueryRecord& record : *records) {
+    // v3 lines carry the execution wall the live EWMA folds; older ones
+    // only the root operator's.
+    const double seconds = record.exec_seconds > 0.0 ? record.exec_seconds
+                                                     : record.actual_seconds;
+    if (record.query_hash == 0 || seconds <= 0.0) {
+      continue;
+    }
+    templates_.Touch(record.query_hash, [&](obs::TemplateFacts& facts) {
+      FoldCost(&facts, seconds);
+    });
+    ++folded;
+  }
+  return folded;
 }
 
 void AdmissionController::Shutdown() {

@@ -20,14 +20,18 @@
 //      admitted query debits its estimated cost and may drive the bucket
 //      negative (debt), so an expensive template delays subsequent
 //      admissions in proportion to what it actually costs the fleet
-//      rather than blocking outright.  Estimates come from the query
-//      log's measured seconds (TemplateCostTable EWMA, seeded from a
-//      persisted log and updated after every execution), falling back to
-//      the optimizer's predicted cost for never-executed templates.
+//      rather than blocking outright.  Estimates come from measured
+//      seconds (a per-template EWMA, seeded from a persisted query log
+//      and updated after every execution), falling back to the
+//      optimizer's predicted cost for templates never executed or
+//      evicted from the template table.
 //
 // AdmissionController composes the two behind one Admit() returning an
 // RAII ticket; releasing the ticket returns the memory grant (cost
-// tokens are consumed, not returned — they meter work performed).
+// tokens are consumed, not returned — they meter work performed).  It
+// also owns the server's obs::TemplateTable: the cost EWMA is each
+// entry's `cost_seconds`, and the server hands the same table to the
+// flight recorder, the drift monitor and the SLO tracker.
 // Everything here is thread-safe and Shutdown() wakes every waiter so a
 // draining server never strands a queued query.
 
@@ -39,12 +43,12 @@
 #include <deque>
 #include <mutex>
 #include <string>
-#include <unordered_map>
 #include <utility>
 
 #include <condition_variable>
 
 #include "obs/metrics.h"
+#include "obs/template_table.h"
 
 namespace dqep {
 namespace server {
@@ -182,37 +186,6 @@ class CostThrottle {
   obs::CellHandle throttled_counter_;
 };
 
-/// Per-template measured execution seconds: an EWMA per normalized-query
-/// fingerprint, the same identity the plan cache and the query log key
-/// on.  Feeds the CostThrottle with what templates actually cost.
-class TemplateCostTable {
- public:
-  TemplateCostTable() = default;
-
-  TemplateCostTable(const TemplateCostTable&) = delete;
-  TemplateCostTable& operator=(const TemplateCostTable&) = delete;
-
-  /// The EWMA for `fingerprint`, or `fallback` (typically the
-  /// optimizer's predicted cost) when the template has never executed.
-  double EstimateSeconds(uint64_t fingerprint, double fallback) const;
-
-  /// Folds one measured execution into the template's EWMA.
-  void Record(uint64_t fingerprint, double measured_seconds);
-
-  /// Seeds EWMAs from a persisted query log's (query_hash, execution
-  /// seconds) pairs so a restarted server throttles from history.
-  /// Returns the number of records folded in.
-  int64_t SeedFromLog(const std::string& path);
-
-  size_t size() const;
-
- private:
-  static constexpr double kAlpha = 0.3;  ///< EWMA smoothing factor
-
-  mutable std::mutex mutex_;
-  std::unordered_map<uint64_t, double> seconds_;
-};
-
 struct AdmissionConfig {
   /// Global memory-grant pool in pages (<= 0: unlimited pool).
   int64_t pool_pages = 0;
@@ -272,15 +245,28 @@ class AdmissionController {
   AdmitResult Admit(uint64_t fingerprint, int64_t pages,
                     double predicted_seconds);
 
-  /// Folds a finished query's measured seconds into the cost table.
+  /// Folds a finished query's measured seconds into its template's cost
+  /// EWMA and, in adaptive mode, the throttle's throughput window.
   void RecordExecution(uint64_t fingerprint, double measured_seconds);
+
+  /// RecordExecution's cost fold, for a caller holding the table's lock.
+  static void FoldCost(obs::TemplateFacts* facts, double measured_seconds);
+
+  /// The template's cost EWMA, or `fallback` (typically the optimizer's
+  /// predicted cost) when it has never executed or has been evicted.
+  double EstimateSeconds(uint64_t fingerprint, double fallback) const;
+
+  /// Seeds cost EWMAs from a persisted query log's (query_hash,
+  /// execution seconds) pairs so a restarted server throttles from
+  /// history.  Returns the number of records folded in.
+  int64_t SeedFromLog(const std::string& path);
 
   /// Wakes all waiters; subsequent Admits fail with kShutdown.
   void Shutdown();
 
   MemoryGrantPool* pool() { return pool_.get(); }  ///< null when unlimited
   CostThrottle& throttle() { return throttle_; }
-  TemplateCostTable& cost_table() { return cost_table_; }
+  obs::TemplateTable& templates() { return templates_; }
   const AdmissionConfig& config() const { return config_; }
 
  private:
@@ -290,7 +276,7 @@ class AdmissionController {
   AdmissionConfig config_;
   std::unique_ptr<MemoryGrantPool> pool_;
   CostThrottle throttle_;
-  TemplateCostTable cost_table_;
+  obs::TemplateTable templates_;
   obs::CellHandle admitted_counter_;
   obs::CellHandle rejected_counter_;
   obs::HistogramHandle wait_histogram_;

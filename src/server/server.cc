@@ -121,10 +121,10 @@ bool DqepServer::Start(std::string* error) {
   admission_ = std::make_unique<AdmissionController>(admission_config);
 
   if (!options_.query_log_path.empty()) {
-    // Seed the throttle's cost table before opening for append: templates
+    // Seed the template cost EWMAs before opening for append: templates
     // this server (or a predecessor) already measured throttle correctly
     // from the first request.
-    admission_->cost_table().SeedFromLog(options_.query_log_path);
+    admission_->SeedFromLog(options_.query_log_path);
     std::string log_error;
     if (!query_log_.Open(options_.query_log_path, &log_error)) {
       *error = "query log: " + log_error;
@@ -140,9 +140,11 @@ bool DqepServer::Start(std::string* error) {
     flight_options.slow_query_ms = options_.slow_query_ms;
     flight_options.spool_dir = options_.slow_spool_dir;
     flight_options.max_spool_bundles = options_.slow_spool_max;
-    flight_ = std::make_unique<obs::FlightRecorder>(flight_options);
+    flight_ = std::make_unique<obs::FlightRecorder>(flight_options,
+                                                    &admission_->templates());
   }
-  drift_ = std::make_unique<obs::CalibrationDriftMonitor>();
+  drift_ = std::make_unique<obs::CalibrationDriftMonitor>(
+      &admission_->templates());
   if (options_.slo_ms > 0.0) {
     if (options_.slo_target <= 0.0 || options_.slo_target >= 1.0) {
       *error = "--slo-target must be in (0, 1)";
@@ -151,20 +153,23 @@ bool DqepServer::Start(std::string* error) {
     obs::SloBurnOptions slo_options;
     slo_options.slo_seconds = options_.slo_ms / 1e3;
     slo_options.slo_target = options_.slo_target;
-    slo_ = std::make_unique<obs::SloBurnTracker>(slo_options);
-    if (flight_ != nullptr) {
-      // Fire/resolve transitions land in the flight recorder's alert
-      // journal so `\alerts` shows recent history, not just live state.
-      obs::FlightRecorder* flight = flight_.get();
-      slo_->SetAlertHook([flight](const obs::SloAlertEvent& event) {
-        char line[160];
-        std::snprintf(line, sizeof(line),
-                      "%s %s (fast burn %.3f, slow burn %.3f)",
-                      event.firing ? "FIRING" : "resolved",
-                      event.scope.c_str(), event.fast_burn, event.slow_burn);
-        flight->NoteAlert(line);
-      });
-    }
+    // Fire/resolve transitions land in the flight recorder's alert
+    // journal so `\alerts` shows recent history, not just live state.
+    obs::FlightRecorder* flight = flight_.get();
+    slo_ = std::make_unique<obs::SloBurnTracker>(
+        slo_options, &admission_->templates(),
+        [flight](const obs::SloAlertEvent& event) {
+          if (flight == nullptr) {
+            return;
+          }
+          char line[160];
+          std::snprintf(line, sizeof(line),
+                        "%s %s (fast burn %.3f, slow burn %.3f)",
+                        event.firing ? "FIRING" : "resolved",
+                        event.scope.c_str(), event.fast_burn,
+                        event.slow_burn);
+          flight->NoteAlert(line);
+        });
   }
 
   engine_.workload = workload_.get();
@@ -184,25 +189,20 @@ bool DqepServer::Start(std::string* error) {
   if (options_.metrics_port >= 0) {
     obs::MetricsExporterOptions exporter_options;
     exporter_options.port = options_.metrics_port;
-    obs::FlightRecorder* flight = flight_.get();
-    obs::CalibrationDriftMonitor* drift = drift_.get();
-    obs::SloBurnTracker* slo = slo_.get();
-    exporter_options.extra_families = [flight, drift, slo] {
+    exporter_options.extra_families = [this] {
       std::string out;
-      if (flight != nullptr) {
-        out += flight->RenderPrometheusTemplates();
+      if (flight_ != nullptr) {
+        out += flight_->RenderPrometheusTemplates();
       }
-      if (drift != nullptr) {
-        out += drift->RenderPrometheus();
-      }
-      if (slo != nullptr) {
-        out += slo->RenderPrometheus();
+      out += drift_->RenderPrometheus();
+      if (slo_ != nullptr) {
+        out += slo_->RenderPrometheus();
       }
       return out;
     };
     if (flight_ != nullptr) {
-      exporter_options.slow_json = [flight] {
-        return flight->RenderRecentJson(32);
+      exporter_options.slow_json = [this] {
+        return flight_->RenderRecentJson(32);
       };
     }
     if (!exporter_.Start(exporter_options, error)) {

@@ -133,7 +133,6 @@ class DqepServer {
   AdmissionController* admission() { return admission_.get(); }
   DynamicPlanCache* plan_cache() { return &plan_cache_; }
   obs::FlightRecorder* flight_recorder() { return flight_.get(); }
-  obs::CalibrationDriftMonitor* drift_monitor() { return drift_.get(); }
   obs::SloBurnTracker* slo_tracker() { return slo_.get(); }
   /// The bound telemetry port (resolves an ephemeral request); 0 when
   /// the endpoint is off.

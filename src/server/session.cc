@@ -121,21 +121,32 @@ void SharedEngine::RecordQuery(
     std::shared_ptr<const obs::QueryRecord> record,
     const std::function<std::string()>& render_analyze) {
   const obs::QueryRecord& r = *record;
-  admission->RecordExecution(r.query_hash, r.exec_seconds);
-  if (drift != nullptr) {
-    // Drift compares modeled seconds (the start-up resolution's
-    // execution-cost estimate for the chosen plan) against measured
-    // execution wall time — the ratio calibration is meant to pin at 1.
-    drift->Record(r.query_hash, r.predicted_cost, r.exec_seconds);
-  }
+  // One lookup and one lock fold the record into every consumer.
+  std::vector<obs::SloAlertEvent> alerts;
+  std::string slow_reason =
+      admission->templates().Touch(r.query_hash, [&](obs::TemplateFacts& t) {
+        AdmissionController::FoldCost(&t, r.exec_seconds);
+        if (drift != nullptr) {
+          // Modeled seconds (the start-up resolution's execution-cost
+          // estimate for the chosen plan) against measured execution
+          // wall time — the ratio calibration is meant to pin at 1.
+          drift->Fold(&t.drift, r.predicted_cost, r.exec_seconds);
+        }
+        if (slo != nullptr) {
+          // End-to-end latency (queue wait included) is what the SLO
+          // promises the client.
+          slo->Fold(r.query_hash, &t, r.total_seconds, &alerts);
+        }
+        return flight != nullptr ? flight->Fold(&t.latency, r)
+                                 : std::string();
+      });
+  admission->throttle().RecordCompletion(r.exec_seconds);
   if (slo != nullptr) {
-    // End-to-end latency (queue wait included) is what the SLO promises
-    // the client; fire/resolve transitions reach the flight recorder
-    // through the server's alert hook.
-    slo->Record(r.query_hash, r.total_seconds);
+    slo->Deliver(alerts);  // the alert hook runs outside every lock
   }
   if (flight != nullptr) {
-    flight->Record(std::move(record), render_analyze);
+    flight->Deposit(std::move(record), std::move(slow_reason),
+                    render_analyze);
   }
 }
 

@@ -29,7 +29,10 @@
 // one analyze walk.  It has two renderings — the query-log line (its
 // JSON, schema v3) and the flight recorder's ring entry and bundle,
 // whose "meta" is the same JSON — and SharedEngine::RecordQuery hands it
-// to every per-template consumer in one call.
+// to every per-template consumer in one call: one lookup and one lock of
+// the AdmissionController's obs::TemplateTable, which holds at most
+// obs::kTemplateTableCapacity templates and evicts the least recently
+// seen, so a stream of distinct templates cannot grow the server.
 //
 // Annotation safety: the record's operator rows need the executed plan
 // annotated with estimate intervals, but the resolved plan shares
@@ -152,9 +155,11 @@ class SharedEngine {
   /// RequestCancel on every live context (idempotent).
   void CancelAll();
 
-  /// Hands a served query's record to every per-template consumer: the
+  /// Hands a served query's record to every per-template consumer (the
   /// admission cost EWMA, calibration drift, SLO burn and the flight
-  /// recorder (which calls `render_analyze` only to spool a bundle).
+  /// recorder's stats) under one table lock, then to the throttle and
+  /// the flight ring (which calls `render_analyze` only to spool a
+  /// bundle).
   void RecordQuery(std::shared_ptr<const obs::QueryRecord> record,
                    const std::function<std::string()>& render_analyze);
 

@@ -17,6 +17,7 @@
 #include "obs/alerts.h"
 #include "obs/drift.h"
 #include "obs/flight_recorder.h"
+#include "obs/template_table.h"
 
 namespace dqep {
 namespace obs {
@@ -32,6 +33,53 @@ struct ManualClock {
     return [this] { return now; };
   }
 };
+
+// Each consumer folds under the table's lock, the way
+// server::SharedEngine::RecordQuery drives all of them at once; these
+// helpers drive one consumer alone.
+
+void Record(SloBurnTracker* tracker, TemplateTable* templates, uint64_t fp,
+            double seconds) {
+  std::vector<SloAlertEvent> events;
+  templates->Touch(fp, [&](TemplateFacts& facts) {
+    tracker->Fold(fp, &facts, seconds, &events);
+  });
+  tracker->Deliver(events);
+}
+
+void Record(CalibrationDriftMonitor* monitor, TemplateTable* templates,
+            uint64_t fp, double predicted_seconds, double actual_seconds) {
+  templates->Touch(fp, [&](TemplateFacts& facts) {
+    monitor->Fold(&facts.drift, predicted_seconds, actual_seconds);
+  });
+}
+
+FlightEntry Record(FlightRecorder* recorder, TemplateTable* templates,
+                   std::shared_ptr<const QueryRecord> record) {
+  std::string slow_reason =
+      templates->Touch(record->query_hash, [&](TemplateFacts& facts) {
+        return recorder->Fold(&facts.latency, *record);
+      });
+  return recorder->Deposit(std::move(record), std::move(slow_reason));
+}
+
+struct DriftRow : TemplateDrift {
+  uint64_t fingerprint = 0;
+};
+
+/// Every template's drift state with samples, by fingerprint.
+std::vector<DriftRow> DriftSnapshot(const TemplateTable& templates) {
+  std::vector<DriftRow> rows;
+  templates.ForEach([&](uint64_t fp, const TemplateFacts& facts) {
+    if (facts.drift.samples > 0) {
+      DriftRow row;
+      static_cast<TemplateDrift&>(row) = facts.drift;
+      row.fingerprint = fp;
+      rows.push_back(row);
+    }
+  });
+  return rows;
+}
 
 SloBurnOptions TestOptions(ManualClock* clock) {
   SloBurnOptions options;
@@ -49,9 +97,10 @@ SloBurnOptions TestOptions(ManualClock* clock) {
 TEST(SloBurnTrackerTest, DisabledTrackerIsInert) {
   SloBurnOptions options;
   options.slo_seconds = 0.0;  // disabled
-  SloBurnTracker tracker(options);
+  TemplateTable templates;
+  SloBurnTracker tracker(options, &templates);
   EXPECT_FALSE(tracker.enabled());
-  tracker.Record(0xabc, 10.0);
+  Record(&tracker, &templates, 0xabc, 10.0);
   EXPECT_TRUE(tracker.Snapshot().empty());
   EXPECT_TRUE(tracker.RenderPrometheus().empty());
   EXPECT_EQ(tracker.alerts_fired(), 0);
@@ -59,10 +108,11 @@ TEST(SloBurnTrackerTest, DisabledTrackerIsInert) {
 
 TEST(SloBurnTrackerTest, GoodTrafficNeverFires) {
   ManualClock clock;
-  SloBurnTracker tracker(TestOptions(&clock));
+  TemplateTable templates;
+  SloBurnTracker tracker(TestOptions(&clock), &templates);
   for (int i = 0; i < 100; ++i) {
     clock.now += 1.0;
-    tracker.Record(0x1, 0.001);  // well under the 50 ms objective
+    Record(&tracker, &templates, 0x1, 0.001);  // well under the 50 ms objective
   }
   EXPECT_EQ(tracker.alerts_fired(), 0);
   std::vector<SloScopeView> scopes = tracker.Snapshot();
@@ -75,9 +125,10 @@ TEST(SloBurnTrackerTest, GoodTrafficNeverFires) {
 
 TEST(SloBurnTrackerTest, BudgetExhaustionFiresBothScopes) {
   ManualClock clock;
-  SloBurnTracker tracker(TestOptions(&clock));
+  TemplateTable templates;
   std::vector<SloAlertEvent> events;
-  tracker.SetAlertHook(
+  SloBurnTracker tracker(
+      TestOptions(&clock), &templates,
       [&events](const SloAlertEvent& e) { events.push_back(e); });
 
   // Every query breaches: burn = (1/1) / 0.1 = 10x in both windows.
@@ -85,7 +136,7 @@ TEST(SloBurnTrackerTest, BudgetExhaustionFiresBothScopes) {
   // transition lands exactly on the fifth record.
   for (int i = 0; i < 5; ++i) {
     clock.now += 1.0;
-    tracker.Record(0xfeed, 1.0);
+    Record(&tracker, &templates, 0xfeed, 1.0);
     if (i < 4) {
       EXPECT_EQ(tracker.alerts_fired(), 0) << "fired before min samples";
     }
@@ -103,26 +154,27 @@ TEST(SloBurnTrackerTest, BudgetExhaustionFiresBothScopes) {
   }
   // A continued burn does not re-fire (the alert is already up).
   clock.now += 1.0;
-  tracker.Record(0xfeed, 1.0);
+  Record(&tracker, &templates, 0xfeed, 1.0);
   EXPECT_EQ(tracker.alerts_fired(), 2);
 }
 
 TEST(SloBurnTrackerTest, FastSpikeWithoutSlowConfirmationStaysQuiet) {
   ManualClock clock;
-  SloBurnTracker tracker(TestOptions(&clock));
+  TemplateTable templates;
+  SloBurnTracker tracker(TestOptions(&clock), &templates);
 
   // Nine minutes of clean traffic fill the slow window: 540 good
   // queries, one per second.
   for (int i = 0; i < 540; ++i) {
     clock.now += 1.0;
-    tracker.Record(0x2, 0.001);
+    Record(&tracker, &templates, 0x2, 0.001);
   }
   // A 20-second spike of pure errors: the fast window burns at
   // (20/80)/0.1 = 2.5x >= fire, but the slow window holds
   // (20/560)/0.1 = 0.36x < fire — no alert (spike, not an outage).
   for (int i = 0; i < 20; ++i) {
     clock.now += 1.0;
-    tracker.Record(0x2, 1.0);
+    Record(&tracker, &templates, 0x2, 1.0);
   }
   EXPECT_EQ(tracker.alerts_fired(), 0);
   std::vector<SloScopeView> scopes = tracker.Snapshot();
@@ -135,22 +187,23 @@ TEST(SloBurnTrackerTest, FastSpikeWithoutSlowConfirmationStaysQuiet) {
   int64_t before = tracker.alerts_fired();
   for (int i = 0; i < 60 && tracker.alerts_fired() == before; ++i) {
     clock.now += 1.0;
-    tracker.Record(0x2, 1.0);
+    Record(&tracker, &templates, 0x2, 1.0);
   }
   EXPECT_GT(tracker.alerts_fired(), before);
 }
 
 TEST(SloBurnTrackerTest, ResolveHysteresis) {
   ManualClock clock;
-  SloBurnTracker tracker(TestOptions(&clock));
+  TemplateTable templates;
   std::vector<SloAlertEvent> events;
-  tracker.SetAlertHook(
+  SloBurnTracker tracker(
+      TestOptions(&clock), &templates,
       [&events](const SloAlertEvent& e) { events.push_back(e); });
 
   // Fire: five straight breaches.
   for (int i = 0; i < 5; ++i) {
     clock.now += 1.0;
-    tracker.Record(0x3, 1.0);
+    Record(&tracker, &templates, 0x3, 1.0);
   }
   ASSERT_EQ(tracker.alerts_fired(), 2);  // server + template
 
@@ -159,7 +212,7 @@ TEST(SloBurnTrackerTest, ResolveHysteresis) {
   // alert stays up: 5 bad of 55 total is 9.1% bad, burn 0.91.
   for (int i = 0; i < 50; ++i) {
     clock.now += 0.1;
-    tracker.Record(0x3, 0.001);
+    Record(&tracker, &templates, 0x3, 0.001);
   }
   EXPECT_EQ(tracker.alerts_resolved(), 0);
   std::vector<SloScopeView> scopes = tracker.Snapshot();
@@ -170,7 +223,7 @@ TEST(SloBurnTrackerTest, ResolveHysteresis) {
   // threshold: 5 bad of 101+ total < 5% bad.  Both scopes resolve.
   for (int i = 0; i < 60; ++i) {
     clock.now += 0.1;
-    tracker.Record(0x3, 0.001);
+    Record(&tracker, &templates, 0x3, 0.001);
   }
   EXPECT_EQ(tracker.alerts_resolved(), 2);
   ASSERT_EQ(events.size(), 4u);
@@ -180,17 +233,18 @@ TEST(SloBurnTrackerTest, ResolveHysteresis) {
   // And the events age out entirely: sixty-plus seconds later the fast
   // window is empty, burn 0, still resolved (no flapping).
   clock.now += 120.0;
-  tracker.Record(0x3, 0.001);
+  Record(&tracker, &templates, 0x3, 0.001);
   EXPECT_EQ(tracker.alerts_fired(), 2);
   EXPECT_EQ(tracker.alerts_resolved(), 2);
 }
 
 TEST(SloBurnTrackerTest, WindowExpiryDropsOldEvents) {
   ManualClock clock;
-  SloBurnTracker tracker(TestOptions(&clock));
+  TemplateTable templates;
+  SloBurnTracker tracker(TestOptions(&clock), &templates);
   for (int i = 0; i < 4; ++i) {
     clock.now += 1.0;
-    tracker.Record(0x4, 1.0);  // four breaches: below min samples
+    Record(&tracker, &templates, 0x4, 1.0);  // four breaches: below min samples
   }
   EXPECT_EQ(tracker.alerts_fired(), 0);
   // 70 seconds later the breaches have left the fast window (60 s) but
@@ -206,10 +260,11 @@ TEST(SloBurnTrackerTest, WindowExpiryDropsOldEvents) {
 
 TEST(SloBurnTrackerTest, PrometheusRenderingCarriesAllFamilies) {
   ManualClock clock;
-  SloBurnTracker tracker(TestOptions(&clock));
+  TemplateTable templates;
+  SloBurnTracker tracker(TestOptions(&clock), &templates);
   for (int i = 0; i < 5; ++i) {
     clock.now += 1.0;
-    tracker.Record(0xabcdef, 1.0);
+    Record(&tracker, &templates, 0xabcdef, 1.0);
   }
   std::string text = tracker.RenderPrometheus();
   EXPECT_NE(text.find("# TYPE dqep_slo_burn_rate gauge"), std::string::npos);
@@ -231,15 +286,16 @@ TEST(SloBurnTrackerTest, PrometheusRenderingCarriesAllFamilies) {
 // Calibration-drift monitor.
 
 TEST(CalibrationDriftTest, ConvergesUnderMisScaledProfile) {
-  CalibrationDriftMonitor monitor;
+  TemplateTable templates;
+  CalibrationDriftMonitor monitor(&templates);
   // A cost profile mis-scaled 3x low: the model predicts a third of the
   // measured time, so every query's actual/predicted ratio is ~3.  The
   // EWMA gauge must converge to the mis-scale factor.
   for (int i = 0; i < 60; ++i) {
     double predicted = 0.010 + 0.001 * (i % 7);
-    monitor.Record(0xcafe, predicted, predicted * 3.0);
+    Record(&monitor, &templates, 0xcafe, predicted, predicted * 3.0);
   }
-  std::vector<TemplateDriftView> snapshot = monitor.Snapshot();
+  std::vector<DriftRow> snapshot = DriftSnapshot(templates);
   ASSERT_EQ(snapshot.size(), 1u);
   EXPECT_EQ(snapshot[0].fingerprint, 0xcafe);
   EXPECT_EQ(snapshot[0].samples, 60);
@@ -249,51 +305,50 @@ TEST(CalibrationDriftTest, ConvergesUnderMisScaledProfile) {
   // A calibrated profile (ratio ~1) pulls the gauge back: within a few
   // dozen queries the EWMA has crossed most of the gap.
   for (int i = 0; i < 40; ++i) {
-    monitor.Record(0xcafe, 0.010, 0.010);
+    Record(&monitor, &templates, 0xcafe, 0.010, 0.010);
   }
-  snapshot = monitor.Snapshot();
+  snapshot = DriftSnapshot(templates);
   EXPECT_LT(snapshot[0].drift_ratio, 1.1);
   EXPECT_GE(snapshot[0].drift_ratio, 1.0);
 }
 
 TEST(CalibrationDriftTest, SingleOutlierBarelyMovesTheGauge) {
-  CalibrationDriftMonitor monitor(DriftOptions{0.1});
+  TemplateTable templates;
+  CalibrationDriftMonitor monitor(&templates);  // EWMA alpha 0.1
   for (int i = 0; i < 50; ++i) {
-    monitor.Record(0x1, 0.010, 0.010);  // calibrated: ratio 1
+    Record(&monitor, &templates, 0x1, 0.010, 0.010);  // calibrated: ratio 1
   }
-  monitor.Record(0x1, 0.010, 0.100);  // one 10x outlier
-  std::vector<TemplateDriftView> snapshot = monitor.Snapshot();
+  Record(&monitor, &templates, 0x1, 0.010, 0.100);  // one 10x outlier
+  std::vector<DriftRow> snapshot = DriftSnapshot(templates);
   // EWMA moves by alpha * (10 - 1) = 0.9 at most, not to 10.
   EXPECT_LT(snapshot[0].drift_ratio, 2.0);
   EXPECT_NEAR(snapshot[0].last_ratio, 10.0, 1e-9);
 }
 
-TEST(CalibrationDriftTest, AgeCounterResetsOnCalibrationLoad) {
-  CalibrationDriftMonitor monitor;
+TEST(CalibrationDriftTest, AgeCounterCountsEveryRecordedQuery) {
+  TemplateTable templates;
+  CalibrationDriftMonitor monitor(&templates);
   EXPECT_EQ(monitor.CalibrationAgeQueries(), 0);
   for (int i = 0; i < 7; ++i) {
-    monitor.Record(0x1, 0.010, 0.020);
+    Record(&monitor, &templates, 0x1, 0.010, 0.020);
   }
   // Skipped samples (no usable signal) still age the calibration.
-  monitor.Record(0x1, 0.0, 0.020);
-  monitor.Record(0x1, 0.010, -1.0);
+  Record(&monitor, &templates, 0x1, 0.0, 0.020);
+  Record(&monitor, &templates, 0x1, 0.010, -1.0);
   EXPECT_EQ(monitor.CalibrationAgeQueries(), 9);
-  monitor.NoteCalibrationLoaded();
-  EXPECT_EQ(monitor.CalibrationAgeQueries(), 0);
-  monitor.Record(0x1, 0.010, 0.020);
-  EXPECT_EQ(monitor.CalibrationAgeQueries(), 1);
   // The skipped samples contributed no ratio.
-  EXPECT_EQ(monitor.Snapshot()[0].samples, 8);
+  EXPECT_EQ(DriftSnapshot(templates)[0].samples, 7);
 }
 
 TEST(CalibrationDriftTest, PrometheusRenderingAlwaysHasAgeSample) {
-  CalibrationDriftMonitor monitor;
+  TemplateTable templates;
+  CalibrationDriftMonitor monitor(&templates);
   // Even with no templates, the age gauge renders — the exporter's
   // --require check depends on the family never being empty.
   std::string empty = monitor.RenderPrometheus();
   EXPECT_NE(empty.find("dqep_calibration_age_queries 0"), std::string::npos);
 
-  monitor.Record(0xbeef, 0.010, 0.025);
+  Record(&monitor, &templates, 0xbeef, 0.010, 0.025);
   std::string text = monitor.RenderPrometheus();
   EXPECT_NE(text.find("# TYPE dqep_template_drift_ratio gauge"),
             std::string::npos);
@@ -309,12 +364,13 @@ TEST(CalibrationDriftTest, PrometheusRenderingAlwaysHasAgeSample) {
 TEST(FlightRecorderSpoolTest, RotationKeepsOnlyTheNewestBundles) {
   char tmpl[] = "/tmp/dqepalertspoolXXXXXX";
   const std::string dir = ::mkdtemp(tmpl);
+  TemplateTable templates;
   FlightRecorderOptions options;
   options.capacity = 16;
   options.slow_query_ms = 1.0;  // every 0.5 s query is slow
   options.spool_dir = dir;
   options.max_spool_bundles = 2;
-  FlightRecorder recorder(options);
+  FlightRecorder recorder(options, &templates);
 
   std::vector<std::string> paths;
   for (int i = 0; i < 5; ++i) {
@@ -322,7 +378,7 @@ TEST(FlightRecorderSpoolTest, RotationKeepsOnlyTheNewestBundles) {
     record->query_hash = 0x5;
     record->query = "SELECT " + std::to_string(i);
     record->total_seconds = 0.5;
-    FlightEntry finished = recorder.Record(std::move(record));
+    FlightEntry finished = Record(&recorder, &templates, std::move(record));
     ASSERT_TRUE(finished.slow());
     ASSERT_FALSE(finished.bundle_path.empty());
     paths.push_back(finished.bundle_path);
@@ -339,7 +395,7 @@ TEST(FlightRecorderSpoolTest, RotationKeepsOnlyTheNewestBundles) {
   // backlog immediately, before any new query.
   FlightRecorderOptions tighter = options;
   tighter.max_spool_bundles = 1;
-  FlightRecorder restarted(tighter);
+  FlightRecorder restarted(tighter, &templates);
   EXPECT_NE(::stat(paths[3].c_str(), &st), 0);  // older one trimmed
   EXPECT_EQ(::stat(paths[4].c_str(), &st), 0);  // newest survives
   std::remove(paths[4].c_str());
@@ -349,18 +405,20 @@ TEST(FlightRecorderSpoolTest, RotationKeepsOnlyTheNewestBundles) {
 TEST(FlightRecorderSpoolTest, UnboundedSpoolKeepsEverything) {
   char tmpl[] = "/tmp/dqepalertspoolXXXXXX";
   const std::string dir = ::mkdtemp(tmpl);
+  TemplateTable templates;
   FlightRecorderOptions options;
   options.capacity = 16;
   options.slow_query_ms = 1.0;
   options.spool_dir = dir;
   options.max_spool_bundles = 0;  // unbounded (the default)
-  FlightRecorder recorder(options);
+  FlightRecorder recorder(options, &templates);
   std::vector<std::string> paths;
   for (int i = 0; i < 4; ++i) {
     auto record = std::make_shared<QueryRecord>();
     record->query_hash = 0x6;
     record->total_seconds = 0.5;
-    paths.push_back(recorder.Record(std::move(record)).bundle_path);
+    paths.push_back(
+        Record(&recorder, &templates, std::move(record)).bundle_path);
   }
   struct stat st;
   for (const std::string& path : paths) {
@@ -371,9 +429,10 @@ TEST(FlightRecorderSpoolTest, UnboundedSpoolKeepsEverything) {
 }
 
 TEST(FlightRecorderAlertJournalTest, NewestFirstAndBounded) {
+  TemplateTable templates;
   FlightRecorderOptions options;
   options.capacity = 4;
-  FlightRecorder recorder(options);
+  FlightRecorder recorder(options, &templates);
   EXPECT_NE(recorder.RenderAlertsText(8).find("no alert transitions"),
             std::string::npos);
   for (int i = 0; i < 200; ++i) {

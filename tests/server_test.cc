@@ -1,6 +1,6 @@
 // Tests for the multi-session query server (src/server/*): admission
 // control units (memory-grant pool FIFO/timeout, cost throttle, template
-// cost table), the annotation-safety ClonePlan contract under concurrent
+// cost EWMA), the annotation-safety ClonePlan contract under concurrent
 // sessions (a TSan regression), concurrent query-log appends, and
 // socket-level integration — basic queries, shared-cache hits across
 // sessions, concurrent-vs-serial result parity, polite admission
@@ -220,19 +220,19 @@ TEST(CostThrottleTest, SaturationTimesOut) {
 }
 
 // ---------------------------------------------------------------------------
-// TemplateCostTable
+// Template cost EWMA (AdmissionController over its template table)
 
-TEST(TemplateCostTableTest, EwmaAndFallback) {
-  TemplateCostTable table;
-  EXPECT_DOUBLE_EQ(table.EstimateSeconds(7, 3.5), 3.5);  // never executed
-  table.Record(7, 1.0);
-  EXPECT_DOUBLE_EQ(table.EstimateSeconds(7, 3.5), 1.0);
-  table.Record(7, 2.0);  // EWMA alpha 0.3: 1.0 + 0.3 * (2.0 - 1.0)
-  EXPECT_NEAR(table.EstimateSeconds(7, 0.0), 1.3, 1e-9);
-  EXPECT_EQ(table.size(), 1u);
+TEST(TemplateCostTest, EwmaAndFallback) {
+  AdmissionController admission{AdmissionConfig{}};
+  EXPECT_DOUBLE_EQ(admission.EstimateSeconds(7, 3.5), 3.5);  // never executed
+  admission.RecordExecution(7, 1.0);
+  EXPECT_DOUBLE_EQ(admission.EstimateSeconds(7, 3.5), 1.0);
+  admission.RecordExecution(7, 2.0);  // EWMA alpha 0.3: 1.0 + 0.3 * (2.0 - 1.0)
+  EXPECT_NEAR(admission.EstimateSeconds(7, 0.0), 1.3, 1e-9);
+  EXPECT_EQ(admission.templates().size(), 1u);
 }
 
-TEST(TemplateCostTableTest, SeedFromQueryLog) {
+TEST(TemplateCostTest, SeedFromQueryLog) {
   std::string path = ::testing::TempDir() + "/seed_qlog.jsonl";
   {
     obs::QueryLogWriter writer;
@@ -250,11 +250,11 @@ TEST(TemplateCostTableTest, SeedFromQueryLog) {
     ASSERT_TRUE(writer.Append(record));
     writer.Close();
   }
-  TemplateCostTable table;
-  EXPECT_EQ(table.SeedFromLog(path), 3);
+  AdmissionController admission{AdmissionConfig{}};
+  EXPECT_EQ(admission.SeedFromLog(path), 3);
   // 0.25, then EWMA toward 0.35: 0.25 + 0.3 * 0.1 = 0.28.
-  EXPECT_NEAR(table.EstimateSeconds(99, 0.0), 0.28, 1e-9);
-  EXPECT_NEAR(table.EstimateSeconds(7, 0.0), 0.5, 1e-9);
+  EXPECT_NEAR(admission.EstimateSeconds(99, 0.0), 0.28, 1e-9);
+  EXPECT_NEAR(admission.EstimateSeconds(7, 0.0), 0.5, 1e-9);
   ::unlink(path.c_str());
 }
 
@@ -953,14 +953,29 @@ std::shared_ptr<const obs::QueryRecord> Completed(uint64_t fingerprint,
   return record;
 }
 
+/// Folds and deposits one record, the recorder's share of
+/// SharedEngine::RecordQuery.
+obs::FlightEntry Record(
+    obs::FlightRecorder* recorder, obs::TemplateTable* templates,
+    std::shared_ptr<const obs::QueryRecord> record,
+    const std::function<std::string()>& render_analyze = nullptr) {
+  std::string slow_reason =
+      templates->Touch(record->query_hash, [&](obs::TemplateFacts& facts) {
+        return recorder->Fold(&facts.latency, *record);
+      });
+  return recorder->Deposit(std::move(record), std::move(slow_reason),
+                           render_analyze);
+}
+
 TEST(FlightRecorderTest, RingEvictsOldestAndThresholdRuleFlags) {
   obs::FlightRecorderOptions options;
   options.capacity = 4;
   options.slow_query_ms = 50.0;
-  obs::FlightRecorder recorder(options);
+  obs::TemplateTable templates;
+  obs::FlightRecorder recorder(options, &templates);
   for (int i = 0; i < 10; ++i) {
     // The last query breaches 50 ms.
-    obs::FlightEntry finished = recorder.Record(Completed(
+    obs::FlightEntry finished = Record(&recorder, &templates, Completed(
         0xabc, i == 9 ? 0.100 : 0.001, "SELECT " + std::to_string(i)));
     ASSERT_NE(finished.record, nullptr);
     EXPECT_EQ(finished.sequence, i + 1);
@@ -987,20 +1002,21 @@ TEST(FlightRecorderTest, TemplateP99RuleNeedsHistory) {
   obs::FlightRecorderOptions options;
   options.capacity = 8;
   options.min_template_samples = 32;
-  obs::FlightRecorder recorder(options);
+  obs::TemplateTable templates;
+  obs::FlightRecorder recorder(options, &templates);
 
   // The same 1-second outlier: not slow while the template has no
   // history, slow once 32+ samples establish a much faster p99.
-  EXPECT_FALSE(recorder.Record(Completed(1, 1.0)).slow());
+  EXPECT_FALSE(Record(&recorder, &templates, Completed(1, 1.0)).slow());
   for (int i = 0; i < 32; ++i) {
-    EXPECT_FALSE(recorder.Record(Completed(1, 0.001)).slow());
+    EXPECT_FALSE(Record(&recorder, &templates, Completed(1, 0.001)).slow());
   }
-  obs::FlightEntry flagged = recorder.Record(Completed(1, 1.0));
+  obs::FlightEntry flagged = Record(&recorder, &templates, Completed(1, 1.0));
   EXPECT_TRUE(flagged.slow());
   EXPECT_EQ(flagged.slow_reason, "template-p99");
 
   // A different template with no history never trips the p99 rule.
-  EXPECT_FALSE(recorder.Record(Completed(2, 1.0)).slow());
+  EXPECT_FALSE(Record(&recorder, &templates, Completed(2, 1.0)).slow());
 }
 
 TEST(FlightRecorderTest, SlowBundleIsValidTraceAndAnalyzeJson) {
@@ -1010,7 +1026,8 @@ TEST(FlightRecorderTest, SlowBundleIsValidTraceAndAnalyzeJson) {
   options.capacity = 4;
   options.slow_query_ms = 1.0;
   options.spool_dir = dir + "/nested";  // the recorder mkdir -p's it
-  obs::FlightRecorder recorder(options);
+  obs::TemplateTable templates;
+  obs::FlightRecorder recorder(options, &templates);
 
   obs::QueryRecord record;
   record.session_id = 3;
@@ -1034,7 +1051,7 @@ TEST(FlightRecorderTest, SlowBundleIsValidTraceAndAnalyzeJson) {
   child.actual_rows = 42;
   child.have_actual = true;
   record.operators = {parent, child};
-  auto finished = recorder.Record(
+  auto finished = Record(&recorder, &templates, 
       std::make_shared<obs::QueryRecord>(std::move(record)),
       [] { return std::string("{\"rows\": []}"); });
   ASSERT_TRUE(finished.slow());

@@ -33,7 +33,7 @@
 //                           (default 128); templates compiled by any
 //                           session are hits for all
 //   --query-log=FILE        append one JSON line per executed query; also
-//                           seeds the admission cost table from previous
+//                           seeds the admission cost EWMAs from previous
 //                           runs ($DQEP_QUERY_LOG sets the default)
 //   --trace-out=FILE        write Chrome-trace JSON at shutdown, one
 //                           track per session

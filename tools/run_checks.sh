@@ -321,7 +321,8 @@ GATE
       cmake --build build-tsan -j --target \
         exec_batch_test executor_test exec_parallel_test exec_spill_test \
         obs_test obs_feedback_test obs_alerts_test plan_cache_test \
-        server_test reopt_test startup_test startup_diff_test pager_test
+        server_test reopt_test startup_test startup_diff_test pager_test \
+        template_table_test
       ctest --test-dir build-tsan -L "$labels" --output-on-failure
       ;;
     asan)
@@ -330,7 +331,8 @@ GATE
       cmake --build build-asan -j --target \
         exec_batch_test executor_test exec_parallel_test exec_spill_test \
         obs_test obs_feedback_test obs_alerts_test plan_cache_test \
-        server_test reopt_test startup_test startup_diff_test pager_test
+        server_test reopt_test startup_test startup_diff_test pager_test \
+        template_table_test
       ctest --test-dir build-asan -L "$labels" --output-on-failure
       ;;
     *)
