@@ -81,6 +81,11 @@ class CostModel {
 
   const Catalog& catalog() const { return *catalog_; }
   const SystemConfig& config() const { return config_; }
+  /// Epoch of the attached statistics (0 without histograms): what a
+  /// plan compiled under this model is stamped with in the plan cache.
+  uint64_t stats_epoch() const {
+    return stats_ == nullptr ? 0 : stats_->epoch();
+  }
 
   // --- Selectivity ---------------------------------------------------------
 

@@ -50,20 +50,16 @@ std::string PlanCacheStats::ToString() const {
 
 DynamicPlanCache::DynamicPlanCache(size_t capacity) : capacity_(capacity) {}
 
-DynamicPlanCache& DynamicPlanCache::Instance() {
-  static DynamicPlanCache* instance = new DynamicPlanCache();
-  return *instance;
-}
-
 DynamicPlanCache::EntryPtr DynamicPlanCache::Lookup(uint64_t fingerprint,
-                                                    double memory_pages) {
+                                                    double memory_pages,
+                                                    uint64_t stats_epoch) {
   EntryPtr hit;
   {
     std::shared_lock<std::shared_mutex> lock(mutex_);
     auto it = entries_.find(Key{fingerprint, memory_pages});
-    if (it != entries_.end() &&
-        it->second->stats_epoch == stats_epoch_ &&
-        it->second->profile_epoch == profile_epoch_) {
+    // Every linked entry carries the cache's epoch; a query planned under
+    // a model of another epoch (the swap is mid-flight) misses.
+    if (it != entries_.end() && it->second->stats_epoch == stats_epoch) {
       // LRU touch and hit count are relaxed atomics: readers never write
       // shared map structure, so concurrent lookups stay shared-locked.
       it->second->last_used.store(
@@ -98,10 +94,9 @@ DynamicPlanCache::EntryPtr DynamicPlanCache::Insert(Entry entry) {
   size_t size = 0;
   {
     std::unique_lock<std::shared_mutex> lock(mutex_);
-    // A plan compiled against statistics or a cost profile that changed
-    // while it was being compiled must not be served to anyone else.
-    if (capacity_ == 0 || shared->stats_epoch != stats_epoch_ ||
-        shared->profile_epoch != profile_epoch_) {
+    // A plan compiled against statistics that changed while it was
+    // being compiled must not be served to anyone else.
+    if (capacity_ == 0 || shared->stats_epoch != stats_epoch_) {
       return shared;
     }
     std::shared_ptr<Entry>& slot =
@@ -117,11 +112,6 @@ DynamicPlanCache::EntryPtr DynamicPlanCache::Insert(Entry entry) {
   g_inserts_metric.Add(1);
   ReportEvictions(evicted, size);
   return shared;
-}
-
-std::pair<uint64_t, uint64_t> DynamicPlanCache::epochs() const {
-  std::shared_lock<std::shared_mutex> lock(mutex_);
-  return {stats_epoch_, profile_epoch_};
 }
 
 void DynamicPlanCache::SetStatsEpoch(uint64_t epoch) {
@@ -140,19 +130,6 @@ void DynamicPlanCache::SetStatsEpoch(uint64_t epoch) {
   ReportInvalidations(dropped, size);
 }
 
-void DynamicPlanCache::BumpProfileEpoch() {
-  std::vector<EntryPtr> removed;
-  int64_t dropped = 0;
-  size_t size = 0;
-  {
-    std::unique_lock<std::shared_mutex> lock(mutex_);
-    ++profile_epoch_;
-    dropped = SweepStaleLocked(&removed);
-    size = entries_.size();
-  }
-  ReportInvalidations(dropped, size);
-}
-
 void DynamicPlanCache::Clear() {
   decltype(entries_) removed;
   {
@@ -162,19 +139,6 @@ void DynamicPlanCache::Clear() {
                              std::memory_order_relaxed);
   }
   ReportInvalidations(static_cast<int64_t>(removed.size()), 0);
-}
-
-void DynamicPlanCache::set_capacity(size_t capacity) {
-  std::vector<EntryPtr> removed;
-  int64_t evicted = 0;
-  size_t size = 0;
-  {
-    std::unique_lock<std::shared_mutex> lock(mutex_);
-    capacity_ = capacity;
-    evicted = EvictToCapacityLocked(&removed);
-    size = entries_.size();
-  }
-  ReportEvictions(evicted, size);
 }
 
 PlanCacheStats DynamicPlanCache::stats() const {
@@ -193,8 +157,7 @@ PlanCacheStats DynamicPlanCache::stats() const {
 int64_t DynamicPlanCache::SweepStaleLocked(std::vector<EntryPtr>* removed) {
   int64_t dropped = 0;
   for (auto it = entries_.begin(); it != entries_.end();) {
-    if (it->second->stats_epoch != stats_epoch_ ||
-        it->second->profile_epoch != profile_epoch_) {
+    if (it->second->stats_epoch != stats_epoch_) {
       removed->push_back(std::move(it->second));
       it = entries_.erase(it);
       ++dropped;
@@ -279,6 +242,9 @@ Result<CachedPlanResult> PlanQueryWithCache(const std::string& sql,
   CachedPlanResult result;
   result.bound = ParamEnv(Interval::Point(request.memory_pages));
   ParamEnv compile_env(Interval::Point(request.memory_pages));
+  // The epoch the plan is compiled under, read from the model that
+  // compiles it (see the header comment).
+  const uint64_t stats_epoch = request.model->stats_epoch();
 
   // --- Cache consult -----------------------------------------------------
   NormalizedQuery normalized;
@@ -301,8 +267,8 @@ Result<CachedPlanResult> PlanQueryWithCache(const std::string& sql,
     result.cache_used = true;
     obs::SpanScope consult(request.trace, "plan-cache", "query");
     consult.AddArg("fingerprint", HexFingerprint(normalized.fingerprint));
-    DynamicPlanCache::EntryPtr entry =
-        request.cache->Lookup(normalized.fingerprint, request.memory_pages);
+    DynamicPlanCache::EntryPtr entry = request.cache->Lookup(
+        normalized.fingerprint, request.memory_pages, stats_epoch);
     if (entry != nullptr &&
         entry->literal_params.size() == normalized.literals.size()) {
       consult.AddArg("result", "hit");
@@ -341,8 +307,6 @@ Result<CachedPlanResult> PlanQueryWithCache(const std::string& sql,
   if (!parsed.ok()) {
     return parsed.status();
   }
-  auto epochs = use_cache ? request.cache->epochs()
-                          : std::pair<uint64_t, uint64_t>{0, 0};
   Optimizer optimizer(request.model, OptimizerOptions::Dynamic());
   int64_t optimize_start =
       request.trace == nullptr ? 0 : request.trace->NowMicros();
@@ -376,8 +340,7 @@ Result<CachedPlanResult> PlanQueryWithCache(const std::string& sql,
     entry.host_params.assign(parsed->params.begin(), parsed->params.end());
     entry.literal_params = parsed->lifted_params;
     entry.program = result.program;
-    entry.stats_epoch = epochs.first;
-    entry.profile_epoch = epochs.second;
+    entry.stats_epoch = stats_epoch;
     entry.optimize_seconds = compile_timer.ElapsedSeconds();
     request.cache->Insert(std::move(entry));
     for (size_t i = 0; i < parsed->lifted_params.size(); ++i) {

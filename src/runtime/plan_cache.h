@@ -5,7 +5,7 @@
 // start-up-time decision procedure per run.  Without a cache the CLI
 // re-parses and re-optimizes every query text, even one seen seconds
 // earlier — the compile cost is never amortized.  This module closes
-// that gap: a process-wide, bounded, thread-safe map from a normalized
+// that gap: a bounded, thread-safe map from a normalized
 // query fingerprint (sql/normalize.h: literals lifted to '?', keywords
 // canonicalized, whitespace collapsed) to the compiled dynamic plan plus
 // its interval cost metadata.  "R1.s < 10" and "R1.s < 97" share one
@@ -17,17 +17,21 @@
 //   * Key = (template fingerprint, compile-time memory grant).  The
 //     grant enters compile-time costing as a point, so plans compiled
 //     under different grants are different plans.
-//   * Entries are version-stamped with the catalog-statistics epoch
-//     (catalog/histogram.h, stamped by AnalyzeDatabase) and a
-//     cost-profile epoch (bumped when calibration multipliers load).
-//     Bumping either epoch sweeps every stale entry: a changed cost
-//     model would pick different plans, so stale entries must drop
-//     rather than serve — zero stale hits is a correctness invariant,
-//     not a quality goal.
+//   * Entries are stamped with the statistics epoch of the cost model
+//     they were compiled under (CostModel::stats_epoch, stamped on its
+//     StatisticsCatalog by AnalyzeDatabase; 0 without histograms), read
+//     from that model itself rather than from the cache, so a compile
+//     that straddles an estimator swap cannot enter under the new epoch.
+//     SetStatsEpoch sweeps every entry of another epoch, Insert refuses
+//     one, and a lookup hits only an entry of the querying model's
+//     epoch: a changed cost model would pick different plans, so zero
+//     stale hits is a correctness invariant, not a quality goal.  A
+//     calibration profile is applied before the cache exists, so it
+//     needs no epoch of its own.
 //
 // Concurrency: lookups take a shared lock; LRU touch is a relaxed
-// atomic tick so readers never write shared structure.  Insert, epoch
-// bumps, clear, and eviction take the exclusive lock.  Returned entries
+// atomic tick so readers never write shared structure.  Insert, the
+// epoch swap, clear, and eviction take the exclusive lock.  Returned entries
 // are shared_ptr<const Entry>, so eviction never frees a plan that a
 // concurrent execution still holds.  Plan DAGs themselves are immutable
 // (physical/plan.h) including the *annotation* channel
@@ -88,8 +92,8 @@ struct PlanCacheStats {
   int64_t misses = 0;
   int64_t inserts = 0;
   int64_t evictions = 0;
-  /// Entries dropped because an epoch moved (ANALYZE / profile load) or
-  /// the cache was cleared explicitly.
+  /// Entries dropped because the statistics epoch moved (ANALYZE) or the
+  /// cache was cleared explicitly.
   int64_t invalidations = 0;
   size_t size = 0;
   size_t capacity = 0;
@@ -128,9 +132,9 @@ class DynamicPlanCache {
     /// host variable the plan references); every hit resolves over it.
     std::shared_ptr<const StartupProgram> program;
 
-    /// Epochs the plan was compiled under (see header comment).
+    /// Statistics epoch of the model the plan was compiled under (see
+    /// header comment).
     uint64_t stats_epoch = 0;
-    uint64_t profile_epoch = 0;
 
     /// Wall seconds parse+optimize cost when this entry was built — what
     /// every subsequent hit saves.
@@ -157,7 +161,6 @@ class DynamicPlanCache {
           literal_params(std::move(other.literal_params)),
           program(std::move(other.program)),
           stats_epoch(other.stats_epoch),
-          profile_epoch(other.profile_epoch),
           optimize_seconds(other.optimize_seconds),
           hits(other.hits.load(std::memory_order_relaxed)),
           last_used(other.last_used.load(std::memory_order_relaxed)) {}
@@ -168,38 +171,25 @@ class DynamicPlanCache {
 
   explicit DynamicPlanCache(size_t capacity = kDefaultCapacity);
 
-  /// The process-wide instance (capacity kDefaultCapacity until
-  /// configured via set_capacity).
-  static DynamicPlanCache& Instance();
-
   /// Returns the entry for (fingerprint, memory_pages) compiled under
-  /// the current epochs, or null (counted as a miss).  Touches LRU.
-  EntryPtr Lookup(uint64_t fingerprint, double memory_pages);
+  /// `stats_epoch` — the querying model's — or null (counted as a
+  /// miss).  Touches LRU.
+  EntryPtr Lookup(uint64_t fingerprint, double memory_pages,
+                  uint64_t stats_epoch);
 
   /// Inserts `entry` (fails silently when capacity is 0 or the entry's
-  /// epochs are already stale — a plan compiled against statistics that
+  /// epoch is not the cache's — a plan compiled against statistics that
   /// changed mid-compile must not be served).  Evicts the least recently
-  /// used entry at capacity.  Snapshot the epochs *before* compiling and
-  /// stamp them on the entry.  Returns the shared entry actually cached
+  /// used entry at capacity.  Returns the shared entry actually cached
   /// (or the input wrapped uncached, so callers proceed uniformly).
   EntryPtr Insert(Entry entry);
 
-  /// Current (stats, profile) epochs — snapshot before compiling.
-  std::pair<uint64_t, uint64_t> epochs() const;
-
   /// ANALYZE ran: adopt the statistics catalog's epoch and sweep every
-  /// entry compiled under an older one.
+  /// entry compiled under another one.  Publish the model first.
   void SetStatsEpoch(uint64_t epoch);
 
-  /// Calibration multipliers (cost profile) changed: bump the profile
-  /// epoch and sweep stale entries.
-  void BumpProfileEpoch();
-
-  /// Drops every entry (counted as invalidations).  Epochs unchanged.
+  /// Drops every entry (counted as invalidations).  Epoch unchanged.
   void Clear();
-
-  /// Changes capacity; 0 disables caching.  Shrinking evicts LRU-first.
-  void set_capacity(size_t capacity);
 
   PlanCacheStats stats() const;
 
@@ -228,9 +218,8 @@ class DynamicPlanCache {
 
   mutable std::shared_mutex mutex_;
   std::map<Key, std::shared_ptr<Entry>> entries_;
-  size_t capacity_;
+  const size_t capacity_;
   uint64_t stats_epoch_ = 0;
-  uint64_t profile_epoch_ = 0;
   std::atomic<uint64_t> use_tick_{0};
   std::atomic<int64_t> hits_{0};
   std::atomic<int64_t> misses_{0};

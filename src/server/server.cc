@@ -12,6 +12,11 @@
 #include <unistd.h>
 
 #include <cstdio>
+#include <cstdlib>
+#include <cstring>
+#include <utility>
+
+#include "obs/calibrate.h"
 
 namespace dqep {
 namespace server {
@@ -85,6 +90,92 @@ int ListenTcp(int port, std::string* error) {
 
 }  // namespace
 
+FlagParse ParseSharedFlag(const char* arg, ServerOptions* options,
+                          std::string* error) {
+  // `value` is the text after `name` when `arg` is "name...", else null.
+  auto value_of = [arg](const char* name) -> const char* {
+    const size_t length = std::strlen(name);
+    return std::strncmp(arg, name, length) == 0 ? arg + length : nullptr;
+  };
+  auto fail = [error](std::string message) {
+    *error = std::move(message);
+    return FlagParse::kError;
+  };
+  // The three path flags reject an empty path alike.
+  const std::pair<const char*, std::string*> paths[] = {
+      {"--query-log=", &options->query_log_path},
+      {"--trace-out=", &options->trace_path},
+      {"--cost-profile=", &options->cost_profile_path}};
+  for (const auto& [name, field] : paths) {
+    if (const char* value = value_of(name)) {
+      if (*value == '\0') {
+        return fail(std::string(name, std::strlen(name) - 1) +
+                    " needs a file path");
+      }
+      *field = value;
+      return FlagParse::kParsed;
+    }
+  }
+  if (const char* value = value_of("--memory-pages=")) {
+    options->session_memory_pages = std::atof(value);
+    return options->session_memory_pages >= 2
+               ? FlagParse::kParsed
+               : fail("--memory-pages must be >= 2");
+  }
+  if (const char* value = value_of("--plan-cache=")) {
+    if (std::strcmp(value, "off") == 0) {
+      options->plan_cache_capacity = 0;
+      return FlagParse::kParsed;
+    }
+    char* end = nullptr;
+    const long capacity = std::strtol(value, &end, 10);
+    if (end == value || *end != '\0' || capacity < 0) {
+      return fail(
+          "--plan-cache must be a non-negative entry count or \"off\"");
+    }
+    options->plan_cache_capacity = static_cast<size_t>(capacity);
+    return FlagParse::kParsed;
+  }
+  if (const char* value = value_of("--reopt=")) {
+    if (std::strcmp(value, "on") != 0 && std::strcmp(value, "off") != 0) {
+      return fail("--reopt must be on or off");
+    }
+    options->reopt = std::strcmp(value, "on") == 0;
+    return FlagParse::kParsed;
+  }
+  if (const char* value = value_of("--reopt-slack=")) {
+    options->reopt_slack = std::atof(value);
+    return options->reopt_slack >= 1.0 ? FlagParse::kParsed
+                                       : fail("--reopt-slack must be >= 1");
+  }
+  return FlagParse::kNotShared;
+}
+
+void ApplyQueryLogDefault(ServerOptions* options) {
+  // Set DQEP_QUERY_LOG once and every process feeds the same log.
+  const char* env = std::getenv("DQEP_QUERY_LOG");
+  if (options->query_log_path.empty() && env != nullptr && env[0] != '\0') {
+    options->query_log_path = env;
+  }
+}
+
+const char kSharedFlagsHelp[] =
+    "  --memory-pages=N        per-session memory grant in pages, priced "
+    "by the\n"
+    "                          optimizer and enforced by execution "
+    "(default 64; \\mem)\n"
+    "  --plan-cache=N|off      plan-cache entries (default 128)\n"
+    "  --reopt=on|off          mid-query re-optimization (default off; "
+    "\\reopt)\n"
+    "  --reopt-slack=X         cardinality slack before a checkpoint "
+    "triggers (default 2)\n"
+    "  --query-log=FILE        JSONL query log; seeds the cost throttle "
+    "(default\n"
+    "                          $DQEP_QUERY_LOG)\n"
+    "  --trace-out=FILE        Chrome-trace JSON at exit\n"
+    "  --cost-profile=FILE     load calibration multipliers "
+    "(calibration.json)\n";
+
 DqepServer::DqepServer(ServerOptions options)
     : options_(std::move(options)),
       plan_cache_(options_.plan_cache_capacity) {}
@@ -111,6 +202,16 @@ bool DqepServer::Start(std::string* error) {
   }
   workload_ = std::move(*workload);
   config_ = workload_->config();
+  if (!options_.cost_profile_path.empty()) {
+    Result<CostProfile> profile =
+        obs::LoadCostProfile(options_.cost_profile_path);
+    if (!profile.ok()) {
+      *error = profile.status().ToString();
+      return false;
+    }
+    profile->ApplyTo(&config_);
+  }
+  model_ = std::make_unique<CostModel>(&workload_->catalog(), config_);
 
   AdmissionConfig admission_config;
   admission_config.pool_pages = options_.pool_pages;
@@ -174,7 +275,7 @@ bool DqepServer::Start(std::string* error) {
 
   engine_.workload = workload_.get();
   engine_.config = &config_;
-  engine_.model = &workload_->model();
+  engine_.model.store(model_.get());
   engine_.plan_cache =
       options_.plan_cache_capacity > 0 ? &plan_cache_ : nullptr;
   engine_.admission = admission_.get();
@@ -210,9 +311,11 @@ bool DqepServer::Start(std::string* error) {
     }
   }
 
-  listen_unix_fd_ = ListenUnix(options_.socket_path, error);
-  if (listen_unix_fd_ < 0) {
-    return false;
+  if (!options_.socket_path.empty()) {
+    listen_unix_fd_ = ListenUnix(options_.socket_path, error);
+    if (listen_unix_fd_ < 0) {
+      return false;
+    }
   }
   if (options_.tcp_port > 0) {
     listen_tcp_fd_ = ListenTcp(options_.tcp_port, error);
@@ -239,9 +342,12 @@ void DqepServer::AcceptOne(int listen_fd) {
   do {
     fd = ::accept(listen_fd, nullptr, nullptr);
   } while (fd < 0 && errno == EINTR);
-  if (fd < 0) {
-    return;
+  if (fd >= 0) {
+    Attach(fd);
   }
+}
+
+void DqepServer::Attach(int fd) {
   {
     std::lock_guard<std::mutex> lock(dispatch_mutex_);
     pending_fds_.push_back(fd);
@@ -284,13 +390,12 @@ void DqepServer::WorkerLoop() {
 
 int DqepServer::Serve() {
   while (!shutdown_.load()) {
-    struct pollfd fds[3];
-    nfds_t nfds = 0;
-    fds[nfds++] = {wake_pipe_[0], POLLIN, 0};
-    fds[nfds++] = {listen_unix_fd_, POLLIN, 0};
-    if (listen_tcp_fd_ >= 0) {
-      fds[nfds++] = {listen_tcp_fd_, POLLIN, 0};
-    }
+    // Slot 0 is the wake pipe; a listener that is off polls as -1,
+    // which poll() skips.
+    struct pollfd fds[3] = {{wake_pipe_[0], POLLIN, 0},
+                            {listen_unix_fd_, POLLIN, 0},
+                            {listen_tcp_fd_, POLLIN, 0}};
+    const nfds_t nfds = 3;
     int ready = ::poll(fds, nfds, -1);
     if (ready < 0) {
       if (errno == EINTR) {
@@ -304,7 +409,7 @@ int DqepServer::Serve() {
     if ((fds[1].revents & POLLIN) != 0) {
       AcceptOne(listen_unix_fd_);
     }
-    if (nfds > 2 && (fds[2].revents & POLLIN) != 0) {
+    if ((fds[2].revents & POLLIN) != 0) {
       AcceptOne(listen_tcp_fd_);
     }
   }
@@ -363,10 +468,14 @@ void DqepServer::Teardown() {
   pending_fds_.clear();
   // 5. Flush durable state.
   query_log_.Close();
-  if (trace_ != nullptr && !options_.trace_path.empty()) {
-    trace_->WriteChromeJson(options_.trace_path);
+  if (trace_ != nullptr &&
+      !trace_->WriteChromeJson(options_.trace_path)) {
+    std::fprintf(stderr, "trace: cannot write %s\n",
+                 options_.trace_path.c_str());
   }
-  ::unlink(options_.socket_path.c_str());
+  if (!options_.socket_path.empty()) {
+    ::unlink(options_.socket_path.c_str());
+  }
 }
 
 void DqepServer::InstallSignalHandlers(DqepServer* server) {

@@ -1,29 +1,34 @@
 // dqep_server — the long-lived multi-session query server.
 //
 // One process hosts the whole engine exactly once — catalog, database,
-// buffer pool, cost model, a DynamicPlanCache owned by the server (NOT
-// the process singleton, so embedding tests and benches get independent
-// caches), the admission controller, the query log, and an optional
-// trace session — and serves N concurrent client connections over a
-// unix-domain socket (plus an optional loopback TCP port) speaking the
-// line protocol of server/protocol.h.
+// buffer pool, cost model (with an optional calibration profile applied
+// before anything is compiled), a DynamicPlanCache owned by the server
+// (so embedding tests and benches get independent caches), the
+// admission controller, the query log, and an optional trace session —
+// and serves N concurrent client connections over a unix-domain socket
+// (plus an optional loopback TCP port) speaking the line protocol of
+// server/protocol.h.  Without a socket path the server has no listener
+// at all and serves only descriptors handed to Attach(): dqep_cli's
+// embedded shell is such a server with one session, connected over a
+// socketpair, so the shell and the server share one command interpreter
+// (server/session.h).
 //
 // Threading model: the caller's thread runs the accept loop (Serve());
-// `sessions` worker threads pop accepted connections from a dispatch
-// queue, so at most `sessions` queries execute concurrently and extra
-// connections queue at the dispatcher.  On this engine intra-query
-// parallelism is per-session (\threads), so the worker count is the
-// inter-query concurrency limit.
+// `sessions` worker threads pop accepted (or attached) connections from
+// a dispatch queue, so at most `sessions` queries execute concurrently
+// and extra connections queue at the dispatcher.  On this engine
+// intra-query parallelism is per-session (\threads), so the worker count
+// is the inter-query concurrency limit.
 //
 // Shutdown: SIGINT/SIGTERM (via InstallSignalHandlers' self-pipe — the
 // handler only writes one byte, everything real happens on the accept
-// thread) or a programmatic Shutdown() from any thread.  The drain
-// sequence: mark draining -> wake admission waiters (queued queries get
-// "@err admission: server shutting down") -> cancel every in-flight
-// ExecContext (drain loops cut the query short; the session answers
-// "@err cancelled ...") -> shut down every connection socket (unblocks
-// readers) -> join workers -> flush and close the query log -> unlink
-// the socket -> Serve() returns 0.
+// thread), a programmatic Shutdown() from any thread, or destruction.
+// The drain sequence: mark draining -> wake admission waiters (queued
+// queries get "@err admission: server shutting down") -> cancel every
+// in-flight ExecContext (drain loops cut the query short; the session
+// answers "@err cancelled ...") -> shut down every connection socket
+// (unblocks readers) -> join workers -> flush and close the query log ->
+// unlink the socket -> Serve() returns 0.
 
 #ifndef DQEP_SERVER_SERVER_H_
 #define DQEP_SERVER_SERVER_H_
@@ -52,8 +57,9 @@ namespace dqep {
 namespace server {
 
 struct ServerOptions {
-  /// Unix-domain socket to listen on (required; a stale file is
-  /// replaced).  Keep it short: sun_path caps at ~107 bytes.
+  /// Unix-domain socket to listen on (a stale file is replaced); empty
+  /// means no listener, connections arrive only through Attach().  Keep
+  /// it short: sun_path caps at ~107 bytes.
   std::string socket_path;
   /// Loopback TCP port to also listen on; 0 disables TCP.
   int tcp_port = 0;
@@ -82,6 +88,9 @@ struct ServerOptions {
   std::string query_log_path;
   /// Chrome-trace output path ("" : off); written at shutdown.
   std::string trace_path;
+  /// Calibration profile (calibration.json, "" : none) applied to the
+  /// cost model before the first query is compiled.
+  std::string cost_profile_path;
   /// Workload seed (the paper database R1..R10).
   uint64_t workload_seed = 42;
   /// Telemetry exposition port on 127.0.0.1: 0 binds an ephemeral port
@@ -103,6 +112,22 @@ struct ServerOptions {
   double slo_target = 0.99;
 };
 
+/// Outcome of ParseSharedFlag.
+enum class FlagParse { kNotShared, kParsed, kError };
+
+/// Parses `arg` when it is one of the flags dqep_server and dqep_cli's
+/// embedded shell share (--memory-pages, --plan-cache, --reopt,
+/// --reopt-slack, --query-log, --trace-out, --cost-profile) into
+/// `options`; on kError, `error` says why.
+FlagParse ParseSharedFlag(const char* arg, ServerOptions* options,
+                          std::string* error);
+
+/// Applies $DQEP_QUERY_LOG when no --query-log flag set the path.
+void ApplyQueryLogDefault(ServerOptions* options);
+
+/// --help lines of the shared flags.
+extern const char kSharedFlagsHelp[];
+
 class DqepServer {
  public:
   explicit DqepServer(ServerOptions options);
@@ -111,9 +136,15 @@ class DqepServer {
   DqepServer(const DqepServer&) = delete;
   DqepServer& operator=(const DqepServer&) = delete;
 
-  /// Builds the engine, binds the sockets, starts the workers.  Returns
-  /// false with `error` set on any failure (nothing is left running).
+  /// Builds the engine, binds the sockets (if any), starts the workers.
+  /// Returns false with `error` set on any failure (nothing is left
+  /// running).
   bool Start(std::string* error);
+
+  /// Serves an already connected descriptor (one end of a socketpair,
+  /// say) as a new session: it joins the dispatch queue accepted
+  /// connections use.  Takes ownership of `fd`.  Call after Start().
+  void Attach(int fd);
 
   /// Accept loop; blocks until Shutdown (signal or call).  Returns the
   /// process exit code (0 on a clean drain).
@@ -147,7 +178,10 @@ class DqepServer {
 
   ServerOptions options_;
   std::unique_ptr<PaperWorkload> workload_;
+  /// Workload constants with the calibration profile applied, and the
+  /// base model over them (the histogram model is SharedEngine's).
   SystemConfig config_;
+  std::unique_ptr<CostModel> model_;
   DynamicPlanCache plan_cache_;
   std::unique_ptr<AdmissionController> admission_;
   obs::QueryLogWriter query_log_;

@@ -3,14 +3,17 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <cstdio>
 #include <cstdlib>
 #include <sstream>
 #include <vector>
 
 #include "exec/executor.h"
-#include "obs/analyze.h"
 #include "obs/metrics.h"
+#include "optimizer/optimizer.h"
 #include "runtime/startup.h"
+#include "sql/parser.h"
+#include "storage/analyze.h"
 
 namespace dqep {
 namespace server {
@@ -28,6 +31,49 @@ void WriteTextAsRows(const std::string& text, std::string* out) {
     out->append(FormatRowLine(text.substr(pos, end - pos)));
     pos = end + 1;
   }
+}
+
+/// The rest of `in` after leading whitespace ("" when nothing is left).
+std::string RestOf(std::istream& in) {
+  std::string rest;
+  std::getline(in >> std::ws, rest);
+  return rest;
+}
+
+/// Synthesizes per-operator trace spans on `track` from the executed
+/// tree's counters: each operator covers its inclusive seconds, children
+/// laid out sequentially inside the parent (counter totals carry no real
+/// timestamps, so nesting is reconstructed from inclusiveness).  Returns
+/// the node's span duration in microseconds.
+int64_t EmitOperatorSpans(obs::TraceSession* trace, const ExecNode& node,
+                          int64_t start_us, int64_t track) {
+  const int64_t duration_us = std::llround(obs::ActualSeconds(node) * 1e6);
+  trace->AddSpan(node.op_name(), "operator", start_us, duration_us, track,
+                 {{"tuples", std::to_string(node.counters().tuples)},
+                  {"next_calls", std::to_string(node.counters().next_calls)}});
+  int64_t child_start = start_us;
+  for (const ExecNode* child : node.child_nodes()) {
+    child_start += EmitOperatorSpans(trace, *child, child_start, track);
+  }
+  return duration_us;
+}
+
+/// The `\profile` memory line: the context's peak against its budget and
+/// what it spilled.
+std::string MemorySummary(const ExecContext& ctx) {
+  char buf[320];
+  std::snprintf(buf, sizeof(buf),
+                "memory: peak %lld bytes of %lld-byte budget (%lld pages); "
+                "%lld temp files, %lld tuples (%lld bytes) spilled, "
+                "%lld forced overflows",
+                static_cast<long long>(ctx.tracker().peak_bytes()),
+                static_cast<long long>(ctx.tracker().budget_bytes()),
+                static_cast<long long>(ctx.memory_pages()),
+                static_cast<long long>(ctx.temp_files_created()),
+                static_cast<long long>(ctx.tuples_spilled()),
+                static_cast<long long>(ctx.bytes_spilled()),
+                static_cast<long long>(ctx.overflows()));
+  return buf;
 }
 
 }  // namespace
@@ -95,6 +141,19 @@ void SharedEngine::CancelAll() {
   for (ExecContext* ctx : live_) {
     ctx->RequestCancel();
   }
+}
+
+size_t SharedEngine::UseHistograms() {
+  std::call_once(histograms_once_, [this] {
+    stats_ = AnalyzeDatabase(workload->db());
+    stats_model_ =
+        std::make_unique<CostModel>(&workload->catalog(), *config, &stats_);
+    model.store(stats_model_.get(), std::memory_order_release);
+    if (plan_cache != nullptr) {
+      plan_cache->SetStatsEpoch(stats_.epoch());
+    }
+  });
+  return stats_.size();
 }
 
 void SharedEngine::RegisterSession(const SessionInfo* info) {
@@ -280,6 +339,63 @@ bool ServerSession::Command(const std::string& line, LineChannel* channel) {
     channel->WriteAll(out);
     return true;
   }
+  if (command == "\\profile") {
+    std::string arg;
+    in >> arg;
+    if (arg == "on" || arg == "off") {
+      profile_ = arg == "on";
+      channel->WriteAll(FormatOkLine(0, 0.0, "off"));
+    } else {
+      channel->WriteAll(FormatErrLine("usage: \\profile <on|off>"));
+    }
+    return true;
+  }
+  if (command == "\\tables") {
+    const Catalog& catalog = engine_->workload->catalog();
+    for (RelationId id = 0; id < catalog.num_relations(); ++id) {
+      const RelationInfo& rel = catalog.relation(id);
+      std::string line = rel.name() + "(" +
+                         std::to_string(rel.cardinality()) + " rows):";
+      for (int32_t c = 0; c < rel.num_columns(); ++c) {
+        line += " " + rel.column(c).name + (rel.HasIndexOn(c) ? "*" : "");
+      }
+      out += FormatRowLine(line + "   (* = B-tree index)");
+    }
+    out += FormatOkLine(catalog.num_relations(), 0.0, "off");
+    channel->WriteAll(out);
+    return true;
+  }
+  if (command == "\\explain") {
+    Explain(RestOf(in), channel);
+    return true;
+  }
+  if (command == "\\analyze") {
+    // "\analyze [json] SELECT ..." is EXPLAIN ANALYZE of one query; a
+    // bare "\analyze" switches the whole engine to histogram estimates.
+    std::string sql = RestOf(in);
+    obs::AnalyzeFormat format = obs::AnalyzeFormat::kText;
+    std::istringstream words(sql);
+    std::string first;
+    if (words >> first && first == "json") {
+      format = obs::AnalyzeFormat::kJson;
+      sql = RestOf(words);
+      if (sql.empty()) {
+        channel->WriteAll(
+            FormatErrLine("usage: \\analyze [[json] SELECT ...]"));
+        return true;
+      }
+    }
+    if (!sql.empty()) {
+      RunQuery(sql, channel, &format);
+      return true;
+    }
+    const size_t columns = engine_->UseHistograms();
+    out = FormatRowLine("histograms built for " + std::to_string(columns) +
+                        " columns; estimator now uses them");
+    out += FormatOkLine(1, 0.0, "off");
+    channel->WriteAll(out);
+    return true;
+  }
   if (command == "\\cache") {
     if (engine_->plan_cache == nullptr) {
       out = FormatRowLine("plan cache: off");
@@ -294,6 +410,10 @@ bool ServerSession::Command(const std::string& line, LineChannel* channel) {
       channel->WriteAll(FormatOkLine(0, 0.0, "off"));
       return true;
     }
+    if (!arg.empty()) {
+      channel->WriteAll(FormatErrLine("usage: \\cache [clear]"));
+      return true;
+    }
     out = FormatRowLine(engine_->plan_cache->stats().ToString());
     out += FormatOkLine(1, 0.0, "off");
     channel->WriteAll(out);
@@ -304,10 +424,15 @@ bool ServerSession::Command(const std::string& line, LineChannel* channel) {
     in >> arg;
     if (arg == "json") {
       WriteTextAsRows(obs::MetricsRegistry::Instance().RenderJson(), &out);
+    } else if (arg == "reset") {
+      obs::MetricsRegistry::Instance().ResetAll();
+      out = FormatRowLine(
+          "metrics reset (counters, maxima, and histograms zeroed; gauges "
+          "keep their current state)");
     } else if (arg.empty()) {
       WriteTextAsRows(obs::MetricsRegistry::Instance().RenderText(), &out);
     } else {
-      channel->WriteAll(FormatErrLine("usage: \\metrics [json]"));
+      channel->WriteAll(FormatErrLine("usage: \\metrics [reset|json]"));
       return true;
     }
     out += FormatOkLine(0, 0.0, "off");
@@ -442,7 +567,68 @@ bool ServerSession::Command(const std::string& line, LineChannel* channel) {
   return true;
 }
 
-void ServerSession::RunQuery(const std::string& sql, LineChannel* channel) {
+void ServerSession::Explain(const std::string& sql, LineChannel* channel) {
+  const CostModel& model = *engine_->model.load(std::memory_order_acquire);
+  Result<ParsedQuery> parsed = ParseQuery(sql, engine_->workload->catalog());
+  if (!parsed.ok()) {
+    channel->WriteAll(FormatErrLine(parsed.status().ToString()));
+    return;
+  }
+  ParamEnv env(Interval::Point(memory_pages_));
+  Optimizer dynamic_optimizer(&model, OptimizerOptions::Dynamic());
+  Result<OptimizedPlan> plan = dynamic_optimizer.Optimize(parsed->query, env);
+  if (!plan.ok()) {
+    channel->WriteAll(FormatErrLine("optimizer: " + plan.status().ToString()));
+    return;
+  }
+  std::string text;
+  Optimizer static_optimizer(&model, OptimizerOptions::Static());
+  Result<OptimizedPlan> static_plan =
+      static_optimizer.Optimize(parsed->query, env);
+  if (static_plan.ok()) {
+    text += "--- static plan (cost " + static_plan->cost.ToString() +
+            ") ---\n" + static_plan->root->ToString();
+  }
+  text += "--- dynamic plan (cost " + plan->cost.ToString() + ", " +
+          std::to_string(plan->root->CountNodes()) + " nodes, " +
+          std::to_string(plan->root->CountChooseNodes()) + " choose) ---\n" +
+          plan->root->ToString();
+  std::string out;
+  for (const auto& [name, id] : parsed->params) {
+    auto it = bindings_.find(name);
+    if (it == bindings_.end()) {
+      WriteTextAsRows(text, &out);
+      out += FormatErrLine("host variable :" + name +
+                           " is unbound; use \\set " + name + " <int>");
+      channel->WriteAll(out);
+      return;
+    }
+    env.Bind(id, Value(it->second));
+  }
+  StartupOptions startup_options;
+  startup_options.trace = engine_->trace;
+  Result<StartupResult> startup =
+      ResolveDynamicPlan(plan->root, model, env, startup_options);
+  if (!startup.ok()) {
+    WriteTextAsRows(text, &out);
+    out += FormatErrLine("start-up: " + startup.status().ToString());
+    channel->WriteAll(out);
+    return;
+  }
+  char buf[128];
+  std::snprintf(buf, sizeof(buf),
+                "--- chosen at start-up (predicted %.4f s, %lld decisions) "
+                "---\n",
+                startup->execution_cost,
+                static_cast<long long>(startup->decisions));
+  text += buf + startup->resolved->ToString();
+  WriteTextAsRows(text, &out);
+  out += FormatOkLine(0, 0.0, "off");
+  channel->WriteAll(out);
+}
+
+void ServerSession::RunQuery(const std::string& sql, LineChannel* channel,
+                             const obs::AnalyzeFormat* analyze) {
   if (engine_->draining.load(std::memory_order_relaxed)) {
     channel->WriteAll(FormatErrLine("server shutting down"));
     return;
@@ -463,7 +649,7 @@ void ServerSession::RunQuery(const std::string& sql, LineChannel* channel) {
   // grants never share a compiled plan) — and resolve start-up.
   CachedPlanRequest request;
   request.catalog = &engine_->workload->catalog();
-  request.model = engine_->model;
+  request.model = engine_->model.load(std::memory_order_acquire);
   request.cache = engine_->plan_cache;
   request.memory_pages = memory_pages_;
   request.host_bindings = &bindings_;
@@ -498,6 +684,16 @@ void ServerSession::RunQuery(const std::string& sql, LineChannel* channel) {
   std::unique_ptr<ExecContext> ctx =
       MakeExecContext(prepared->planned.bound, *engine_->config, options);
   ctx->set_trace(engine_->trace);
+  // Buffer-pool traffic for the query log: plain counter reads around
+  // execution.  The counters are process-wide, so the window also counts
+  // any query that overlaps this one.
+  const bool want_log =
+      engine_->query_log != nullptr && engine_->query_log->is_open();
+  const BufferPool& pool = engine_->workload->db().buffer_pool();
+  const int64_t pool_hits_before = want_log ? pool.hits() : 0;
+  const int64_t pool_misses_before = want_log ? pool.misses() : 0;
+  const int64_t exec_start_us =
+      engine_->trace == nullptr ? 0 : engine_->trace->NowMicros();
   Result<QueryRun> run = ExecuteAdmitted(std::move(*prepared), *ctx,
                                          std::move(admit.ticket));
   if (!run.ok()) {
@@ -509,16 +705,18 @@ void ServerSession::RunQuery(const std::string& sql, LineChannel* channel) {
     return;
   }
   info_.SetPeakMemory(run->peak_memory_bytes);
+  if (engine_->trace != nullptr) {
+    EmitOperatorSpans(engine_->trace, *run->exec_tree, exec_start_us,
+                      trace_track_);
+  }
 
   // One record per served query.  Its operator rows come from one analyze
   // walk, taken only when a report shows them (the flight recorder is on
   // by default); its bound-point estimates only when the query log, their
   // one reader, is open.
-  const bool want_log =
-      engine_->query_log != nullptr && engine_->query_log->is_open();
   obs::AnalyzeInput input;
   std::vector<obs::AnalyzeRow> analyze_rows;
-  if (want_log || engine_->flight != nullptr) {
+  if (want_log || engine_->flight != nullptr || analyze != nullptr) {
     info_.BeginPhase("log");
     input = obs::AnalyzeInputFor(*run);
     analyze_rows = obs::CollectAnalyzeRows(input);
@@ -527,6 +725,10 @@ void ServerSession::RunQuery(const std::string& sql, LineChannel* channel) {
       obs::BuildQueryRecord(*run, input, analyze_rows, want_log));
   record->session_id = session_id_;
   record->grant_wait_seconds = grant_wait_seconds;
+  if (want_log) {
+    record->pool_hits = pool.hits() - pool_hits_before;
+    record->pool_misses = pool.misses() - pool_misses_before;
+  }
   record->total_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                     wall_start)
@@ -553,6 +755,23 @@ void ServerSession::RunQuery(const std::string& sql, LineChannel* channel) {
 
   std::string out;
   out.reserve(rows.size() * 32 + 64);
+  if (profile_) {
+    WriteTextAsRows(RenderProfile(*run->exec_tree), &out);
+    if (run->triggers_fired > 0) {
+      char buf[160];
+      std::snprintf(buf, sizeof(buf),
+                    "reopt: %lld checkpoint(s) evaluated, %lld trigger(s), "
+                    "%.4f s re-optimizing",
+                    static_cast<long long>(run->checkpoints_evaluated),
+                    static_cast<long long>(run->triggers_fired),
+                    run->reopt_seconds);
+      out += FormatRowLine(buf);
+    }
+    out += FormatRowLine(MemorySummary(*ctx));
+  }
+  if (analyze != nullptr) {
+    WriteTextAsRows(obs::RenderAnalyze(analyze_rows, input, *analyze), &out);
+  }
   for (const Tuple& row : rows) {
     out += FormatRowLine(row.ToString());
   }

@@ -1,23 +1,60 @@
-// One server session: the engine surface of a single client connection.
+// One server session: the engine surface of a single client connection,
+// and the project's one command interpreter — dqep_server's sessions and
+// dqep_cli's embedded shell (an in-process server with one session, see
+// server/server.h) both run it, so every backslash command and report
+// behaves identically in the shell and over the wire.
 //
 // A session speaks the line protocol (server/protocol.h) and runs each
-// SQL line through the query pipeline the interactive shell uses too
-// (runtime/query_pipeline.h): PrepareQuery (plan through the cache,
-// resolve start-up), admission, ExecuteQuery (plain or re-optimizing).
-// It runs against engine state shared by every session of the server:
+// SQL line through the query pipeline (runtime/query_pipeline.h):
+// PrepareQuery (plan through the cache, resolve start-up), admission,
+// ExecuteQuery (plain or re-optimizing).  It runs against engine state
+// shared by every session of the server:
 //
 //   * one catalog / database / buffer pool (the workload),
-//   * one cost model and SystemConfig,
+//   * one SystemConfig and one published cost model: the base model
+//     until a bare \analyze swaps in the histogram model, once, for
+//     every session (SharedEngine::UseHistograms),
 //   * one DynamicPlanCache (the server's own instance, so a template
 //     compiled by session 3 is a hit for session 7),
 //   * one AdmissionController gating memory grants and query cost,
 //   * one QueryLogWriter (mutex-serialized JSONL appends),
 //   * one TraceSession with a track per session.
 //
-// Per-session state is only what \set/\mem/\threads/\reopt mutate:
-// bindings, the memory grant, thread count, and the mid-query
-// re-optimization switch and slack.  Every query runs on the one batch
-// engine (exec/executor.h), in parallel when the thread count is > 1.
+// Per-session state is what \set/\mem/\threads/\reopt/\profile mutate:
+// bindings, the memory grant (priced by the optimizer and enforced by
+// the query's ExecContext), thread count, the mid-query
+// re-optimization switch and slack, and the per-query profile report.
+// Every query runs on the one batch engine (exec/executor.h), in
+// parallel when the thread count is > 1.
+//
+// Commands (one "@ok"/"@err" status line each, output as "*" rows):
+//
+//   SELECT ...                 rows, then "@ok rows=N seconds=S cache=C"
+//   \explain SELECT ...        static plan, dynamic plan, and the
+//                              start-up choice under this session's
+//                              memory grant and bindings
+//   \analyze [json] SELECT ... EXPLAIN ANALYZE (cost interval vs. actual,
+//                              est vs. actual rows, choose-plan regret),
+//                              then the rows
+//   \analyze                   build histograms; every session then
+//                              estimates with them
+//   \set <name> <int>          bind host variable :<name>; \unset <name>
+//   \bindings                  list bindings
+//   \mem <pages>               memory grant (alias \memory)
+//   \threads <N>               intra-query worker threads
+//   \reopt [on|off [slack]]    mid-query re-optimization
+//   \profile <on|off>          per-operator counters and the memory/spill
+//                              line before each query's rows
+//   \tables                    relations, cardinalities, indexed columns
+//   \cache [clear]             plan-cache status / drop every plan
+//   \metrics [reset|json]      the process-wide metrics registry
+//   \top, \slow [n], \stats [p99|regret|template <fp>], \alerts
+//                              live sessions, flight recorder, SLO state
+//   \ping, \quit
+//
+// Each served query's reports come from one analyze walk, taken only
+// when something shows them: EXPLAIN ANALYZE, the query log or the
+// flight recorder.
 //
 // Admission sits between the pipeline's two calls, and the memory grant
 // it hands out lives exactly as long as ExecuteQuery: annotation, the
@@ -32,7 +69,10 @@
 // to every per-template consumer in one call: one lookup and one lock of
 // the AdmissionController's obs::TemplateTable, which holds at most
 // obs::kTemplateTableCapacity templates and evicts the least recently
-// seen, so a stream of distinct templates cannot grow the server.
+// seen, so a stream of distinct templates cannot grow the server.  The
+// record's buffer-pool hits/misses (filled only while the log is open)
+// are deltas of the pool's process-wide counters across execution, so
+// they include the traffic of any query that overlapped this one.
 //
 // Annotation safety: the record's operator rows need the executed plan
 // annotated with estimate intervals, but the resolved plan shares
@@ -60,7 +100,9 @@
 
 #include <atomic>
 
+#include "catalog/histogram.h"
 #include "exec/exec_context.h"
+#include "obs/analyze.h"
 #include "obs/alerts.h"
 #include "obs/drift.h"
 #include "obs/flight_recorder.h"
@@ -135,7 +177,9 @@ class SharedEngine {
  public:
   PaperWorkload* workload = nullptr;
   const SystemConfig* config = nullptr;
-  const CostModel* model = nullptr;
+  /// The published cost model: each query loads it once and plans and
+  /// resolves under it.  UseHistograms swaps it.
+  std::atomic<const CostModel*> model{nullptr};
   DynamicPlanCache* plan_cache = nullptr;       ///< null: caching off
   AdmissionController* admission = nullptr;
   obs::QueryLogWriter* query_log = nullptr;     ///< null/closed: logging off
@@ -154,6 +198,13 @@ class SharedEngine {
 
   /// RequestCancel on every live context (idempotent).
   void CancelAll();
+
+  /// Builds the histogram model on first call (the data never changes,
+  /// so once is enough), publishes it as `model`, and only then moves
+  /// the plan cache to its statistics epoch, so no plan of the old
+  /// model is served once the new one is visible.  Returns the number
+  /// of histogram columns.
+  size_t UseHistograms();
 
   /// Hands a served query's record to every per-template consumer (the
   /// admission cost EWMA, calibration drift, SLO burn and the flight
@@ -188,6 +239,10 @@ class SharedEngine {
   mutable std::mutex mutex_;
   std::set<ExecContext*> live_;
   std::set<const SessionInfo*> sessions_;
+
+  std::once_flag histograms_once_;
+  StatisticsCatalog stats_;
+  std::unique_ptr<CostModel> stats_model_;
 };
 
 /// One connection's protocol loop.  Constructed per accepted socket;
@@ -212,9 +267,15 @@ class ServerSession {
   /// Handles one backslash command; returns false to close the session.
   bool Command(const std::string& line, LineChannel* channel);
 
-  /// Plans, resolves, admits, executes one SQL line and writes rows plus
-  /// the status line.
-  void RunQuery(const std::string& sql, LineChannel* channel);
+  /// Plans, resolves, admits, executes one SQL line and writes its
+  /// reports (the profile when on, EXPLAIN ANALYZE in `*analyze` when
+  /// non-null), the rows and the status line.
+  void RunQuery(const std::string& sql, LineChannel* channel,
+                const obs::AnalyzeFormat* analyze = nullptr);
+
+  /// \explain: static plan, dynamic plan and start-up resolution.  It
+  /// bypasses the plan cache: the point is to watch the optimizer work.
+  void Explain(const std::string& sql, LineChannel* channel);
 
   /// Executes an admitted query with its context live for shutdown
   /// cancellation.  The memory grant (`ticket`) and the registration end
@@ -225,13 +286,13 @@ class ServerSession {
   SharedEngine* engine_;
   const int64_t session_id_;
 
-  // Per-session execution knobs (the shell's \set/\mem/\threads, plus
-  // \reopt for mid-query re-optimization).
+  // Per-session knobs (\set/\mem/\threads/\reopt/\profile).
   std::map<std::string, int64_t> bindings_;
   double memory_pages_;
   int32_t threads_ = 1;
   bool reopt_enabled_ = false;
   double reopt_slack_ = 2.0;
+  bool profile_ = false;
 
   /// Trace track for this session (0 when tracing is off).
   int64_t trace_track_ = 0;

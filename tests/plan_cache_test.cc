@@ -4,8 +4,8 @@
 // The correctness contract under test: a cache hit must be behaviorally
 // indistinguishable from a cold compile — byte-identical result rows
 // at every thread count — and a stale
-// entry (older statistics epoch or cost-profile epoch) must never be
-// served, not even once.
+// entry (compiled under another statistics epoch than the querying
+// model's) must never be served, not even once.
 
 #include <algorithm>
 #include <atomic>
@@ -165,26 +165,24 @@ TEST_F(PlanCacheWorkloadTest, ParameterIdsAreDenseAcrossHostAndLifted) {
 
 DynamicPlanCache::Entry MakeEntry(uint64_t fingerprint,
                                   double memory_pages = 64.0,
-                                  uint64_t stats_epoch = 0,
-                                  uint64_t profile_epoch = 0) {
+                                  uint64_t stats_epoch = 0) {
   DynamicPlanCache::Entry entry;
   entry.fingerprint = fingerprint;
   entry.memory_pages = memory_pages;
   entry.stats_epoch = stats_epoch;
-  entry.profile_epoch = profile_epoch;
   return entry;
 }
 
 TEST(PlanCacheTest, LookupMissesThenHitsAfterInsert) {
   DynamicPlanCache cache(4);
-  EXPECT_EQ(cache.Lookup(7, 64.0), nullptr);
+  EXPECT_EQ(cache.Lookup(7, 64.0, 0), nullptr);
   cache.Insert(MakeEntry(7));
-  auto entry = cache.Lookup(7, 64.0);
+  auto entry = cache.Lookup(7, 64.0, 0);
   ASSERT_NE(entry, nullptr);
   EXPECT_EQ(entry->fingerprint, 7u);
   // The memory grant is part of the key: same template compiled under a
   // different grant is a different plan.
-  EXPECT_EQ(cache.Lookup(7, 32.0), nullptr);
+  EXPECT_EQ(cache.Lookup(7, 32.0, 0), nullptr);
   PlanCacheStats stats = cache.stats();
   EXPECT_EQ(stats.hits, 1);
   EXPECT_EQ(stats.misses, 2);
@@ -196,11 +194,11 @@ TEST(PlanCacheTest, LruEvictionDropsColdestEntry) {
   DynamicPlanCache cache(2);
   cache.Insert(MakeEntry(1));
   cache.Insert(MakeEntry(2));
-  ASSERT_NE(cache.Lookup(1, 64.0), nullptr);  // touch 1: 2 is now coldest
+  ASSERT_NE(cache.Lookup(1, 64.0, 0), nullptr);  // touch 1: 2 is now coldest
   cache.Insert(MakeEntry(3));
-  EXPECT_NE(cache.Lookup(1, 64.0), nullptr);
-  EXPECT_NE(cache.Lookup(3, 64.0), nullptr);
-  EXPECT_EQ(cache.Lookup(2, 64.0), nullptr);
+  EXPECT_NE(cache.Lookup(1, 64.0, 0), nullptr);
+  EXPECT_NE(cache.Lookup(3, 64.0, 0), nullptr);
+  EXPECT_EQ(cache.Lookup(2, 64.0, 0), nullptr);
   EXPECT_EQ(cache.stats().evictions, 1);
   EXPECT_EQ(cache.stats().size, 2u);
 }
@@ -208,40 +206,26 @@ TEST(PlanCacheTest, LruEvictionDropsColdestEntry) {
 TEST(PlanCacheTest, CapacityZeroDisablesCaching) {
   DynamicPlanCache cache(0);
   cache.Insert(MakeEntry(1));
-  EXPECT_EQ(cache.Lookup(1, 64.0), nullptr);
+  EXPECT_EQ(cache.Lookup(1, 64.0, 0), nullptr);
   EXPECT_EQ(cache.stats().size, 0u);
-}
-
-TEST(PlanCacheTest, ShrinkingCapacityEvicts) {
-  DynamicPlanCache cache(4);
-  for (uint64_t fp = 1; fp <= 4; ++fp) {
-    cache.Insert(MakeEntry(fp));
-  }
-  cache.set_capacity(1);
-  EXPECT_EQ(cache.stats().size, 1u);
-  EXPECT_EQ(cache.stats().evictions, 3);
-  // The most recently inserted entry survives.
-  EXPECT_NE(cache.Lookup(4, 64.0), nullptr);
 }
 
 TEST(PlanCacheTest, EpochBumpSweepsAndRejectsStaleInserts) {
   DynamicPlanCache cache(4);
   cache.Insert(MakeEntry(1));
   cache.SetStatsEpoch(5);
-  EXPECT_EQ(cache.Lookup(1, 64.0), nullptr);
+  EXPECT_EQ(cache.Lookup(1, 64.0, 0), nullptr);
   EXPECT_EQ(cache.stats().invalidations, 1);
-  // An entry compiled before the bump (stamped with the old epochs) must
+  // An entry compiled before the bump (stamped with the old epoch) must
   // not enter the cache after it.
   cache.Insert(MakeEntry(2, 64.0, /*stats_epoch=*/0));
-  EXPECT_EQ(cache.Lookup(2, 64.0), nullptr);
+  EXPECT_EQ(cache.Lookup(2, 64.0, 0), nullptr);
   EXPECT_EQ(cache.stats().size, 0u);
-  // Stamped with the current epochs it caches normally.
+  // Stamped with the current epoch it caches normally, and serves only a
+  // query planned under that epoch's model.
   cache.Insert(MakeEntry(2, 64.0, /*stats_epoch=*/5));
-  EXPECT_NE(cache.Lookup(2, 64.0), nullptr);
-  // The profile epoch invalidates independently (calibration swap).
-  cache.BumpProfileEpoch();
-  EXPECT_EQ(cache.Lookup(2, 64.0), nullptr);
-  EXPECT_EQ(cache.stats().size, 0u);
+  EXPECT_EQ(cache.Lookup(2, 64.0, 0), nullptr);
+  EXPECT_NE(cache.Lookup(2, 64.0, 5), nullptr);
 }
 
 TEST(PlanCacheTest, ClearDropsEverything) {
@@ -251,7 +235,7 @@ TEST(PlanCacheTest, ClearDropsEverything) {
   cache.Clear();
   EXPECT_EQ(cache.stats().size, 0u);
   EXPECT_EQ(cache.stats().invalidations, 2);
-  EXPECT_EQ(cache.Lookup(1, 64.0), nullptr);
+  EXPECT_EQ(cache.Lookup(1, 64.0, 0), nullptr);
 }
 
 // ---------------------------------------------------------------------------
@@ -448,14 +432,48 @@ TEST_F(PlanCacheWorkloadTest, AnalyzeInvalidatesWithZeroStaleHits) {
   // The re-compiled entry (stamped with the new epoch) serves hits again.
   EXPECT_TRUE(PlanQueryWithCache(sql, request)->cache_hit);
 
-  // Calibration-profile swap: same discipline on the other epoch.
-  cache.BumpProfileEpoch();
+  // A second ANALYZE: same discipline on the next epoch.
+  StatisticsCatalog restats = AnalyzeDatabase(workload_->db());
+  ASSERT_GT(restats.epoch(), stats.epoch());
+  cache.SetStatsEpoch(restats.epoch());
+  CostModel restats_model(&workload_->catalog(), workload_->config(),
+                          &restats);
+  request.model = &restats_model;
   hits_before = cache.stats().hits;
   auto after_swap = PlanQueryWithCache(sql, request);
   ASSERT_TRUE(after_swap.ok());
   EXPECT_FALSE(after_swap->cache_hit);
   EXPECT_EQ(cache.stats().hits, hits_before);
   EXPECT_TRUE(PlanQueryWithCache(sql, request)->cache_hit);
+}
+
+// A compile that straddles the estimator swap: planned under the base
+// model, inserted after the cache moved to the histogram epoch.  The
+// entry carries its model's epoch, so the cache refuses it.
+TEST_F(PlanCacheWorkloadTest, OldModelPlanInsertedAfterTheSwapIsRefused) {
+  DynamicPlanCache cache(8);
+  CachedPlanRequest request = Request(&cache);
+  Rng rng(/*seed=*/17);
+  const std::string sql = ChainSql(2, &rng);
+  StatisticsCatalog stats = AnalyzeDatabase(workload_->db());
+  CostModel stats_model(&workload_->catalog(), workload_->config(), &stats);
+  ASSERT_EQ(request.model->stats_epoch(), 0u);
+  ASSERT_EQ(stats_model.stats_epoch(), stats.epoch());
+  cache.SetStatsEpoch(stats.epoch());
+
+  auto straddled = PlanQueryWithCache(sql, request);
+  ASSERT_TRUE(straddled.ok());
+  EXPECT_FALSE(straddled->cache_hit);
+  EXPECT_EQ(cache.stats().inserts, 0);
+  EXPECT_EQ(cache.stats().size, 0u);
+
+  // The new model compiles its own entry; the old model never hits it.
+  request.model = &stats_model;
+  EXPECT_FALSE(PlanQueryWithCache(sql, request)->cache_hit);
+  EXPECT_TRUE(PlanQueryWithCache(sql, request)->cache_hit);
+  request.model = &workload_->model();
+  EXPECT_FALSE(PlanQueryWithCache(sql, request)->cache_hit);
+  EXPECT_EQ(cache.stats().size, 1u);
 }
 
 // ---------------------------------------------------------------------------
@@ -467,31 +485,35 @@ TEST(PlanCacheConcurrencyTest, ConcurrentLookupInsertInvalidateIsClean) {
   constexpr int kThreads = 4;
   constexpr int kIters = 800;
   std::atomic<int64_t> hits{0};
+  // The statistics epoch the workers plan under; a worker that runs
+  // ANALYZE moves it and then the cache.
+  std::atomic<uint64_t> epoch{0};
   std::vector<std::thread> workers;
   workers.reserve(kThreads);
   for (int t = 0; t < kThreads; ++t) {
-    workers.emplace_back([&cache, &hits, t] {
+    workers.emplace_back([&cache, &hits, &epoch, t] {
       Rng rng(static_cast<uint64_t>(1000 + t));
       for (int i = 0; i < kIters; ++i) {
         uint64_t fingerprint =
             static_cast<uint64_t>(rng.NextInt(0, 15));
-        auto entry = cache.Lookup(fingerprint, 64.0);
+        const uint64_t planned_epoch = epoch.load();
+        auto entry = cache.Lookup(fingerprint, 64.0, planned_epoch);
         if (entry != nullptr) {
           hits.fetch_add(1, std::memory_order_relaxed);
           // Entries are shared_ptr<const Entry>: safe to read fields
           // while another thread evicts or clears.
           EXPECT_EQ(entry->fingerprint, fingerprint);
+          // Zero stale hits: an entry of another epoch never serves.
+          EXPECT_EQ(entry->stats_epoch, planned_epoch);
           continue;
         }
-        auto epochs = cache.epochs();
         DynamicPlanCache::Entry fresh;
         fresh.fingerprint = fingerprint;
         fresh.memory_pages = 64.0;
-        fresh.stats_epoch = epochs.first;
-        fresh.profile_epoch = epochs.second;
+        fresh.stats_epoch = planned_epoch;
         cache.Insert(std::move(fresh));
         if (i % 97 == 0) {
-          cache.BumpProfileEpoch();
+          cache.SetStatsEpoch(epoch.fetch_add(1) + 1);
         }
         if (i % 131 == 0) {
           cache.Clear();

@@ -9,6 +9,7 @@
 #include <dirent.h>
 #include <signal.h>
 #include <stdlib.h>
+#include <sys/socket.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -40,6 +41,7 @@
 #include "server/admission.h"
 #include "server/protocol.h"
 #include "server/server.h"
+#include "sql/normalize.h"
 #include "tests/server_fixture.h"
 #include "workload/paper_workload.h"
 
@@ -710,6 +712,246 @@ TEST(ServerIntegrationTest, ThrottleSaturationTimesOutNotHangs) {
   // A rejection, not a hang: bounded by the timeout plus slack.
   EXPECT_LT(waited, milliseconds(5000));
   EXPECT_GE(waited, milliseconds(150));
+}
+
+/// Every data line of `response`, newline-joined.
+std::string JoinRows(const std::vector<std::string>& rows) {
+  std::string text;
+  for (const std::string& row : rows) {
+    text += row + "\n";
+  }
+  return text;
+}
+
+/// The value of registry counter `name` (0 when absent).
+int64_t CounterValue(const char* name) {
+  const auto snapshot = obs::MetricsRegistry::Instance().Snapshot();
+  auto it = snapshot.find(name);
+  return it == snapshot.end() ? 0 : it->second.value;
+}
+
+// The shell's commands live in the session, so they answer over any
+// connection exactly as they do in the embedded shell.
+TEST(ServerIntegrationTest, ShellCommandsAnswerOverTheWire) {
+  ServerOptions options;
+  options.sessions = 1;
+  ServerFixture fixture(options);
+  ASSERT_TRUE(fixture.started());
+  auto conn = fixture.Connect();
+  ASSERT_NE(conn, nullptr);
+
+  QueryResponse tables = RoundTrip(conn.get(), "\\tables");
+  ASSERT_TRUE(tables.ok) << tables.error;
+  ASSERT_EQ(tables.rows.size(), 10u);
+  EXPECT_EQ(tables.rows[0].rfind("R1(", 0), 0u) << tables.rows[0];
+  EXPECT_NE(tables.rows[0].find(" s* "), std::string::npos);
+
+  // \explain: the plans print, then the unbound variable fails.
+  const std::string sql = "SELECT * FROM R1 WHERE R1.s < :v";
+  QueryResponse unbound = RoundTrip(conn.get(), "\\explain " + sql);
+  EXPECT_FALSE(unbound.ok);
+  EXPECT_NE(unbound.error.find(":v is unbound"), std::string::npos);
+  EXPECT_NE(JoinRows(unbound.rows).find("--- dynamic plan"),
+            std::string::npos);
+  ASSERT_TRUE(RoundTrip(conn.get(), "\\set v 300").ok);
+  QueryResponse explain = RoundTrip(conn.get(), "\\explain " + sql);
+  ASSERT_TRUE(explain.ok) << explain.error;
+  for (const char* header :
+       {"--- static plan", "--- dynamic plan", "--- chosen at start-up"}) {
+    EXPECT_NE(JoinRows(explain.rows).find(header), std::string::npos)
+        << header;
+  }
+
+  // \analyze SELECT: the EXPLAIN ANALYZE report, then exactly the rows a
+  // plain run returns.
+  QueryResponse plain = RoundTrip(conn.get(), sql);
+  ASSERT_TRUE(plain.ok) << plain.error;
+  ASSERT_GT(plain.row_count, 0);
+  QueryResponse analyzed = RoundTrip(conn.get(), "\\analyze " + sql);
+  ASSERT_TRUE(analyzed.ok) << analyzed.error;
+  EXPECT_EQ(analyzed.row_count, plain.row_count);
+  ASSERT_GT(analyzed.rows.size(), plain.rows.size());
+  const size_t report_lines = analyzed.rows.size() - plain.rows.size();
+  EXPECT_NE(analyzed.rows[0].find("est_cost[lo,hi]"), std::string::npos);
+  EXPECT_EQ(std::vector<std::string>(analyzed.rows.begin() + report_lines,
+                                     analyzed.rows.end()),
+            plain.rows);
+
+  // \analyze json: the report lines are one JSON document.
+  QueryResponse json = RoundTrip(conn.get(), "\\analyze json " + sql);
+  ASSERT_TRUE(json.ok) << json.error;
+  ASSERT_GT(json.rows.size(), plain.rows.size());
+  JsonValue doc;
+  std::string error;
+  ASSERT_TRUE(obs::ParseJson(
+      JoinRows(std::vector<std::string>(
+          json.rows.begin(), json.rows.end() - plain.row_count)),
+      &doc, &error))
+      << error;
+  EXPECT_FALSE(At(doc, "operators").items.empty());
+  EXPECT_EQ(At(doc, "plan_cache").string_value, "hit");
+  EXPECT_FALSE(RoundTrip(conn.get(), "\\analyze json").ok);
+
+  // \profile on: per-operator counters and the memory line of the
+  // session's enforced 64-page grant precede the rows.
+  EXPECT_FALSE(RoundTrip(conn.get(), "\\profile maybe").ok);
+  ASSERT_TRUE(RoundTrip(conn.get(), "\\profile on").ok);
+  QueryResponse profiled = RoundTrip(conn.get(), sql);
+  ASSERT_TRUE(profiled.ok) << profiled.error;
+  ASSERT_GT(profiled.rows.size(), plain.rows.size());
+  const std::vector<std::string> profile(
+      profiled.rows.begin(), profiled.rows.end() - plain.row_count);
+  EXPECT_NE(profile.front().find("next_calls"), std::string::npos);
+  EXPECT_EQ(profile.back().rfind("memory: peak ", 0), 0u);
+  EXPECT_NE(profile.back().find("(64 pages)"), std::string::npos);
+  ASSERT_TRUE(RoundTrip(conn.get(), "\\profile off").ok);
+  EXPECT_EQ(RoundTrip(conn.get(), sql).rows, plain.rows);
+
+  // \metrics reset zeroes the process-wide counters.
+  EXPECT_FALSE(RoundTrip(conn.get(), "\\metrics bogus").ok);
+  ASSERT_GT(CounterValue("server.session.queries"), 0);
+  ASSERT_TRUE(RoundTrip(conn.get(), "\\metrics reset").ok);
+  EXPECT_EQ(CounterValue("server.session.queries"), 0);
+  ASSERT_TRUE(RoundTrip(conn.get(), sql).ok);
+  EXPECT_EQ(CounterValue("server.session.queries"), 1);
+
+  // The stricter argument checks hold for the moved commands too.
+  EXPECT_FALSE(RoundTrip(conn.get(), "\\reopt on 0.5").ok);
+  EXPECT_FALSE(RoundTrip(conn.get(), "\\cache bogus").ok);
+}
+
+// The embedded shell's transport: a server without a listener serves a
+// session attached over a socketpair, and destroying the server drains
+// it.
+TEST(ServerIntegrationTest, AttachedSocketpairIsServedWithoutAListener) {
+  ServerOptions options;
+  options.sessions = 1;
+  auto server = std::make_unique<DqepServer>(options);
+  std::string error;
+  ASSERT_TRUE(server->Start(&error)) << error;
+  int fds[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+  server->Attach(fds[0]);
+  LineChannel channel(fds[1]);
+  QueryResponse response =
+      RoundTrip(&channel, "SELECT * FROM R1 WHERE R1.s < 300");
+  ASSERT_TRUE(response.ok) << response.error;
+  EXPECT_GT(response.row_count, 0);
+  server.reset();
+  QueryResponse after;
+  EXPECT_FALSE(channel.ReadResponse(&after));
+}
+
+// The query log's buffer-pool fields are filled by the session: a cold
+// file scan touches pages, so hits + misses cannot be zero.
+TEST(ServerIntegrationTest, QueryLogRecordsBufferPoolTraffic) {
+  const std::string log_path = ::testing::TempDir() + "/pool_qlog.jsonl";
+  ::unlink(log_path.c_str());
+  ServerOptions options;
+  options.sessions = 1;
+  options.query_log_path = log_path;
+  ServerFixture fixture(options);
+  ASSERT_TRUE(fixture.started());
+  auto conn = fixture.Connect();
+  ASSERT_NE(conn, nullptr);
+  ASSERT_TRUE(RoundTrip(conn.get(), "SELECT * FROM R1 WHERE R1.s < 300").ok);
+  conn.reset();
+  fixture.StopAndJoin();
+  int64_t skipped = 0;
+  Result<std::vector<obs::QueryRecord>> records =
+      obs::LoadQueryLog(log_path, &skipped);
+  ASSERT_TRUE(records.ok());
+  ASSERT_EQ(records->size(), 1u);
+  EXPECT_GT((*records)[0].pool_hits + (*records)[0].pool_misses, 0);
+  ::unlink(log_path.c_str());
+}
+
+// A bare \analyze swaps the whole engine to histogram estimates while
+// two sessions keep querying: every reply keeps its rows, and once the
+// swap is done no plan of the base model's epoch is left to hit.
+TEST(ServerIntegrationTest, HistogramSwapRacesQueriesWithZeroStaleHits) {
+  ServerOptions options;
+  options.sessions = 3;
+  ServerFixture fixture(options);
+  ASSERT_TRUE(fixture.started());
+  auto conn = fixture.Connect();
+  ASSERT_NE(conn, nullptr);
+  std::vector<std::string> sqls;
+  for (int64_t literal : {100, 400, 700}) {
+    sqls.push_back("SELECT * FROM R1 WHERE R1.s < " + std::to_string(literal));
+    sqls.push_back("SELECT * FROM R1, R2 WHERE R1.b = R2.a AND R2.s < 500 "
+                   "AND R1.s < " + std::to_string(literal));
+  }
+  // Plan choice may change under the histograms, and with it row order.
+  auto sorted_rows = [](QueryResponse response) {
+    std::sort(response.rows.begin(), response.rows.end());
+    return response.rows;
+  };
+  std::vector<std::vector<std::string>> expected;
+  for (const std::string& sql : sqls) {
+    QueryResponse response = RoundTrip(conn.get(), sql);
+    ASSERT_TRUE(response.ok) << response.error;
+    expected.push_back(sorted_rows(std::move(response)));
+  }
+  const uint64_t base_epoch =
+      fixture.server().engine()->model.load()->stats_epoch();
+
+  std::atomic<bool> swapped{false};
+  std::atomic<int> replies{0};
+  std::atomic<int> mismatches{0};
+  std::vector<std::thread> racers;
+  for (int r = 0; r < 2; ++r) {
+    racers.emplace_back([&] {
+      auto racer = fixture.Connect();
+      if (racer == nullptr) {
+        mismatches.fetch_add(1);
+        return;
+      }
+      // Keep racing for two full rounds past the swap.
+      for (int after_swap = 0; after_swap < 2;) {
+        const bool swap_seen = swapped.load();
+        for (size_t q = 0; q < sqls.size(); ++q) {
+          QueryResponse response = RoundTrip(racer.get(), sqls[q]);
+          if (!response.ok || sorted_rows(response) != expected[q]) {
+            ADD_FAILURE() << sqls[q] << ": " << response.error;
+            mismatches.fetch_add(1);
+          }
+          replies.fetch_add(1);
+        }
+        after_swap += swap_seen ? 1 : 0;
+      }
+    });
+  }
+  while (replies.load() < 8) {
+    std::this_thread::sleep_for(milliseconds(1));
+  }
+  QueryResponse analyze = RoundTrip(conn.get(), "\\analyze");
+  ASSERT_TRUE(analyze.ok) << analyze.error;
+  swapped.store(true);
+  for (std::thread& racer : racers) {
+    racer.join();
+  }
+  EXPECT_EQ(mismatches.load(), 0);
+
+  const uint64_t stats_epoch =
+      fixture.server().engine()->model.load()->stats_epoch();
+  ASSERT_NE(stats_epoch, base_epoch);
+  // A second \analyze keeps the one histogram model.
+  ASSERT_TRUE(RoundTrip(conn.get(), "\\analyze").ok);
+  EXPECT_EQ(fixture.server().engine()->model.load()->stats_epoch(),
+            stats_epoch);
+  DynamicPlanCache* cache = fixture.server().plan_cache();
+  EXPECT_GE(cache->stats().invalidations, 2);
+  for (const std::string& sql : sqls) {
+    Result<NormalizedQuery> normalized = NormalizeQuery(sql);
+    ASSERT_TRUE(normalized.ok());
+    EXPECT_EQ(cache->Lookup(normalized->fingerprint, 64.0, base_epoch),
+              nullptr)
+        << sql;
+    EXPECT_NE(cache->Lookup(normalized->fingerprint, 64.0, stats_epoch),
+              nullptr)
+        << sql;
+  }
 }
 
 TEST(ServerIntegrationTest, SigtermDrainsMidStreamAndFlushesLog) {

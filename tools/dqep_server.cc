@@ -37,6 +37,9 @@
 //                           runs ($DQEP_QUERY_LOG sets the default)
 //   --trace-out=FILE        write Chrome-trace JSON at shutdown, one
 //                           track per session
+//   --cost-profile=FILE     load fitted cost-model multipliers
+//                           (calibration.json, from dqep_cli
+//                           --calibrate) before the first query compiles
 //   --metrics-port=N        Prometheus exposition endpoint on
 //                           127.0.0.1:N (0 = ephemeral, printed at
 //                           startup; default off).  GET /metrics,
@@ -57,9 +60,14 @@
 //   --flight-recorder=N     flight-recorder ring capacity (default 64,
 //                           0 = off; \slow and \stats read it)
 //
+// The flags dqep_cli's embedded shell shares (--memory-pages,
+// --plan-cache, --reopt, --reopt-slack, --query-log, --trace-out,
+// --cost-profile) are parsed by server::ParseSharedFlag.
+//
 // Clients: `dqep_cli --connect=PATH` (interactive), or any line-protocol
 // speaker — send one SQL line, read "*"-prefixed rows until an "@ok"/
-// "@err" status line (see src/server/protocol.h).
+// "@err" status line (see src/server/protocol.h); the commands are
+// listed in src/server/session.h.
 //
 // SIGINT/SIGTERM drain gracefully: in-flight queries are cancelled,
 // queued admissions are refused, the query log is flushed, and the
@@ -70,14 +78,22 @@
 #include <cstring>
 #include <string>
 
-#include "runtime/plan_cache.h"
 #include "server/server.h"
 
 int main(int argc, char** argv) {
   dqep::server::ServerOptions options;
-  bool query_log_flag_seen = false;
   for (int i = 1; i < argc; ++i) {
     const char* arg = argv[i];
+    std::string error;
+    const dqep::server::FlagParse shared =
+        dqep::server::ParseSharedFlag(arg, &options, &error);
+    if (shared == dqep::server::FlagParse::kError) {
+      std::fprintf(stderr, "%s\n", error.c_str());
+      return 1;
+    }
+    if (shared == dqep::server::FlagParse::kParsed) {
+      continue;
+    }
     if (std::strncmp(arg, "--socket=", 9) == 0) {
       options.socket_path = arg + 9;
     } else if (std::strncmp(arg, "--tcp-port=", 11) == 0) {
@@ -98,12 +114,6 @@ int main(int argc, char** argv) {
         std::fprintf(stderr, "--pool-pages must be >= 0\n");
         return 1;
       }
-    } else if (std::strncmp(arg, "--memory-pages=", 15) == 0) {
-      options.session_memory_pages = std::atof(arg + 15);
-      if (options.session_memory_pages < 2) {
-        std::fprintf(stderr, "--memory-pages must be >= 2\n");
-        return 1;
-      }
     } else if (std::strncmp(arg, "--admission-timeout=", 20) == 0) {
       options.admission_timeout_ms = std::atoll(arg + 20);
       if (options.admission_timeout_ms < 0) {
@@ -116,41 +126,6 @@ int main(int argc, char** argv) {
       options.throttle_burst = std::atof(arg + 17);
     } else if (std::strcmp(arg, "--throttle-adaptive") == 0) {
       options.adaptive_throttle = true;
-    } else if (std::strncmp(arg, "--reopt=", 8) == 0) {
-      if (std::strcmp(arg + 8, "on") == 0) {
-        options.reopt = true;
-      } else if (std::strcmp(arg + 8, "off") == 0) {
-        options.reopt = false;
-      } else {
-        std::fprintf(stderr, "--reopt must be on or off\n");
-        return 1;
-      }
-    } else if (std::strncmp(arg, "--reopt-slack=", 14) == 0) {
-      options.reopt_slack = std::atof(arg + 14);
-      if (options.reopt_slack < 1.0) {
-        std::fprintf(stderr, "--reopt-slack must be >= 1\n");
-        return 1;
-      }
-    } else if (std::strncmp(arg, "--plan-cache=", 13) == 0) {
-      const char* value = arg + 13;
-      if (std::strcmp(value, "off") == 0) {
-        options.plan_cache_capacity = 0;
-      } else {
-        char* end = nullptr;
-        long capacity = std::strtol(value, &end, 10);
-        if (end == value || *end != '\0' || capacity < 0) {
-          std::fprintf(stderr,
-                       "--plan-cache must be a non-negative entry count "
-                       "or \"off\"\n");
-          return 1;
-        }
-        options.plan_cache_capacity = static_cast<size_t>(capacity);
-      }
-    } else if (std::strncmp(arg, "--query-log=", 12) == 0) {
-      options.query_log_path = arg + 12;
-      query_log_flag_seen = true;
-    } else if (std::strncmp(arg, "--trace-out=", 12) == 0) {
-      options.trace_path = arg + 12;
     } else if (std::strncmp(arg, "--metrics-port=", 15) == 0) {
       options.metrics_port = std::atoi(arg + 15);
       if (options.metrics_port < 0 || options.metrics_port > 65535) {
@@ -198,8 +173,6 @@ int main(int argc, char** argv) {
           "  --sessions=N            worker sessions (default 4)\n"
           "  --pool-pages=N          global memory-grant pool in pages "
           "(0 = unlimited)\n"
-          "  --memory-pages=N        default per-session grant (default "
-          "64)\n"
           "  --admission-timeout=MS  queue wait before rejection "
           "(default 5000)\n"
           "  --throttle-rate=R       seconds-of-work admitted per wall "
@@ -207,15 +180,6 @@ int main(int argc, char** argv) {
           "  --throttle-burst=S      throttle bucket capacity (default 1)\n"
           "  --throttle-adaptive     track measured throughput (EWMA) "
           "instead of the static rate\n"
-          "  --reopt=on|off          default per-session mid-query "
-          "re-optimization (\\reopt overrides)\n"
-          "  --reopt-slack=X         cardinality slack before a "
-          "checkpoint triggers (default 2)\n"
-          "  --plan-cache=N|off      shared plan-cache entries (default "
-          "128)\n"
-          "  --query-log=FILE        JSONL query log; seeds the cost "
-          "throttle\n"
-          "  --trace-out=FILE        Chrome-trace JSON at shutdown\n"
           "  --metrics-port=N        Prometheus endpoint on 127.0.0.1:N "
           "(0 = ephemeral; default off)\n"
           "  --slow-query-ms=MS      flight-recorder slow threshold "
@@ -230,6 +194,7 @@ int main(int argc, char** argv) {
           "the SLO (default 0.99)\n"
           "  --flight-recorder=N     flight-recorder ring capacity "
           "(default 64, 0 = off)\n");
+      std::fputs(dqep::server::kSharedFlagsHelp, stdout);
       return 0;
     } else {
       std::fprintf(stderr, "unknown flag %s (try --help)\n", arg);
@@ -240,12 +205,7 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "dqep_server: --socket=PATH is required\n");
     return 1;
   }
-  if (!query_log_flag_seen) {
-    const char* env = std::getenv("DQEP_QUERY_LOG");
-    if (env != nullptr && env[0] != '\0') {
-      options.query_log_path = env;
-    }
-  }
+  dqep::server::ApplyQueryLogDefault(&options);
 
   dqep::server::DqepServer server(std::move(options));
   std::string error;

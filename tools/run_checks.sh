@@ -122,7 +122,8 @@ EOF
       # valid JSON, and that each bundle's meta agrees with the query-log
       # line of the same query (two renderings of one per-query record).
       # Re-validates the checked-in bench baselines too — the telemetry
-      # tables in EXPERIMENTS.md are built from them.
+      # tables in EXPERIMENTS.md are built from them.  It also diffs the
+      # embedded shell against --connect on one script.
       echo "== telemetry: live exposition scrape gate =="
       cmake -B build -S . >/dev/null
       cmake --build build -j --target dqep_server_bin dqep_cli
@@ -146,6 +147,22 @@ EOF
       for i in 1 2 3 4 5 6; do
         echo "SELECT * FROM R1 WHERE R1.s < $((i * 100))"
       done | build/tools/dqep_cli --connect="$tele_dir/s" >/dev/null
+      # One command interpreter: the embedded shell (an in-process server
+      # session) and --connect to this server print the same output for
+      # the same script once the measured times (every decimal number)
+      # are masked.
+      shell_script='\set v 300
+\tables
+\explain SELECT * FROM R1 WHERE R1.s < :v
+\analyze SELECT * FROM R1 WHERE R1.s < :v'
+      time_mask='s/[0-9][0-9]*\.[0-9][0-9]*\(e[-+]\{0,1\}[0-9]*\)\{0,1\}/<t>/g'
+      printf '%s\n' "$shell_script" | build/tools/dqep_cli \
+        | sed "$time_mask" > "$tele_dir/embedded.out"
+      printf '%s\n' "$shell_script" \
+        | build/tools/dqep_cli --connect="$tele_dir/s" \
+        | sed "$time_mask" > "$tele_dir/connected.out"
+      grep -q "chosen at start-up" "$tele_dir/embedded.out"
+      diff -u "$tele_dir/embedded.out" "$tele_dir/connected.out"
       python3 -c "import urllib.request, sys
 sys.stdout.write(urllib.request.urlopen(
     'http://127.0.0.1:$tele_port/metrics', timeout=10).read().decode())" \
@@ -200,7 +217,7 @@ EOF
       ;;
     replay)
       # Oracle-replay gate: log a small chain-query workload through the
-      # local CLI (plan cache on, so literals lift into start-up
+      # embedded CLI's server session (plan cache on, so literals lift into start-up
       # bindings and the plans carry real choose-plan decisions), replay
       # it with every decision forced each way, and validate the
       # scorecard — every replayed record must have measured (not
