@@ -1,9 +1,15 @@
-// Shared scaffolding for the paper-experiment bench binaries.
+// Shared scaffolding for the bench binaries.
 //
-// Every figure/table binary runs the five paper queries (Q1, Q2=2-way,
-// Q3=4-way, Q4=6-way, Q5=10-way), in the two uncertainty settings
-// (selectivities only / selectivities + memory), over N = 100 random
-// run-time bindings, exactly as in paper §6.
+// The paper experiments (bench/paper_bench) run the five paper queries
+// (Q1, Q2=2-way, Q3=4-way, Q4=6-way, Q5=10-way), in the two uncertainty
+// settings (selectivities only / selectivities + memory), over N = 100
+// random run-time bindings, exactly as in paper §6.  Every bench's
+// `--json` output is one unified document, printed by PrintBenchDocument:
+//
+//   {"bench":   "<name>",
+//    "config":  {...},     // per-bench settings
+//    "rows":    [{...}],   // one flat object per measurement
+//    "metrics": {...}}     // MetricsRegistry snapshot after the run
 
 #ifndef DQEP_BENCH_BENCH_COMMON_H_
 #define DQEP_BENCH_BENCH_COMMON_H_
@@ -12,11 +18,14 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/rng.h"
 #include "common/text_table.h"
+#include "obs/json_util.h"
 #include "obs/metrics.h"
+#include "obs/trace.h"
 #include "runtime/lifecycle.h"
 #include "workload/paper_workload.h"
 
@@ -65,10 +74,67 @@ inline std::string MetricsJson() {
   return out;
 }
 
+/// One flat JSON object built member by member, e.g. a row of the
+/// unified document: `JsonObject().Str("name", n).Num("qps", q)`.
+/// Non-finite numbers are written as null (obs/json_util.h).
+class JsonObject {
+ public:
+  JsonObject& Str(std::string_view key, std::string_view value) {
+    return Raw(key, "\"" + obs::JsonEscape(std::string(value)) + "\"");
+  }
+  JsonObject& Num(std::string_view key, double value) {
+    return Raw(key, obs::JsonNumber(value));
+  }
+  JsonObject& Int(std::string_view key, int64_t value) {
+    return Raw(key, std::to_string(value));
+  }
+  JsonObject& Bool(std::string_view key, bool value) {
+    return Raw(key, value ? "true" : "false");
+  }
+  template <typename Container>
+  JsonObject& Array(std::string_view key, const Container& values) {
+    std::string items;
+    for (const auto& value : values) {
+      items += (items.empty() ? "" : ", ") +
+               obs::JsonNumber(static_cast<double>(value));
+    }
+    return Raw(key, "[" + items + "]");
+  }
+  std::string json() const { return "{" + body_ + "}"; }
+
+ private:
+  JsonObject& Raw(std::string_view key, std::string_view json) {
+    body_ += body_.empty() ? "\"" : ", \"";
+    body_ += obs::JsonEscape(std::string(key));
+    body_ += "\": ";
+    body_ += json;
+    return *this;
+  }
+
+  std::string body_;
+};
+
+/// Prints the unified bench document to stdout.  The metrics snapshot is
+/// taken here, last, so it reflects the whole run.
+inline void PrintBenchDocument(std::string_view bench,
+                               const JsonObject& config,
+                               const std::vector<JsonObject>& rows) {
+  std::printf("{\n  \"bench\": \"%s\",\n  \"config\": %s,\n  \"rows\": [\n",
+              obs::JsonEscape(std::string(bench)).c_str(),
+              config.json().c_str());
+  for (size_t i = 0; i < rows.size(); ++i) {
+    std::printf("    %s%s\n", rows[i].json().c_str(),
+                i + 1 < rows.size() ? "," : "");
+  }
+  std::printf("  ],\n  \"metrics\": %s\n}\n", MetricsJson().c_str());
+}
+
 /// Builds the shared workload or aborts with a diagnostic.
 inline std::unique_ptr<PaperWorkload> MustCreateWorkload(
-    bool populate = false) {
-  auto workload = PaperWorkload::Create(kWorkloadSeed, populate);
+    bool populate = false, int32_t buffer_pool_pages = 256,
+    double skew_exponent = 1.0) {
+  auto workload = PaperWorkload::Create(kWorkloadSeed, populate,
+                                        buffer_pool_pages, skew_exponent);
   if (!workload.ok()) {
     std::fprintf(stderr, "workload creation failed: %s\n",
                  workload.status().ToString().c_str());

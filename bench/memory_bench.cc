@@ -14,7 +14,7 @@
 // I/O does not grow monotonically as memory falls; the plan adapts first.
 //
 // Output is a JSON document on stdout in the unified bench schema
-// ({bench, config, rows, metrics} — see bench/unified_report.h); the
+// ({bench, config, rows, metrics} — see bench/bench_common.h); the
 // committed copy lives in BENCH_memory.json (regeneration:
 // `build/bench/memory_bench --json > BENCH_memory.json`).
 
@@ -142,18 +142,7 @@ void Run() {
   std::unique_ptr<PaperWorkload> workload =
       MustCreateWorkload(/*populate=*/true);
 
-  std::printf("{\n  \"bench\": \"memory\",\n");
-  std::printf("  \"config\": {\"invocations_per_point\": %d, "
-              "\"workload_seed\": %llu, \"binding_seed\": %llu, "
-              "\"budgets_pages\": [",
-              kInvocations, static_cast<unsigned long long>(kWorkloadSeed),
-              static_cast<unsigned long long>(kBindingSeed));
-  for (size_t i = 0; i < std::size(kBudgets); ++i) {
-    std::printf("%s%lld", i ? ", " : "",
-                static_cast<long long>(kBudgets[i]));
-  }
-  std::printf("]},\n  \"rows\": [\n");
-
+  std::vector<JsonObject> rows;
   const std::vector<int32_t>& sizes = PaperWorkload::PaperQuerySizes();
   for (size_t qi = 0; qi < sizes.size(); ++qi) {
     int32_t n = sizes[qi];
@@ -163,39 +152,34 @@ void Run() {
     CompiledQuery compiled = MustCompile(*workload, query,
                                          OptimizerOptions::Dynamic(),
                                          /*uncertain_memory=*/true);
-    for (size_t bi = 0; bi < std::size(kBudgets); ++bi) {
-      int64_t budget = kBudgets[bi];
+    for (int64_t budget : kBudgets) {
       SweepPoint p = SweepQueryAtBudget(*workload, compiled, query, budget);
-      bool last = qi + 1 == sizes.size() && bi + 1 == std::size(kBudgets);
-      std::printf(
-          "    {\"query\": \"Q%zu\", \"relations\": %d, "
-          "\"memory_pages\": %lld, \"budget_bytes\": %lld, "
-          "\"peak_bytes_max\": %lld, \"temp_files\": %lld, "
-          "\"tuples_spilled\": %lld, \"bytes_spilled\": %lld, "
-          "\"page_reads\": %lld, \"page_writes\": %lld, \"rows\": %lld, "
-          "\"forced_overflows\": %lld, \"hash_joins\": %lld, "
-          "\"index_joins\": %lld, \"merge_joins\": %lld, "
-          "\"results_match\": %s}%s\n",
-          qi + 1, n,
-          static_cast<long long>(budget),
-          static_cast<long long>(budget * kPageSize),
-          static_cast<long long>(p.peak_bytes),
-          static_cast<long long>(p.temp_files),
-          static_cast<long long>(p.tuples_spilled),
-          static_cast<long long>(p.bytes_spilled),
-          static_cast<long long>(p.page_reads),
-          static_cast<long long>(p.page_writes),
-          static_cast<long long>(p.rows),
-          static_cast<long long>(p.overflows),
-          static_cast<long long>(p.joins.hash),
-          static_cast<long long>(p.joins.index),
-          static_cast<long long>(p.joins.merge),
-          p.results_match ? "true" : "false",
-          last ? "" : ",");
+      rows.push_back(JsonObject()
+                         .Str("query", "Q" + std::to_string(qi + 1))
+                         .Int("relations", n)
+                         .Int("memory_pages", budget)
+                         .Int("budget_bytes", budget * kPageSize)
+                         .Int("peak_bytes_max", p.peak_bytes)
+                         .Int("temp_files", p.temp_files)
+                         .Int("tuples_spilled", p.tuples_spilled)
+                         .Int("bytes_spilled", p.bytes_spilled)
+                         .Int("page_reads", p.page_reads)
+                         .Int("page_writes", p.page_writes)
+                         .Int("rows", p.rows)
+                         .Int("forced_overflows", p.overflows)
+                         .Int("hash_joins", p.joins.hash)
+                         .Int("index_joins", p.joins.index)
+                         .Int("merge_joins", p.joins.merge)
+                         .Bool("results_match", p.results_match));
     }
   }
-  // Metrics snapshot last, so it reflects the whole sweep.
-  std::printf("  ],\n  \"metrics\": %s\n}\n", MetricsJson().c_str());
+  PrintBenchDocument("memory",
+                     JsonObject()
+                         .Int("invocations_per_point", kInvocations)
+                         .Int("workload_seed", kWorkloadSeed)
+                         .Int("binding_seed", kBindingSeed)
+                         .Array("budgets_pages", kBudgets),
+                     rows);
 }
 
 }  // namespace

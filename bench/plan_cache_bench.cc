@@ -19,7 +19,7 @@
 // time must be >= 5x below cache-off ("median_speedup" in the rows).
 //
 // Output is a JSON document on stdout in the unified bench schema
-// ({bench, config, rows, metrics} — see bench/unified_report.h); the
+// ({bench, config, rows, metrics} — see bench/bench_common.h); the
 // committed copy lives in BENCH_plan_cache.json (regeneration:
 // `build/bench/plan_cache_bench --json > BENCH_plan_cache.json`).
 
@@ -156,19 +156,7 @@ void Run() {
       MustCreateWorkload(/*populate=*/false);
   const std::vector<int32_t>& sizes = PaperWorkload::PaperQuerySizes();
 
-  std::printf("{\n  \"bench\": \"plan_cache\",\n");
-  std::printf(
-      "  \"config\": {\"queries_per_rate\": %d, \"cache_capacity\": %zu, "
-      "\"workload_seed\": %llu, \"binding_seed\": %llu, "
-      "\"repeat_rates\": [",
-      kQueriesPerRate, kCacheCapacity,
-      static_cast<unsigned long long>(kWorkloadSeed),
-      static_cast<unsigned long long>(kBindingSeed));
-  for (size_t i = 0; i < std::size(kRepeatRates); ++i) {
-    std::printf("%s%.2f", i ? ", " : "", kRepeatRates[i]);
-  }
-  std::printf("]},\n  \"rows\": [\n");
-
+  std::vector<JsonObject> rows;
   uint64_t cold_variant = 1;  // never reused across the whole sweep
   for (size_t ri = 0; ri < std::size(kRepeatRates); ++ri) {
     double rate = kRepeatRates[ri];
@@ -196,26 +184,34 @@ void Run() {
     double off_median = Median(off.wall_seconds);
     for (int pass = 0; pass < 2; ++pass) {
       const PassResult& result = pass == 0 ? on : off;
-      bool last = ri + 1 == std::size(kRepeatRates) && pass == 1;
-      std::printf(
-          "    {\"name\": \"plan_cache/repeat_%.0f/cache_%s\", "
-          "\"time_unit\": \"ns\", \"real_time\": %.1f, \"cpu_time\": %.1f, "
-          "\"mean_real_time\": %.1f, \"total_s\": %.6f, \"queries\": %d, "
-          "\"hit_rate\": %.4f, \"median_speedup\": %.2f}%s\n",
-          rate * 100.0, pass == 0 ? "on" : "off",
-          Median(result.wall_seconds) * 1e9,
-          Median(result.cpu_seconds) * 1e9,
-          Mean(result.wall_seconds) * 1e9, result.total_seconds,
-          kQueriesPerRate,
-          static_cast<double>(result.hits) / kQueriesPerRate,
-          pass == 0 && on_median > 0.0 ? off_median / on_median : 1.0,
-          last ? "" : ",");
+      char name[64];
+      std::snprintf(name, sizeof(name), "plan_cache/repeat_%.0f/cache_%s",
+                    rate * 100.0, pass == 0 ? "on" : "off");
+      rows.push_back(
+          JsonObject()
+              .Str("name", name)
+              .Str("time_unit", "ns")
+              .Num("real_time", Median(result.wall_seconds) * 1e9)
+              .Num("cpu_time", Median(result.cpu_seconds) * 1e9)
+              .Num("mean_real_time", Mean(result.wall_seconds) * 1e9)
+              .Num("total_s", result.total_seconds)
+              .Int("queries", kQueriesPerRate)
+              .Num("hit_rate",
+                   static_cast<double>(result.hits) / kQueriesPerRate)
+              .Num("median_speedup", pass == 0 && on_median > 0.0
+                                         ? off_median / on_median
+                                         : 1.0));
     }
   }
-
-  // Metrics snapshot last, so it reflects the whole sweep (plan-cache
-  // counters included).
-  std::printf("  ],\n  \"metrics\": %s\n}\n", MetricsJson().c_str());
+  PrintBenchDocument("plan_cache",
+                     JsonObject()
+                         .Int("queries_per_rate", kQueriesPerRate)
+                         .Int("cache_capacity",
+                              static_cast<int64_t>(kCacheCapacity))
+                         .Int("workload_seed", kWorkloadSeed)
+                         .Int("binding_seed", kBindingSeed)
+                         .Array("repeat_rates", kRepeatRates),
+                     rows);
 }
 
 }  // namespace

@@ -21,7 +21,7 @@
 // arming re-optimization, reported as a within-run ratio.
 //
 // Output is a JSON document on stdout in the unified bench schema
-// ({bench, config, rows, metrics} — see bench/unified_report.h); the
+// ({bench, config, rows, metrics} — see bench/bench_common.h); the
 // committed copy lives in BENCH_reopt.json (regeneration:
 // `build/bench/reopt_bench --json > BENCH_reopt.json`).  The
 // `reoptbench` step of tools/run_checks.sh gates on the within-run
@@ -116,29 +116,21 @@ void Run() {
   std::unique_ptr<PaperWorkload> workload =
       MustCreateWorkload(/*populate=*/true);
 
-  std::printf("{\n  \"bench\": \"reopt\",\n");
-  std::printf(
-      "  \"config\": {\"iterations_per_variant\": %d, "
-      "\"workload_seed\": %llu, \"memory_pages\": %.0f, \"slack\": %.1f, "
-      "\"estimated_selectivity\": %.2f, \"true_selectivity\": %.2f},\n"
-      "  \"rows\": [\n",
-      kIterations, static_cast<unsigned long long>(kWorkloadSeed),
-      kMemoryPages, kSlack, kEstimatedSelectivity, kTrueSelectivity);
-
   const std::vector<int32_t> sizes = {2, 4, 6, 10};  // Q2-Q5 (Q1 joins nothing)
-  bool first_row = true;
-  auto emit = [&first_row](const char* name, int32_t relations,
-                           const char* scenario, const char* variant,
-                           const Timed& timed, int64_t triggers,
-                           double reopt_seconds) {
-    std::printf(
-        "%s    {\"name\": \"%s\", \"relations\": %d, \"scenario\": \"%s\", "
-        "\"variant\": \"%s\", \"seconds_median\": %.6f, \"rows\": %lld, "
-        "\"triggers\": %lld, \"reopt_seconds\": %.6f}",
-        first_row ? "" : ",\n", name, relations, scenario, variant,
-        timed.seconds_median, static_cast<long long>(timed.rows),
-        static_cast<long long>(triggers), reopt_seconds);
-    first_row = false;
+  std::vector<JsonObject> rows;
+  auto emit = [&rows](const char* name, int32_t relations,
+                      const char* scenario, const char* variant,
+                      const Timed& timed, int64_t triggers,
+                      double reopt_seconds) {
+    rows.push_back(JsonObject()
+                       .Str("name", name)
+                       .Int("relations", relations)
+                       .Str("scenario", scenario)
+                       .Str("variant", variant)
+                       .Num("seconds_median", timed.seconds_median)
+                       .Int("rows", timed.rows)
+                       .Int("triggers", triggers)
+                       .Num("reopt_seconds", reopt_seconds));
   };
 
   for (int32_t n : sizes) {
@@ -214,7 +206,15 @@ void Run() {
     emit(name, n, "accurate", "on", armed_t, quiet_triggers, 0.0);
   }
 
-  std::printf("\n  ],\n  \"metrics\": %s\n}\n", MetricsJson().c_str());
+  PrintBenchDocument("reopt",
+                     JsonObject()
+                         .Int("iterations_per_variant", kIterations)
+                         .Int("workload_seed", kWorkloadSeed)
+                         .Num("memory_pages", kMemoryPages)
+                         .Num("slack", kSlack)
+                         .Num("estimated_selectivity", kEstimatedSelectivity)
+                         .Num("true_selectivity", kTrueSelectivity),
+                     rows);
 }
 
 }  // namespace

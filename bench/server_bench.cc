@@ -38,7 +38,6 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <cinttypes>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
@@ -579,22 +578,22 @@ void Run(bool json) {
   }
 
   if (json) {
-    std::printf("{\n  \"bench\": \"server\",\n");
-    std::printf(
-        "  \"config\": {\"clients\": %d, \"queries_per_client\": %d, "
-        "\"repeat_rate\": %.2f, \"workload_seed\": %" PRIu64
-        ", \"binding_seed\": %" PRIu64 "},\n",
-        kClients, kQueriesPerClient, kRepeatRate, kWorkloadSeed,
-        kBindingSeed);
-    std::printf("  \"rows\": [\n");
-    for (size_t i = 0; i < rows.size(); ++i) {
-      std::printf("    {\"name\": \"%s\"", rows[i].name.c_str());
-      for (const auto& [key, value] : rows[i].fields) {
-        std::printf(", \"%s\": %.6f", key.c_str(), value);
+    std::vector<JsonObject> objects;
+    for (const Row& row : rows) {
+      JsonObject& object = objects.emplace_back();
+      object.Str("name", row.name);
+      for (const auto& [key, value] : row.fields) {
+        object.Num(key, value);
       }
-      std::printf("}%s\n", i + 1 < rows.size() ? "," : "");
     }
-    std::printf("  ],\n  \"metrics\": %s\n}\n", MetricsJson().c_str());
+    PrintBenchDocument("server",
+                       JsonObject()
+                           .Int("clients", kClients)
+                           .Int("queries_per_client", kQueriesPerClient)
+                           .Num("repeat_rate", kRepeatRate)
+                           .Int("workload_seed", kWorkloadSeed)
+                           .Int("binding_seed", kBindingSeed),
+                       objects);
   } else {
     for (const Row& row : rows) {
       std::printf("%-22s", row.name.c_str());

@@ -1,15 +1,7 @@
-// Shared `--json` output schema for the bench binaries.  Every bench
-// emits one document of the same shape:
-//
-//   {"bench":   "<micro|parallel|memory>",
-//    "config":  {...},     // machine facts and per-bench settings
-//    "rows":    [{...}],   // one flat object per measurement
-//    "metrics": {...}}     // MetricsRegistry snapshot after the run
-//
-// micro_bench and parallel_bench are google-benchmark binaries and get
-// the shape from UnifiedJsonReporter + RunUnifiedBenchmarkMain below.
-// memory_bench has no google-benchmark dependency, so it prints the same
-// shape by hand (and must not include this header).
+// `--json` output for the google-benchmark binaries (micro_bench,
+// parallel_bench): UnifiedJsonReporter prints the unified bench document
+// described in bench/bench_common.h, and RunUnifiedBenchmarkMain is their
+// shared main() body.
 
 #ifndef DQEP_BENCH_UNIFIED_REPORT_H_
 #define DQEP_BENCH_UNIFIED_REPORT_H_
@@ -25,22 +17,6 @@
 
 namespace dqep::bench {
 
-inline std::string JsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    if (c == '"' || c == '\\') {
-      out += '\\';
-      out += c;
-    } else if (c == '\n') {
-      out += "\\n";
-    } else {
-      out += c;
-    }
-  }
-  return out;
-}
-
 /// google-benchmark reporter emitting the unified document.  Rows carry
 /// the run name, iteration count, adjusted real/cpu time in the run's
 /// time unit, the label, and every user counter, all flattened into one
@@ -51,46 +27,44 @@ class UnifiedJsonReporter : public benchmark::BenchmarkReporter {
       : bench_(std::move(bench_name)) {}
 
   bool ReportContext(const Context& context) override {
-    std::ostream& out = GetOutputStream();
-    out << "{\n  \"bench\": \"" << JsonEscape(bench_) << "\",\n";
-    out << "  \"config\": {\"num_cpus\": " << context.cpu_info.num_cpus
-        << ", \"cycles_per_second\": " << context.cpu_info.cycles_per_second
-        << ", \"build\": \""
 #ifdef NDEBUG
-        << "release"
+    const char* build = "release";
 #else
-        << "debug"
+    const char* build = "debug";
 #endif
-        << "\"},\n  \"rows\": [";
+    JsonObject config;
+    config.Int("num_cpus", context.cpu_info.num_cpus)
+        .Num("cycles_per_second", context.cpu_info.cycles_per_second)
+        .Str("build", build);
+    GetOutputStream() << "{\n  \"bench\": \"" << obs::JsonEscape(bench_)
+                      << "\",\n  \"config\": " << config.json()
+                      << ",\n  \"rows\": [";
     return true;
   }
 
   void ReportRuns(const std::vector<Run>& runs) override {
     std::ostream& out = GetOutputStream();
     for (const Run& run : runs) {
-      out << (first_ ? "\n" : ",\n");
-      first_ = false;
-      out << "    {\"name\": \"" << JsonEscape(run.benchmark_name())
-          << "\", \"iterations\": " << run.iterations
-          << ", \"real_time\": " << run.GetAdjustedRealTime()
-          << ", \"cpu_time\": " << run.GetAdjustedCPUTime()
-          << ", \"time_unit\": \"" << benchmark::GetTimeUnitString(run.time_unit)
-          << "\"";
+      JsonObject row;
+      row.Str("name", run.benchmark_name())
+          .Int("iterations", run.iterations)
+          .Num("real_time", run.GetAdjustedRealTime())
+          .Num("cpu_time", run.GetAdjustedCPUTime())
+          .Str("time_unit", benchmark::GetTimeUnitString(run.time_unit));
       if (!run.report_label.empty()) {
-        out << ", \"label\": \"" << JsonEscape(run.report_label) << "\"";
+        row.Str("label", run.report_label);
       }
       for (const auto& [name, counter] : run.counters) {
-        out << ", \"" << JsonEscape(name) << "\": " << counter.value;
+        row.Num(name, counter.value);
       }
-      out << "}";
+      out << (first_ ? "\n    " : ",\n    ") << row.json();
+      first_ = false;
     }
   }
 
   void Finalize() override {
-    std::ostream& out = GetOutputStream();
-    out << "\n  ],\n  \"metrics\": "
-        << MetricsJson()
-        << "\n}\n";
+    GetOutputStream() << "\n  ],\n  \"metrics\": " << MetricsJson()
+                      << "\n}\n";
   }
 
  private:

@@ -1,9 +1,9 @@
 #!/bin/sh
 # Build-and-test gauntlet: the bench-schema gate, the plain tree (full
-# suite), the plan-cache amortization gate, the multi-session server
-# gate, the mid-query re-optimization gate, the live telemetry scrape
-# gate, the oracle-replay gate, a served-query benchmark smoke run, then
-# the ThreadSanitizer and
+# suite), the paper-claims gate, the plan-cache amortization gate, the
+# multi-session server gate, the mid-query re-optimization gate, the live
+# telemetry scrape gate, the oracle-replay gate, a served-query benchmark
+# smoke run, then the ThreadSanitizer and
 # AddressSanitizer trees over the labeled suites (exec, parallel, spill,
 # obs, cache, server, reopt, startup, storage — the obs label includes
 # the calibration feedback tests).  One command for the checks
@@ -11,6 +11,7 @@
 #
 #   tools/run_checks.sh                  # everything
 #   tools/run_checks.sh bench plain      # schema gate + plain tree
+#   tools/run_checks.sh paper            # paper-claims gate (paper_bench)
 #   tools/run_checks.sh cachebench       # plan-cache amortization gate
 #   tools/run_checks.sh serverbench      # multi-session server gate
 #   tools/run_checks.sh reoptbench       # mid-query re-optimization gate
@@ -26,15 +27,38 @@
 set -eu
 cd "$(dirname "$0")/.."
 
-steps="${*:-bench plain cachebench serverbench reoptbench telemetry replay perfbench tsan asan}"
+steps="${*:-bench plain paper cachebench serverbench reoptbench telemetry replay perfbench tsan asan}"
 labels='exec|parallel|spill|obs|cache|server|reopt|startup|storage'
 
 for step in $steps; do
   case "$step" in
     bench)
+      # No build needed: the checked-in results must parse, and the
+      # README / EXPERIMENTS paper tables must be the ones rendered from
+      # BENCH_paper.json.
       echo "== bench: unified-schema gate over checked-in results =="
       python3 tools/bench_diff.py --validate BENCH_*.json
       python3 tools/bench_diff_test.py
+      python3 tools/paper_check.py docs BENCH_paper.json README.md \
+        EXPERIMENTS.md
+      ;;
+    paper)
+      # The paper's claims on a fresh run, machine-speed proof: exact
+      # facts (g = d on every binding, no dynamic-mode pruning, start-up
+      # evaluations = nodes - choose nodes, exhaustive / branch-and-bound
+      # / executed runs agree with the dynamic plan), the paper's
+      # directions as within-run ratios, and every deterministic column
+      # equal to the checked-in BENCH_paper.json.  About 40 s on a 4-vCPU
+      # host (RelWithDebInfo), nearly all of it the skew ablation
+      # executing chain-4 plans on skewed data (which also sets the step's
+      # peak RSS, about 2.4 GB); the other sections take about 1 s.
+      echo "== paper: paper-claims gate =="
+      cmake -B build -S . >/dev/null
+      cmake --build build -j --target paper_bench
+      build/bench/paper_bench --json > build/BENCH_paper.json
+      python3 tools/bench_diff.py --validate build/BENCH_paper.json
+      python3 tools/paper_check.py gate build/BENCH_paper.json \
+        BENCH_paper.json
       ;;
     plain)
       echo "== plain: full build + full ctest =="
@@ -353,7 +377,7 @@ GATE
       ctest --test-dir build-asan -L "$labels" --output-on-failure
       ;;
     *)
-      echo "unknown step: $step (want bench, plain, cachebench," \
+      echo "unknown step: $step (want bench, plain, paper, cachebench," \
            "serverbench, reoptbench, telemetry, replay, perfbench, tsan," \
            "asan)" >&2
       exit 2
